@@ -35,7 +35,6 @@ from .resonance import (
     count_in_box,
     f_and_fprime,
     free_region_check,
-    im_s_grid_max,
     locate_resonance,
     newton_refine,
     no_root_certificate,

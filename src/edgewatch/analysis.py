@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 SLOPE_TOLERANCE = 0.3
+# pass band of the proportional-index track n = floor(FRAC * L) of
+# `l-scaling` around its expected slope -1
+PROPORTIONAL_SLOPE_TOLERANCE = 0.4
 FIT_EXCLUDE_LOWEST = 3  # indices n in {0, 1, 2} stay out of log-log fits
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import analysis, resonance, spectrum, verify
@@ -73,19 +72,6 @@ def _load_potential(args) -> PeriodicPotential:
     if not values:
         raise UsageError("--potential needs at least one value")
     return PeriodicPotential.from_values(values)
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("EDGEWATCH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"EDGEWATCH_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise UsageError(f"EDGEWATCH_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def _match_edge(bs, value: float):
@@ -201,7 +187,7 @@ def _cmd_resonances(args) -> int:
     results = resonance.sweep_band_edge(
         sd, bs, edge, eps=args.eps, C0=args.c0, C1=args.c1,
         newton_tol=args.newton_tol, max_iter=args.max_iter,
-        strict=False, threads=_threads_from_env())
+        strict=False)
     _emit(_render(_resonance_rows(results), _RES_FIELDS, args.format),
           args.output)
     return 0 if all(r.winding_verified for r in results) else 1
@@ -239,7 +225,7 @@ def _cmd_scaling(args) -> int:
         results = resonance.sweep_band_edge(
             sd, bs, edge, eps=args.eps, C0=args.c0, C1=args.c1,
             newton_tol=args.newton_tol, max_iter=args.max_iter,
-            strict=False, threads=_threads_from_env())
+            strict=False)
     report = analysis.scaling_report(sd, results, edge, eps=args.eps, bs=bs)
     rows = [c.to_dict() for c in report.checks]
     fields = ["name", "slope", "intercept", "r_squared", "n_points",
@@ -276,14 +262,15 @@ def _cmd_l_scaling(args) -> int:
     rows.append({"track": f"fixed-n={args.n}", "slope": fit.slope,
                  "intercept": fit.intercept, "r_squared": fit.r_squared,
                  "n_points": fit.n_points, "expected_slope": -3.0,
-                 "passed": abs(fit.slope + 3.0) <= 0.3})
+                 "passed": abs(fit.slope + 3.0) <= analysis.SLOPE_TOLERANCE})
     if prop:
         fit2 = analysis.l_scaling(prop, require_same_n=False)
         rows.append({"track": f"proportional-n={args.proportional}",
                      "slope": fit2.slope, "intercept": fit2.intercept,
                      "r_squared": fit2.r_squared, "n_points": fit2.n_points,
                      "expected_slope": -1.0,
-                     "passed": abs(fit2.slope + 1.0) <= 0.4})
+                     "passed": (abs(fit2.slope + 1.0)
+                                <= analysis.PROPORTIONAL_SLOPE_TOLERANCE)})
     fields = ["track", "slope", "intercept", "r_squared", "n_points",
               "expected_slope", "passed"]
     _emit(_render(rows, fields, args.format), args.output)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .floquet import BandStructure, EdgeClassification, EdgeData
 from .spectrum import L_SOFT_CAP, SpectralData
-from .summation import compensated_sum, dd_sum
+from .summation import dd_sum
 
 __all__ = [
     "ResonanceBox",
@@ -51,7 +50,6 @@ __all__ = [
     "locate_resonance",
     "sweep_band_edge",
     "free_region_check",
-    "im_s_grid_max",
     "no_root_certificate",
 ]
 
@@ -86,47 +84,44 @@ def _theta_arr(E: np.ndarray) -> np.ndarray:
 # The finite sum S_L and the resonance function f
 
 
-def _pole_guard(sd: SpectralData, E: complex, tol_factor: float = 1e-14):
-    dist = np.abs(sd.lambdas - E)
+_POLE_TOL = 1e-14  # closest approach to an eigenvalue, relative to scale
+
+
+def _terms(sd: SpectralData, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """diffs = eigenvalue - z and terms = weight/diffs, refusing z at a pole.
+
+    The one pole-guarded evaluation of the terms of S_L; S_L, f and f' are
+    numpy (pairwise) sums over what it returns.
+    """
+    diffs = sd.lambdas - z
+    dist = np.abs(diffs)
     k = int(np.argmin(dist))
-    if dist[k] < tol_factor * sd.scale():
-        raise PoleHit(f"E = {E} is within {tol_factor:g}*scale of eigenvalue "
+    if dist[k] < _POLE_TOL * sd.scale():
+        raise PoleHit(f"E = {z} is within {_POLE_TOL:g}*scale of eigenvalue "
                       f"{sd.lambdas[k]} (k = {k})")
+    return diffs, sd.weights_end / diffs
 
 
 def s_l(sd: SpectralData, E) -> complex:
-    """Compensated sum of weight/(eigenvalue - E) over all L+1 eigenvalues."""
+    """Sum of weight/(eigenvalue - E) over all L+1 eigenvalues."""
     if sd.L > L_SOFT_CAP:
         warnings.warn(f"L = {sd.L} exceeds the working-precision cap {L_SOFT_CAP}",
                       stacklevel=2)
-    z = complex(E)
-    _pole_guard(sd, z)
-    return complex(compensated_sum(sd.weights_end / (sd.lambdas - z)))
+    return complex(np.sum(_terms(sd, complex(E))[1]))
 
 
 def s_l_dd(sd: SpectralData, E) -> complex:
     """Double-double summation oracle for s_l (spot checks only)."""
-    z = complex(E)
-    _pole_guard(sd, z)
-    return complex(dd_sum(sd.weights_end / (sd.lambdas - z)))
-
-
-def _f(sd: SpectralData, z: complex) -> complex:
-    _pole_guard(sd, z)
-    s = complex(compensated_sum(sd.weights_end / (sd.lambdas - z)))
-    return s + cmath.exp(-1j * theta(z))
+    return complex(dd_sum(_terms(sd, complex(E))[1]))
 
 
 def f_and_fprime(sd: SpectralData, E) -> tuple[complex, complex]:
     """The resonance function f = S_L + exp(-i theta) and its derivative."""
     z = complex(E)
-    _pole_guard(sd, z)
-    diffs = sd.lambdas - z
-    s = complex(compensated_sum(sd.weights_end / diffs))
+    diffs, terms = _terms(sd, z)
     ph = cmath.exp(-1j * theta(z))
-    f = s + ph
-    fp = complex(compensated_sum(sd.weights_end / (diffs * diffs)))
-    fp = fp - 1j * theta_prime(z) * ph
+    f = complex(np.sum(terms)) + ph
+    fp = complex(np.sum(terms / diffs)) - 1j * theta_prime(z) * ph
     return f, fp
 
 
@@ -152,9 +147,9 @@ def alpha_and_seed(sd: SpectralData, band: int, n: int) -> tuple[complex, comple
         raise OnBranchCut(f"lambda_n = {lam_n} is outside (-2, 2)")
     others = np.delete(np.arange(len(sd.lambdas)), g)
     diffs = sd.lambdas[others] - lam_n
-    if np.min(np.abs(diffs)) <= 1e-14 * sd.scale():
+    if np.min(np.abs(diffs)) <= _POLE_TOL * sd.scale():
         raise PoleHit(f"coincident eigenvalues at lambda = {lam_n}")
-    alpha = complex(compensated_sum(sd.weights_end[others] / diffs))
+    alpha = complex(np.sum(sd.weights_end[others] / diffs))
     alpha += cmath.exp(-1j * theta(lam_n))
     seed = complex(lam_n + sd.weights_end[g] / alpha)
     return alpha, seed
@@ -280,7 +275,11 @@ def winding_count(sd: SpectralData, rect, samples_min: int = 64) -> int:
                 f"vertical edge x = {x} is {d:.3e} from an eigenvalue")
     if y_lo <= 0.0 <= y_hi and max(abs(x_lo), abs(x_hi)) >= 2.0:
         raise OnBranchCut("rectangle crosses the real axis outside (-2, 2)")
-    return winding_number(lambda z: _f(sd, z), rect, samples_min=samples_min)
+
+    def f(z):
+        return complex(np.sum(_terms(sd, z)[1])) + cmath.exp(-1j * theta(z))
+
+    return winding_number(f, rect, samples_min=samples_min)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +406,7 @@ def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
 def sweep_band_edge(sd: SpectralData, bs: BandStructure, edge: EdgeData,
                     eps: float = 0.2, C0: float = 50.0, C1: float = 10.0,
                     newton_tol: float = 1e-11, max_iter: int = 50,
-                    strict: bool = True, threads: int = 1) -> list[Resonance]:
+                    strict: bool = True) -> list[Resonance]:
     """Locate and certify the resonance attached to each near-edge eigenvalue.
 
     For n = 0 .. floor(eps*L/C1): build the box between midpoints of
@@ -437,16 +436,8 @@ def sweep_band_edge(sd: SpectralData, bs: BandStructure, edge: EdgeData,
             f"band {edge.band_index} holds {len(members)} eigenvalues; need "
             f"{n_max + 2} for the requested sweep")
 
-    ns = list(range(n_max + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(
-                lambda n: _sweep_one(sd, edge, n, eps, C0, newton_tol,
-                                     max_iter, strict), ns))
-    else:
-        results = [_sweep_one(sd, edge, n, eps, C0, newton_tol, max_iter,
-                              strict) for n in ns]
-    return sorted(results, key=lambda r: r.n)
+    return [_sweep_one(sd, edge, n, eps, C0, newton_tol, max_iter, strict)
+            for n in range(n_max + 1)]
 
 
 def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
@@ -478,8 +469,14 @@ def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
 # Small-imaginary-part certificates
 
 
-def _region_grid(sd: SpectralData, edge: EdgeData, n: int, eps: float,
-                 C0: float, grid: int) -> np.ndarray:
+def no_root_certificate(sd: SpectralData, edge: EdgeData, n: int, eps: float,
+                        C0: float = 50.0, grid: int = 30) -> tuple[float, float]:
+    """(max |Im S_L|, min |Im exp(-i theta)|) over a lattice on the strip.
+
+    The strip lies between the shallow cell of depth C0 (n+1)/L^2 and the
+    box floor eps^5.  The first value strictly below the second certifies
+    that the resonance equation has no solution there.
+    """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
     top = C0 * (n + 1) / sd.L ** 2
@@ -491,25 +488,7 @@ def _region_grid(sd: SpectralData, edge: EdgeData, n: int, eps: float,
     box = _box_for(sd, edge, n, depth=bottom)
     xs = np.linspace(box.x_lo, box.x_hi, grid)
     ys = np.linspace(-bottom, -top, grid)
-    return (xs[None, :] + 1j * ys[:, None]).ravel()
-
-
-def im_s_grid_max(sd: SpectralData, edge: EdgeData, n: int, eps: float,
-                  C0: float = 50.0, grid: int = 30) -> float:
-    """Max of |Im S_L| over a lattice on the strip below the shallow cell."""
-    pts = _region_grid(sd, edge, n, eps, C0, grid)
-    terms = sd.weights_end[None, :] / (sd.lambdas[None, :] - pts[:, None])
-    return float(np.max(np.abs(terms.sum(axis=1).imag)))
-
-
-def no_root_certificate(sd: SpectralData, edge: EdgeData, n: int, eps: float,
-                        C0: float = 50.0, grid: int = 30) -> tuple[float, float]:
-    """(max |Im S_L|, min |Im exp(-i theta)|) over the same lattice.
-
-    The first strictly below the second certifies that the resonance
-    equation has no solution in the strip.
-    """
-    pts = _region_grid(sd, edge, n, eps, C0, grid)
+    pts = (xs[None, :] + 1j * ys[:, None]).ravel()
     terms = sd.weights_end[None, :] / (sd.lambdas[None, :] - pts[:, None])
     im_s = float(np.max(np.abs(terms.sum(axis=1).imag)))
     im_phase = np.abs(np.exp(-1j * _theta_arr(pts)).imag)

@@ -36,8 +36,9 @@ __all__ = [
     "weight_profile",
 ]
 
-# beyond this size the compensated sums are still correct but the tiny
-# near-edge weights start losing relative accuracy in double precision
+# beyond this size the resonance sums (numpy pairwise summation) are still
+# correct but the tiny near-edge weights start losing relative accuracy in
+# double precision
 L_SOFT_CAP = 4000
 
 

@@ -1,10 +1,11 @@
 """Compensated and double-double summation.
 
-The resonance sums need |Im| resolved far below the magnitude of individual
-terms, so plain accumulation is not good enough.  The workhorse is a
-pairwise-block + Neumaier (Kahan-Babuska) scheme; a double-double
-accumulator built on error-free transformations serves as the in-project
-high-precision oracle for spot checks.
+The resonance sums are numpy pairwise sums, whose error stays within a few
+units of roundoff relative to sum |terms| at every swept resonance, so
+`compensated_sum` (pairwise blocks + Neumaier / Kahan-Babuska across them)
+is no longer on the resonance path; it gained no digits there.  The
+double-double accumulator built on error-free transformations, `dd_sum`,
+is the in-project high-precision oracle for spot checks.
 """
 
 from __future__ import annotations

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 import edgewatch as ew
-from edgewatch import analysis, resonance as rz
-from edgewatch.verify import random_rational_cases
-from conftest import free_chain_closed_forms
+from edgewatch import analysis, resonance as rz, verify
 
 EPS = 0.2
 C0 = 50.0
@@ -63,16 +61,9 @@ def test_criterion_01_floquet_oracles(cache):
 
 
 def test_criterion_02_free_chain_oracle():
-    V0 = ew.PeriodicPotential.from_values([0.0])
-    worst = 0.0
-    for L in (2, 9, 50):
-        sd = ew.eigensystem(ew.assemble(V0, L))
-        lam, w = free_chain_closed_forms(L)
-        worst = max(worst, float(np.max(np.abs(sd.lambdas - lam))))
-        worst = max(worst, float(np.max(np.abs(sd.weights_end - w))))
-        assert abs(sd.weights_end.sum() - 1.0) <= 1e-10
-    assert worst <= 1e-10
-    _report(2, f"free-chain closed forms reproduced, worst error {worst:.2e}")
+    result = verify.check_free_chain()
+    assert result.passed, result.detail
+    _report(2, f"free-chain closed forms reproduced, {result.detail}")
 
 
 def test_criterion_03_genericity_classifier(cache):
@@ -183,8 +174,8 @@ def test_criterion_11_small_im_s_region(cache):
 
 
 def test_criterion_12_winding_exactness():
-    for func, rect, expected in random_rational_cases(seed=9, count=50):
-        assert rz.winding_number(func, rect) == expected
+    result = verify.check_winding_exactness(seed=9, count=50)
+    assert result.passed, result.detail
     _report(12, "50 random rational oracles counted exactly")
 
 
