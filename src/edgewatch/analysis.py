@@ -130,8 +130,8 @@ def _check(name, pts, expected, x_name, y_name, tol=SLOPE_TOLERANCE, note=""):
 
 
 def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
-                   edge: EdgeData, eps: float = 0.2,
-                   bs: BandStructure | None = None) -> ScalingReport:
+                   edge: EdgeData, bs: BandStructure,
+                   eps: float = 0.2) -> ScalingReport:
     """Fit the near-edge laws: eigenvalue offsets, weights, spacings, widths.
 
     Generic edges expect slopes (2, 2, 1, 2) against the index; an

@@ -97,7 +97,7 @@ def _check_positive(args, *names):
 
 
 def _check_resonance_config(args):
-    _check_positive(args, "eps", "c0", "c1", "newton_tol", "tol")
+    _check_positive(args, "eps", "c0", "c1", "newton_tol")
     if getattr(args, "max_iter", 1) < 1:
         raise UsageError("--max-iter must be at least 1")
     if getattr(args, "L", 10) < 10:
@@ -106,12 +106,10 @@ def _check_resonance_config(args):
 
 def _spectral_pipeline(args):
     V = _load_potential(args)
-    _check_positive(args, "tol")
     if args.L < 1:
         raise UsageError(f"--L must be positive, got {args.L}")
     bs = floquet.band_structure(V)
-    sd = spectrum.eigensystem(spectrum.assemble(V, args.L), tol=args.tol,
-                              seed=args.seed)
+    sd = spectrum.eigensystem(spectrum.assemble(V, args.L), seed=args.seed)
     sd = spectrum.band_enumerate(sd, bs)
     return V, bs, sd
 
@@ -185,7 +183,7 @@ def _cmd_resonances(args) -> int:
     ep = _match_edge(bs, args.edge)
     edge = floquet.classify_edge(V, bs, ep.energy, sd.j)
     results = resonance.sweep_band_edge(
-        sd, bs, edge, eps=args.eps, C0=args.c0, C1=args.c1,
+        sd, edge, eps=args.eps, C0=args.c0, C1=args.c1,
         newton_tol=args.newton_tol, max_iter=args.max_iter,
         strict=False)
     _emit(_render(_resonance_rows(results), _RES_FIELDS, args.format),
@@ -223,10 +221,10 @@ def _cmd_scaling(args) -> int:
     if edge.classification in (floquet.EdgeClassification.GENERIC_A,
                                floquet.EdgeClassification.GENERIC_B):
         results = resonance.sweep_band_edge(
-            sd, bs, edge, eps=args.eps, C0=args.c0, C1=args.c1,
+            sd, edge, eps=args.eps, C0=args.c0, C1=args.c1,
             newton_tol=args.newton_tol, max_iter=args.max_iter,
             strict=False)
-    report = analysis.scaling_report(sd, results, edge, eps=args.eps, bs=bs)
+    report = analysis.scaling_report(sd, results, edge, bs, eps=args.eps)
     rows = [c.to_dict() for c in report.checks]
     fields = ["name", "slope", "intercept", "r_squared", "n_points",
               "expected_slope", "tolerance", "passed", "note"]
@@ -235,7 +233,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_l_scaling(args) -> int:
-    _check_positive(args, "eps", "c0", "tol")
+    _check_positive(args, "eps", "c0")
     V = _load_potential(args)
     bs = floquet.band_structure(V)
     try:
@@ -246,8 +244,7 @@ def _cmd_l_scaling(args) -> int:
         raise UsageError("--L-list needs at least 3 lengths")
     fixed, prop = [], []
     for L in lengths:
-        sd = spectrum.eigensystem(spectrum.assemble(V, L), tol=args.tol,
-                                  seed=args.seed)
+        sd = spectrum.eigensystem(spectrum.assemble(V, L), seed=args.seed)
         sd = spectrum.band_enumerate(sd, bs)
         ep = _match_edge(bs, args.edge)
         edge = floquet.classify_edge(V, bs, ep.energy, sd.j)
@@ -289,14 +286,16 @@ def _add_common(p, potential=True):
                        help='JSON file {"period": p, "values": [...]}')
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="write to this path instead of stdout")
+
+
+def _add_seed(p, purpose):
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for inverse-iteration starts (default 0)")
+                   help=f"seed for {purpose} (default 0)")
 
 
 def _add_spectral(p):
     p.add_argument("--L", type=int, required=True, help="section length")
-    p.add_argument("--tol", type=float, default=1e-13,
-                   help="relative eigenvalue tolerance (default 1e-13)")
+    _add_seed(p, "inverse-iteration starts")
 
 
 def _add_resonance(p):
@@ -344,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suites")
     _add_common(p, potential=False)
+    _add_seed(p, "the randomized checks")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scaling", help="near-edge scaling-law report")
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--L-list", required=True,
                    help="comma-separated section lengths (>= 3)")
-    p.add_argument("--tol", type=float, default=1e-13)
+    _add_seed(p, "inverse-iteration starts")
     p.add_argument("--edge", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--c0", type=float, default=50.0)

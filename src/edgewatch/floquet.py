@@ -78,9 +78,6 @@ class Matrix2:
     def identity(cls) -> "Matrix2":
         return cls(1.0, 0.0, 0.0, 1.0)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
-
 
 def transfer_matrix(V: PeriodicPotential, E, l: int) -> Matrix2:
     """One-step transfer matrix ((E - v_l, -1), (1, 0)); det is exactly 1."""
@@ -122,49 +119,30 @@ def discriminant(V: PeriodicPotential, E):
     return float(tr.real)
 
 
-def _poly_mul_add(acc, extra):
-    if len(extra) > len(acc):
-        out = extra.copy()
-        out[: len(acc)] += acc
-        return out
-    out = acc.copy()
-    out[: len(extra)] += extra
-    return out
-
-
 @lru_cache(maxsize=64)
 def _partial_product_polys(V: PeriodicPotential):
     """Ascending-coefficient entries of T_{k-1}...T_0 for k = 0 .. p.
 
     Returned as a tuple over k of 2x2 nested tuples of float arrays, exactly
     the convention of :func:`product_matrix`; index p is the monodromy at
-    base site 0.
+    base site 0.  Multiplying by T_l = ((E - v_l, -1), (1, 0)) maps the rows
+    (top, bottom) to ((E - v_l) top - bottom, top).
     """
     one = np.array([1.0])
     zero = np.array([0.0])
-    M = ((one, zero), (zero, one))
-    out = [M]
-    for l in range(V.period):
-        v = V.values[l]
-        T = ((np.array([-v, 1.0]), np.array([-1.0])), (one, zero))
-        N = []
-        for i in range(2):
-            row = []
-            for jj in range(2):
-                acc = np.zeros(1)
-                for k in range(2):
-                    acc = _poly_mul_add(acc, np.convolve(T[i][k], M[k][jj]))
-                row.append(acc)
-            N.append(tuple(row))
-        M = tuple(N)
-        out.append(M)
+    top, bottom = (one, zero), (zero, one)
+    out = [(top, bottom)]
+    for v in V.values:
+        top, bottom = tuple(npoly.polysub(npoly.polymul([-v, 1.0], t), b)
+                            for t, b in zip(top, bottom)), top
+        out.append((top, bottom))
     return tuple(out)
 
 
 def discriminant_coeffs(V: PeriodicPotential) -> np.ndarray:
     """Ascending real coefficients of the discriminant; monic of degree p."""
     Mp = _partial_product_polys(V)[V.period]
-    return _poly_mul_add(Mp[0][0], Mp[1][1])
+    return npoly.polyadd(Mp[0][0], Mp[1][1])
 
 
 def _abs_polyval(coeffs: np.ndarray, x) -> float:
@@ -215,12 +193,6 @@ class BandStructure:
             if lo - atol <= E <= hi + atol:
                 return i
         return None
-
-    def spectrum_infimum(self) -> float:
-        return self.bands[0][0]
-
-    def spectrum_supremum(self) -> float:
-        return self.bands[-1][1]
 
 
 def _polish_real_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:

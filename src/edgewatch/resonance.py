@@ -76,10 +76,6 @@ def theta_prime(E):
     return 1.0 / (2.0 * cmath.sqrt(1.0 - (z / 2.0) ** 2))
 
 
-def _theta_arr(E: np.ndarray) -> np.ndarray:
-    return -np.arccos(np.asarray(E, dtype=complex) / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # The finite sum S_L and the resonance function f
 
@@ -96,7 +92,7 @@ def _terms(sd: SpectralData, z: complex) -> tuple[np.ndarray, np.ndarray]:
     diffs = sd.lambdas - z
     dist = np.abs(diffs)
     k = int(np.argmin(dist))
-    if dist[k] < _POLE_TOL * sd.scale():
+    if dist[k] < _POLE_TOL * sd.scale:
         raise PoleHit(f"E = {z} is within {_POLE_TOL:g}*scale of eigenvalue "
                       f"{sd.lambdas[k]} (k = {k})")
     return diffs, sd.weights_end / diffs
@@ -147,7 +143,7 @@ def alpha_and_seed(sd: SpectralData, band: int, n: int) -> tuple[complex, comple
         raise OnBranchCut(f"lambda_n = {lam_n} is outside (-2, 2)")
     others = np.delete(np.arange(len(sd.lambdas)), g)
     diffs = sd.lambdas[others] - lam_n
-    if np.min(np.abs(diffs)) <= _POLE_TOL * sd.scale():
+    if np.min(np.abs(diffs)) <= _POLE_TOL * sd.scale:
         raise PoleHit(f"coincident eigenvalues at lambda = {lam_n}")
     alpha = complex(np.sum(sd.weights_end[others] / diffs))
     alpha += cmath.exp(-1j * theta(lam_n))
@@ -210,12 +206,15 @@ def newton_refine(sd: SpectralData, seed: complex, max_iter: int = 50,
 # Argument-principle counting
 
 
-def winding_number(func, rect, samples_min: int = 64,
-                   max_depth: int = 24) -> int:
+_SAMPLES_PER_EDGE = 16  # initial samples on each side of a contour
+_MAX_DEPTH = 24  # bisection levels allowed below one initial sample interval
+
+
+def winding_number(func, rect) -> int:
     """Winding number of func along a rectangle boundary, positively oriented.
 
     Phase increments are tracked by adaptive sampling: each boundary segment
-    is bisected until its increment is below pi/2, up to `max_depth` levels.
+    is bisected until its increment is below pi/2, up to _MAX_DEPTH levels.
     Returns zeros minus poles enclosed; failure to track the phase raises
     AdaptiveDepthExceeded rather than quietly returning a miscount.
     """
@@ -232,13 +231,12 @@ def winding_number(func, rect, samples_min: int = 64,
                 f"boundary value vanished or blew up at {z}")
         return w
 
-    per_edge = max(2, -(-samples_min // 4))
     total = 0.0
     for c1, c2 in zip(corners[:-1], corners[1:]):
-        ts = np.linspace(0.0, 1.0, per_edge + 1)
+        ts = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE + 1)
         pts = [c1 + (c2 - c1) * t for t in ts]
         vals = [val(z) for z in pts]
-        for i in range(per_edge):
+        for i in range(_SAMPLES_PER_EDGE):
             stack = [(pts[i], vals[i], pts[i + 1], vals[i + 1], 0)]
             while stack:
                 z1, w1, z2, w2, depth = stack.pop()
@@ -246,7 +244,7 @@ def winding_number(func, rect, samples_min: int = 64,
                 if abs(dphi) < math.pi / 2.0:
                     total += dphi
                     continue
-                if depth >= max_depth:
+                if depth >= _MAX_DEPTH:
                     raise AdaptiveDepthExceeded(
                         f"phase step {dphi:.3f} at depth {depth} near {z1}")
                 zm = 0.5 * (z1 + z2)
@@ -260,14 +258,14 @@ def winding_number(func, rect, samples_min: int = 64,
     return int(round(w))
 
 
-def winding_count(sd: SpectralData, rect, samples_min: int = 64) -> int:
+def winding_count(sd: SpectralData, rect) -> int:
     """Winding number of the resonance function f along a rectangle.
 
     The two vertical edges must keep clear of every eigenvalue and the
     boundary must avoid the branch cuts.
     """
     x_lo, x_hi, y_lo, y_hi = (float(v) for v in rect)
-    guard = 1e-10 * sd.scale()
+    guard = 1e-10 * sd.scale
     for x in (x_lo, x_hi):
         d = float(np.min(np.abs(sd.lambdas - x)))
         if d < guard:
@@ -279,7 +277,7 @@ def winding_count(sd: SpectralData, rect, samples_min: int = 64) -> int:
     def f(z):
         return complex(np.sum(_terms(sd, z)[1])) + cmath.exp(-1j * theta(z))
 
-    return winding_number(f, rect, samples_min=samples_min)
+    return winding_number(f, rect)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +292,6 @@ class ResonanceBox:
     x_hi: float
     depth: float
     n: int
-    convention_left: str  # "edge-reflected" | "eps-shifted"
 
     def __post_init__(self):
         if not (self.x_lo < self.x_hi and self.depth > 0):
@@ -322,24 +319,21 @@ class Resonance:
     newton_iters: int
 
 
-def count_in_box(sd: SpectralData, box: ResonanceBox,
-                 delta: float | None = None) -> int:
+def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
     """Number of resonances in the closed box below the real axis.
 
     f has no zeros on or above the axis, so the contour is lifted to
-    Im = +delta (clearing the real poles) and the eigenvalues strictly inside
-    the real interval are added back to the winding number.
+    Im = +delta, a tenth of the closest approach of an enclosed eigenvalue to
+    a vertical edge (clearing the real poles), and the eigenvalues strictly
+    inside the real interval are added back to the winding number.
     """
     inside = sd.lambdas[(sd.lambdas > box.x_lo) & (sd.lambdas < box.x_hi)]
     P = len(inside)
-    if delta is None:
-        if P:
-            delta = 0.1 * float(np.min(np.minimum(inside - box.x_lo,
-                                                  box.x_hi - inside)))
-        else:
-            delta = 0.1 * (box.x_hi - box.x_lo)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if P:
+        delta = 0.1 * float(np.min(np.minimum(inside - box.x_lo,
+                                              box.x_hi - inside)))
+    else:
+        delta = 0.1 * (box.x_hi - box.x_lo)
     W = winding_count(sd, (box.x_lo, box.x_hi, -box.depth, delta))
     return W + P
 
@@ -349,9 +343,11 @@ def _edge_ordered_members(sd: SpectralData, edge: EdgeData) -> np.ndarray:
     return members[::-1] if edge.side == "right" else members
 
 
-def _box_for(sd: SpectralData, edge: EdgeData, n: int, depth: float,
-             convention: str = "edge-reflected") -> ResonanceBox:
+def _box_for(sd: SpectralData, edge: EdgeData, n: int,
+             depth: float) -> ResonanceBox:
     members = _edge_ordered_members(sd, edge)
+    if n < 0:
+        raise ValueError(f"resonance index n must be >= 0, got {n}")
     if n + 1 >= len(members):
         raise ValueError(f"need eigenvalue n+1 = {n + 1} inside the band, have "
                          f"{len(members)}")
@@ -361,17 +357,16 @@ def _box_for(sd: SpectralData, edge: EdgeData, n: int, depth: float,
     lam_next = lam[n + 1]
     a = 0.5 * (lam_prev + lam_n)
     b = 0.5 * (lam_n + lam_next)
-    return ResonanceBox(x_lo=min(a, b), x_hi=max(a, b), depth=depth, n=n,
-                        convention_left=convention)
+    return ResonanceBox(x_lo=min(a, b), x_hi=max(a, b), depth=depth, n=n)
 
 
 def _sweep_one(sd, edge, n, eps, C0, newton_tol, max_iter, strict):
+    box = _box_for(sd, edge, n, depth=eps ** 5)  # checks n before any indexing
     members = _edge_ordered_members(sd, edge)
     local = int(sd.local_index[members[n]])
     alpha, seed = alpha_and_seed(sd, edge.band_index, local)
     z, residual, iters = newton_refine(sd, seed, max_iter=max_iter,
                                        tol=newton_tol)
-    box = _box_for(sd, edge, n, depth=eps ** 5)
     count = count_in_box(sd, box)
     shallow = C0 * (n + 1) / sd.L ** 2
     in_shallow = (box.x_lo <= z.real <= box.x_hi
@@ -403,7 +398,7 @@ def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
     return _sweep_one(sd, edge, n, eps, C0, newton_tol, max_iter, strict)
 
 
-def sweep_band_edge(sd: SpectralData, bs: BandStructure, edge: EdgeData,
+def sweep_band_edge(sd: SpectralData, edge: EdgeData,
                     eps: float = 0.2, C0: float = 50.0, C1: float = 10.0,
                     newton_tol: float = 1e-11, max_iter: int = 50,
                     strict: bool = True) -> list[Resonance]:
@@ -441,7 +436,7 @@ def sweep_band_edge(sd: SpectralData, bs: BandStructure, edge: EdgeData,
 
 
 def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
-                      bs: BandStructure | None = None) -> bool:
+                      bs: BandStructure) -> bool:
     """Certify the rectangle [e0 - eps, e0] x [-eps^5, 0] holds no resonance.
 
     Requires a left edge with an eigenvalue-free interval of width eps below
@@ -451,7 +446,7 @@ def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
         raise ValueError("free_region_check applies to left band edges")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if bs is not None and edge.band_index > 0:
+    if edge.band_index > 0:
         prev_top = bs.bands[edge.band_index - 1][1]
         if edge.e0 - eps < prev_top:
             raise ValueError(
@@ -460,8 +455,7 @@ def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
     inside = sd.lambdas[(sd.lambdas >= lo) & (sd.lambdas <= hi)]
     if len(inside):
         raise EigenvalueInInterval(float(inside[0]))
-    box = ResonanceBox(x_lo=lo, x_hi=hi, depth=eps ** 5, n=0,
-                       convention_left="eps-shifted")
+    box = ResonanceBox(x_lo=lo, x_hi=hi, depth=eps ** 5, n=0)
     return count_in_box(sd, box) == 0
 
 
@@ -469,16 +463,18 @@ def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
 # Small-imaginary-part certificates
 
 
+_CERTIFICATE_GRID = 30  # lattice points per side of the certificate strip
+
+
 def no_root_certificate(sd: SpectralData, edge: EdgeData, n: int, eps: float,
-                        C0: float = 50.0, grid: int = 30) -> tuple[float, float]:
+                        C0: float = 50.0) -> tuple[float, float]:
     """(max |Im S_L|, min |Im exp(-i theta)|) over a lattice on the strip.
 
     The strip lies between the shallow cell of depth C0 (n+1)/L^2 and the
-    box floor eps^5.  The first value strictly below the second certifies
-    that the resonance equation has no solution there.
+    box floor eps^5, sampled on a _CERTIFICATE_GRID x _CERTIFICATE_GRID
+    lattice.  The first value strictly below the second certifies that the
+    resonance equation has no solution there.
     """
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
     top = C0 * (n + 1) / sd.L ** 2
     bottom = eps ** 5
     if top >= bottom:
@@ -486,10 +482,11 @@ def no_root_certificate(sd: SpectralData, edge: EdgeData, n: int, eps: float,
             f"C0*(n+1)/L^2 = {top:.3e} >= eps^5 = {bottom:.3e}; "
             "the strip between the shallow cell and the box floor is empty")
     box = _box_for(sd, edge, n, depth=bottom)
-    xs = np.linspace(box.x_lo, box.x_hi, grid)
-    ys = np.linspace(-bottom, -top, grid)
-    pts = (xs[None, :] + 1j * ys[:, None]).ravel()
-    terms = sd.weights_end[None, :] / (sd.lambdas[None, :] - pts[:, None])
-    im_s = float(np.max(np.abs(terms.sum(axis=1).imag)))
-    im_phase = np.abs(np.exp(-1j * _theta_arr(pts)).imag)
-    return im_s, float(np.min(im_phase))
+    xs = np.linspace(box.x_lo, box.x_hi, _CERTIFICATE_GRID)
+    im_s, im_phase = 0.0, math.inf
+    for y in np.linspace(-bottom, -top, _CERTIFICATE_GRID):
+        for x in xs:
+            z = complex(x, y)
+            im_s = max(im_s, abs(complex(np.sum(_terms(sd, z)[1])).imag))
+            im_phase = min(im_phase, abs(cmath.exp(-1j * theta(z)).imag))
+    return im_s, im_phase

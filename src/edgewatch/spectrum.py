@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -40,6 +41,10 @@ __all__ = [
 # correct but the tiny near-edge weights start losing relative accuracy in
 # double precision
 L_SOFT_CAP = 4000
+EIGENVALUE_TOL = 1e-13  # bisection tolerance, relative to the spectral radius
+# band-membership slack of band_enumerate (times max(1, |lambda|)) and the
+# band-edge margin of quantization_residuals
+BAND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,6 @@ class TridiagonalOperator:
     """Symmetric tridiagonal section: diagonal values and unit couplings."""
 
     diag: np.ndarray
-    offdiag: np.ndarray
     period: int
 
     @property
@@ -63,9 +67,7 @@ class SpectralData:
     """Eigenvalues and boundary weights of one Dirichlet section."""
 
     L: int
-    p: int
     j: int
-    N: int
     lambdas: np.ndarray       # strictly increasing, length L+1
     weights_end: np.ndarray   # |phi_k(L)|^2
     weights_start: np.ndarray  # |phi_k(0)|^2
@@ -78,6 +80,7 @@ class SpectralData:
             raise ValueError("band_enumerate has not been run")
         return int(np.sum(self.band_of < 0))
 
+    @cached_property
     def scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.lambdas))))
 
@@ -94,8 +97,7 @@ def assemble(V: PeriodicPotential, L: int) -> TridiagonalOperator:
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     diag = np.array(V.sampled(L + 1), dtype=float)
-    off = np.ones(L, dtype=float)
-    return TridiagonalOperator(diag=diag, offdiag=off, period=V.period)
+    return TridiagonalOperator(diag=diag, period=V.period)
 
 
 def _newton_polish(diag: np.ndarray, lam: np.ndarray, abs_tol: float) -> np.ndarray:
@@ -137,8 +139,7 @@ def _solve_shifted(diag: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarra
     return x
 
 
-def eigensystem(H: TridiagonalOperator, tol: float = 1e-13,
-                seed: int = 0) -> SpectralData:
+def eigensystem(H: TridiagonalOperator, seed: int = 0) -> SpectralData:
     """All eigenvalues and eigenvector boundary weights of the section.
 
     Eigenvalues come from Sturm-sequence bisection followed by a Newton
@@ -147,17 +148,15 @@ def eigensystem(H: TridiagonalOperator, tol: float = 1e-13,
     (simple spectrum makes this converge; a failed residual check is retried
     once with a fresh start before raising ConvergenceFailure).
     """
-    if tol < 1e-14:
-        raise ValueError(f"tol must be >= 1e-14, got {tol}")
     L = H.L
     if L > L_SOFT_CAP:
         warnings.warn(
             f"L = {L} exceeds the supported working-precision cap {L_SOFT_CAP}; "
             "near-edge weights may lose relative accuracy", stacklevel=2)
     radius = H.spectral_radius_bound()
-    abs_tol = tol * max(1.0, radius)
+    abs_tol = EIGENVALUE_TOL * max(1.0, radius)
 
-    lam = eigh_tridiagonal(H.diag, H.offdiag, eigvals_only=True,
+    lam = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
                            lapack_driver="stebz", tol=abs_tol)
     lam = np.sort(_newton_polish(H.diag, lam, abs_tol))
     gaps = np.diff(lam)
@@ -195,27 +194,26 @@ def eigensystem(H: TridiagonalOperator, tol: float = 1e-13,
         w_start[k] = x[0] * x[0]
         w_end[k] = x[-1] * x[-1]
 
-    p = H.period
-    return SpectralData(L=L, p=p, j=L % p, N=L // p, lambdas=lam,
+    return SpectralData(L=L, j=L % H.period, lambdas=lam,
                         weights_end=w_end, weights_start=w_start)
 
 
-def band_enumerate(sd: SpectralData, bs: BandStructure,
-                   tol: float = 1e-9) -> SpectralData:
+def band_enumerate(sd: SpectralData, bs: BandStructure) -> SpectralData:
     """Assign each eigenvalue to its band and give it a local index.
 
-    Eigenvalues farther than `tol` from every band are flagged with -1; their
-    count is available as `n_outside` and is reported, never interpreted.
+    Eigenvalues farther than BAND_TOL * max(1, |lambda|) from every band are
+    flagged with -1; their count is available as `n_outside` and is reported,
+    never interpreted.
     """
     lam = sd.lambdas
     band_of = np.full(len(lam), -1, dtype=int)
     for i, lam_k in enumerate(lam):
-        atol = tol * max(1.0, abs(lam_k))
+        atol = BAND_TOL * max(1.0, abs(lam_k))
         hits = [b for b, (lo, hi) in enumerate(bs.bands)
                 if lo - atol <= lam_k <= hi + atol]
         if len(hits) > 1:
             raise AmbiguousAssignment(
-                f"eigenvalue {lam_k} matches bands {hits} within {tol}")
+                f"eigenvalue {lam_k} matches bands {hits} within {BAND_TOL}")
         if hits:
             band_of[i] = hits[0]
     local = np.full(len(lam), -1, dtype=int)
@@ -226,13 +224,13 @@ def band_enumerate(sd: SpectralData, bs: BandStructure,
 
 
 def quantization_residuals(sd: SpectralData, bs: BandStructure,
-                           V: PeriodicPotential, band: int | None = None,
-                           edge_margin: float = 1e-9) -> np.ndarray:
+                           V: PeriodicPotential,
+                           band: int | None = None) -> np.ndarray:
     """Spacing residuals (L-j) * diff(theta_pL) - pi over in-band eigenvalue pairs.
 
     theta_pL subtracts the boundary phase divided by (L-j) from the
     quasi-momentum; differencing consecutive eigenvalues cancels the branch
-    offset of the phase.  Eigenvalues within `edge_margin` of a band edge are
+    offset of the phase.  Eigenvalues within BAND_TOL of a band edge are
     left out (the phase numerator may vanish right at an edge).
     """
     if sd.band_of is None:
@@ -243,7 +241,7 @@ def quantization_residuals(sd: SpectralData, bs: BandStructure,
         lo, hi = bs.bands[b]
         members = sd.band_members(b)
         lam = sd.lambdas[members]
-        interior = (lam - lo > edge_margin) & (hi - lam > edge_margin)
+        interior = (lam - lo > BAND_TOL) & (hi - lam > BAND_TOL)
         lam = lam[interior]
         if len(lam) < 2:
             if band is not None:
@@ -274,7 +272,7 @@ class WeightProfile:
 
 
 def weight_profile(sd: SpectralData, edge: EdgeData, eps: float,
-                   bs: BandStructure | None = None) -> WeightProfile:
+                   bs: BandStructure) -> WeightProfile:
     """In-band eigenvalues within eps^2 band-widths of the edge.
 
     Rows are ordered by distance from the edge, which for a left edge
@@ -290,12 +288,8 @@ def weight_profile(sd: SpectralData, edge: EdgeData, eps: float,
         members = members[::-1]
         lam = lam[::-1]
     # window scale: eps^2 in units of the band width
-    if bs is not None:
-        lo, hi = bs.bands[edge.band_index]
-        width = hi - lo
-    else:
-        width = float(lam.max() - lam.min()) if len(lam) else 0.0
-    window = eps * eps * width
+    lo, hi = bs.bands[edge.band_index]
+    window = eps * eps * (hi - lo)
     dist = np.abs(lam - edge.e0)
     sel = dist <= window
     members = members[sel]

@@ -32,8 +32,8 @@ def edge_m1_j0(V03, bs03):
 
 
 @pytest.fixture(scope="session")
-def sweep400(sd400, bs03, edge_m1_j0):
-    return ew.sweep_band_edge(sd400, bs03, edge_m1_j0, eps=0.2, C0=50.0, C1=10.0)
+def sweep400(sd400, edge_m1_j0):
+    return ew.sweep_band_edge(sd400, edge_m1_j0, eps=0.2, C0=50.0, C1=10.0)
 
 
 @pytest.fixture(scope="session")

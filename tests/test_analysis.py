@@ -12,8 +12,7 @@ from edgewatch.resonance import Resonance, ResonanceBox
 
 def _fake_resonance(n, im, L=1000, j=0, alpha=2.0 + 1.0j):
     lam = -1.0 + (n + 1) ** 2 / L ** 2
-    box = ResonanceBox(x_lo=lam - 1e-3, x_hi=lam + 1e-3, depth=1e-3, n=n,
-                       convention_left="edge-reflected")
+    box = ResonanceBox(x_lo=lam - 1e-3, x_hi=lam + 1e-3, depth=1e-3, n=n)
     z = complex(lam, -im)
     return Resonance(band=0, n=n, lambda_n=lam, a_n=1e-6, alpha_n=alpha,
                      seed=z + 1e-12, z=z, residual=1e-12, box=box,

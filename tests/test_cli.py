@@ -112,6 +112,29 @@ def test_usage_errors(capsys):
     assert "edge" in err
 
 
+def test_removed_options_rejected():
+    for argv in (["bands", "--potential", "0,3", "--seed", "1"],
+                 ["edges", "--potential", "0,3", "--j", "0", "--seed", "1"],
+                 ["spectrum", "--potential", "0,3", "--L", "20",
+                  "--tol", "1e-13"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_resonance_index_out_of_range_exit_code(capsys):
+    # a negative or past-the-band index is a usage error, not a wrapped index
+    for extra, msg in ((["--n", "-1"], "n must be >= 0"),
+                       (["--proportional", "-0.004"], "n must be >= 0"),
+                       (["--n", "500"], "inside the band")):
+        code, out, err = run_cli(capsys, "l-scaling", "--potential", "0,3",
+                                 "--edge", "-1", "--L-list", "250,500,1000",
+                                 *extra)
+        assert code == 2
+        assert out == ""
+        assert msg in err
+
+
 def test_run_config_invariants(capsys):
     code, _, err = run_cli(capsys, "resonances", "--potential", "0,3",
                            "--L", "5", "--edge", "-1")

@@ -21,7 +21,7 @@ from edgewatch.verify import random_rational_cases
 
 
 def single_pole_data():
-    return SpectralData(L=0, p=1, j=0, N=0,
+    return SpectralData(L=0, j=0,
                         lambdas=np.array([0.0]),
                         weights_end=np.array([1.0]),
                         weights_start=np.array([1.0]))
@@ -84,7 +84,7 @@ def test_s_l_single_pole():
 
 def test_s_l_warns_beyond_length_cap():
     n = 4002
-    sd = SpectralData(L=n - 1, p=1, j=0, N=n - 1,
+    sd = SpectralData(L=n - 1, j=0,
                       lambdas=np.linspace(-1.9, 1.9, n),
                       weights_end=np.full(n, 1.0 / n),
                       weights_start=np.full(n, 1.0 / n))
@@ -231,8 +231,7 @@ def test_winding_count_guards(sd400):
 
 def test_count_in_box_eigenvalue_free_interval(sd400):
     # a shallow box below an eigenvalue-free stretch of the axis holds nothing
-    box = rz.ResonanceBox(x_lo=1.0, x_hi=2.0 - 1e-3, depth=1e-6, n=0,
-                          convention_left="eps-shifted")
+    box = rz.ResonanceBox(x_lo=1.0, x_hi=2.0 - 1e-3, depth=1e-6, n=0)
     assert rz.count_in_box(sd400, box) == 0
 
 
@@ -287,16 +286,28 @@ def test_sweep_seed_distance_bound(sweep400):
 def test_sweep_rejects_non_generic(V03, bs03, sd400):
     edge0 = ew.classify_edge(V03, bs03, 0.0, 0)
     with pytest.raises(NonGenericEdge):
-        ew.sweep_band_edge(sd400, bs03, edge0)
+        ew.sweep_band_edge(sd400, edge0)
     with pytest.raises(NonGenericEdge):
         rz.locate_resonance(sd400, edge0, 1)
 
 
-def test_sweep_parameter_validation(sd400, bs03, edge_m1_j0):
+def test_sweep_parameter_validation(sd400, edge_m1_j0):
     with pytest.raises(ValueError):
-        ew.sweep_band_edge(sd400, bs03, edge_m1_j0, eps=0.5)
+        ew.sweep_band_edge(sd400, edge_m1_j0, eps=0.5)
     with pytest.raises(ValueError):
-        ew.sweep_band_edge(sd400, bs03, edge_m1_j0, eps=0.05, C1=10.0)
+        ew.sweep_band_edge(sd400, edge_m1_j0, eps=0.05, C1=10.0)
+
+
+def test_resonance_index_out_of_range(sd400, edge_m1_j0):
+    # a negative index used to wrap around to the far end of the band
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            rz.locate_resonance(sd400, edge_m1_j0, n, strict=False)
+    top = len(sd400.band_members(edge_m1_j0.band_index))
+    with pytest.raises(ValueError, match="inside the band"):
+        rz.locate_resonance(sd400, edge_m1_j0, top)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        rz.no_root_certificate(sd400, edge_m1_j0, -1, 0.2, C0=10.0)
 
 
 def test_sweep_right_edge_generic_b(V03, bs03):
@@ -306,7 +317,7 @@ def test_sweep_right_edge_generic_b(V03, bs03):
     edge = ew.classify_edge(V03, bs03, 0.0, sd.j)
     assert edge.classification.value == "GenericB"
     assert edge.side == "right"
-    res = ew.sweep_band_edge(sd, bs03, edge, eps=0.2, C0=50.0, C1=10.0)
+    res = ew.sweep_band_edge(sd, edge, eps=0.2, C0=50.0, C1=10.0)
     assert len(res) == 9
     assert all(r.winding_verified for r in res)
     assert all(r.z.imag < 0 for r in res)
@@ -320,7 +331,7 @@ def test_sweep_period_three_potential():
     bs = ew.band_structure(V)
     sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V, 300)), bs)
     edge = ew.classify_edge(V, bs, bs.bands[1][0], sd.j)
-    res = ew.sweep_band_edge(sd, bs, edge, eps=0.2, C0=50.0, C1=10.0)
+    res = ew.sweep_band_edge(sd, edge, eps=0.2, C0=50.0, C1=10.0)
     assert len(res) == 7
     assert all(r.winding_verified for r in res)
     r = ew.quantization_residuals(sd, bs, V)
@@ -335,7 +346,7 @@ def test_sweep_period_one_potential():
     sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V, 300)), bs)
     edge = ew.classify_edge(V, bs, -1.5, 0)
     assert edge.classification.value == "GenericA"
-    res = ew.sweep_band_edge(sd, bs, edge, eps=0.2, C0=50.0, C1=10.0)
+    res = ew.sweep_band_edge(sd, edge, eps=0.2, C0=50.0, C1=10.0)
     assert len(res) == 7
     assert all(r.winding_verified for r in res)
     assert rz.free_region_check(sd, edge, 0.2, bs) is True
@@ -369,7 +380,7 @@ def test_im_s_grid_certificate(sd400, edge_m1_j0):
     eps = 0.2
     for n in (1, 2, 4):
         im_s, im_phase = rz.no_root_certificate(sd400, edge_m1_j0, n, eps,
-                                                C0=10.0, grid=30)
+                                                C0=10.0)
         assert im_s <= 10.0 * eps
         assert im_s < im_phase
         # the lattice runs from the box floor up to the shallow cell
