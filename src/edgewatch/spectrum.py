@@ -41,10 +41,19 @@ __all__ = [
 # correct but the tiny near-edge weights start losing relative accuracy in
 # double precision
 L_SOFT_CAP = 4000
-EIGENVALUE_TOL = 1e-13  # bisection tolerance, relative to the spectral radius
+# relative to max(1, spectral radius): the Newton polish clips each correction
+# to ten times this, and band_enumerate snaps an eigenvalue within this (times
+# sd.scale) of a band edge onto the edge.  For sd.scale <= 5 that radius is at
+# most half the 1e-12 gap eigensystem guarantees, so a snap cannot reorder
+# eigenvalues; near-edge eigenvalues of a section are ~1/L^2 apart, so only a
+# true edge eigenvalue lies that close to an edge.
+EIGENVALUE_TOL = 1e-13
 # band-membership slack of band_enumerate (times max(1, |lambda|)) and the
 # band-edge margin of quantization_residuals
 BAND_TOL = 1e-9
+
+_NO_MEMBERS = np.zeros(0, dtype=np.intp)
+_NO_MEMBERS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -84,12 +93,21 @@ class SpectralData:
     def scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.lambdas))))
 
+    @cached_property
+    def _members_by_band(self) -> dict[int, np.ndarray]:
+        out = {}
+        for band in np.unique(self.band_of):
+            idx = np.where(self.band_of == band)[0]
+            idx = idx[np.argsort(self.local_index[idx])]
+            idx.flags.writeable = False
+            out[int(band)] = idx
+        return out
+
     def band_members(self, band: int) -> np.ndarray:
-        """Global indices of the eigenvalues in `band`, by local index."""
+        """Global indices of the eigenvalues in `band`, by local index (read-only)."""
         if self.band_of is None:
             raise ValueError("band_enumerate has not been run")
-        idx = np.where(self.band_of == band)[0]
-        return idx[np.argsort(self.local_index[idx])]
+        return self._members_by_band.get(band, _NO_MEMBERS)
 
 
 def assemble(V: PeriodicPotential, L: int) -> TridiagonalOperator:
@@ -142,8 +160,9 @@ def _solve_shifted(diag: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarra
 def eigensystem(H: TridiagonalOperator, seed: int = 0) -> SpectralData:
     """All eigenvalues and eigenvector boundary weights of the section.
 
-    Eigenvalues come from Sturm-sequence bisection followed by a Newton
-    polish on the characteristic recurrence; boundary components come from
+    Eigenvalues come from the tridiagonal QR algorithm followed by a Newton
+    polish on the characteristic recurrence (band_enumerate later snaps edge
+    eigenvalues onto the band edge); boundary components come from
     two rounds of inverse iteration started from a seeded random vector
     (simple spectrum makes this converge; a failed residual check is retried
     once with a fresh start before raising ConvergenceFailure).
@@ -157,7 +176,7 @@ def eigensystem(H: TridiagonalOperator, seed: int = 0) -> SpectralData:
     abs_tol = EIGENVALUE_TOL * max(1.0, radius)
 
     lam = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
-                           lapack_driver="stebz", tol=abs_tol)
+                           lapack_driver="stev")
     lam = np.sort(_newton_polish(H.diag, lam, abs_tol))
     gaps = np.diff(lam)
     if np.any(gaps < 1e-12):
@@ -201,11 +220,16 @@ def eigensystem(H: TridiagonalOperator, seed: int = 0) -> SpectralData:
 def band_enumerate(sd: SpectralData, bs: BandStructure) -> SpectralData:
     """Assign each eigenvalue to its band and give it a local index.
 
-    Eigenvalues farther than BAND_TOL * max(1, |lambda|) from every band are
-    flagged with -1; their count is available as `n_outside` and is reported,
-    never interpreted.
+    An eigenvalue within EIGENVALUE_TOL * sd.scale of a band edge is set
+    exactly to that edge, so edge eigenvalues do not carry the last-ulp
+    noise of the eigensolver.  Eigenvalues farther than
+    BAND_TOL * max(1, |lambda|) from every band are flagged with -1; their
+    count is available as `n_outside` and is reported, never interpreted.
     """
-    lam = sd.lambdas
+    lam = sd.lambdas.copy()
+    snap = EIGENVALUE_TOL * sd.scale
+    for ep in bs.edge_points:
+        lam[np.abs(lam - ep.energy) <= snap] = ep.energy
     band_of = np.full(len(lam), -1, dtype=int)
     for i, lam_k in enumerate(lam):
         atol = BAND_TOL * max(1.0, abs(lam_k))
@@ -220,7 +244,7 @@ def band_enumerate(sd: SpectralData, bs: BandStructure) -> SpectralData:
     for b in range(len(bs.bands)):
         members = np.where(band_of == b)[0]  # lambdas sorted, so members are too
         local[members] = np.arange(len(members))
-    return replace(sd, band_of=band_of, local_index=local)
+    return replace(sd, lambdas=lam, band_of=band_of, local_index=local)
 
 
 def quantization_residuals(sd: SpectralData, bs: BandStructure,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import edgewatch as ew
-from edgewatch import floquet
+from edgewatch import floquet, spectrum
 from edgewatch.errors import TooFewPoints
 from conftest import free_chain_closed_forms
 
@@ -47,6 +48,44 @@ def test_eigensystem_properties_random():
     assert sd.weights_end.sum() == pytest.approx(1.0, abs=1e-10)
     assert sd.weights_start.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all((sd.weights_end >= 0) & (sd.weights_end <= 1))
+
+
+def _sturm_counts(diag, x):
+    """Number of eigenvalues below each shift in x (LDL^T pivot signs)."""
+    q = diag[0] - x
+    count = (q < 0).astype(int)
+    for d in diag[1:]:
+        q = np.where(q == 0.0, 1e-300, q)
+        q = d - x - 1.0 / q
+        count += q < 0
+    return count
+
+
+def _bisection_sections():
+    yield [0.0, 3.0], 400
+    yield [0.0, 3.0], 2000
+    yield [1.0, -2.0, 0.5], 400
+    yield [1.0, -2.0, 0.5], 2000
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        yield rng.uniform(-2, 2, int(rng.integers(1, 6))), 400
+
+
+def test_eigenvalues_match_bisection():
+    # Sturm bisection (LAPACK stebz) with the same polish is the reference
+    for values, L in _bisection_sections():
+        H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
+        abs_tol = spectrum.EIGENVALUE_TOL * max(1.0, H.spectral_radius_bound())
+        ref = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
+                               lapack_driver="stebz", tol=abs_tol)
+        ref = np.sort(spectrum._newton_polish(H.diag, ref, abs_tol))
+        lam = ew.eigensystem(H).lambdas
+        assert len(lam) == L + 1
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(lam - ref)) <= 4 * eps * max(1.0, np.max(np.abs(lam)))
+        # exactly k+1 eigenvalues lie below the midpoint after lambda_k
+        counts = _sturm_counts(H.diag, 0.5 * (lam[:-1] + lam[1:]))
+        np.testing.assert_array_equal(counts, np.arange(1, L + 1))
 
 
 def test_eigensystem_deterministic_given_seed():
@@ -145,14 +184,15 @@ def test_weight_profile_too_few_points(V03, bs03):
         ew.weight_profile(sd, edge, 0.7, bs=bs03)
 
 
-def test_weight_profile_right_edge(V03, bs03, sd400):
+def test_weight_profile_right_edge(V03, bs03, sd400, sd800):
     # j = 0 makes E0 = 0 an edge eigenvalue: the closest row sits exactly on
     # the edge, the rest strictly below it
     edge = ew.classify_edge(V03, bs03, 0.0, 0)
-    prof = ew.weight_profile(sd400, edge, 0.2, bs=bs03)
-    assert prof.offsets[0] == 0.0
-    assert np.all(prof.offsets[1:] < 0)
-    assert np.all(np.diff(np.abs(prof.offsets)) > 0)
+    for sd in (sd400, sd800):
+        prof = ew.weight_profile(sd, edge, 0.2, bs=bs03)
+        assert prof.offsets[0] == 0.0
+        assert np.all(prof.offsets[1:] < 0)
+        assert np.all(np.diff(np.abs(prof.offsets)) > 0)
 
 
 def test_lipschitz_weight_bound_stable(sd400, sd800, edge_m1_j0, bs03):
