@@ -29,9 +29,10 @@ __all__ = [
 ]
 
 SLOPE_TOLERANCE = 0.3
-# pass band of the proportional-index track n = floor(FRAC * L) of
-# `l-scaling` around its expected slope -1
-PROPORTIONAL_SLOPE_TOLERANCE = 0.4
+# (expected slope, pass band) of |Im z_n| against L for the two l-scaling
+# tracks: a fixed index n (width ~ L^-3) and n = floor(FRAC * L) (~ L^-1)
+L_SCALING_SLOPES = {"fixed": (-3.0, SLOPE_TOLERANCE),
+                    "proportional": (-1.0, 0.4)}
 FIT_EXCLUDE_LOWEST = 3  # indices n in {0, 1, 2} stay out of log-log fits
 
 
@@ -41,12 +42,9 @@ class PowerLawFit:
     intercept: float  # natural log of the prefactor
     r_squared: float
     n_points: int
-    x_name: str
-    y_name: str
 
 
-def fit_power_law(points, x_name: str = "x", y_name: str = "y",
-                  min_points: int = 4) -> PowerLawFit:
+def fit_power_law(points, min_points: int = 4) -> PowerLawFit:
     """Least squares on (log x, log y) for positive data; needs >= 4 points.
 
     The L-scaling track lowers min_points to 3, its own documented minimum.
@@ -74,7 +72,7 @@ def fit_power_law(points, x_name: str = "x", y_name: str = "y",
     else:
         r2 = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return PowerLawFit(slope=slope, intercept=intercept, r_squared=r2,
-                       n_points=len(pts), x_name=x_name, y_name=y_name)
+                       n_points=len(pts))
 
 
 @dataclass(frozen=True)
@@ -122,11 +120,11 @@ class ScalingReport:
         return all(c.passed for c in self.checks)
 
 
-def _check(name, pts, expected, x_name, y_name, tol=SLOPE_TOLERANCE, note=""):
-    fit = fit_power_law(pts, x_name=x_name, y_name=y_name)
-    passed = abs(fit.slope - expected) <= tol
+def _check(name, pts, expected, note=""):
+    fit = fit_power_law(pts)
+    passed = abs(fit.slope - expected) <= SLOPE_TOLERANCE
     return ScalingCheck(name=name, fit=fit, expected_slope=expected,
-                        tolerance=tol, passed=passed, note=note)
+                        tolerance=SLOPE_TOLERANCE, passed=passed, note=note)
 
 
 def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
@@ -155,16 +153,15 @@ def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
 
     non_generic = edge.classification == EdgeClassification.EDGE_EIGENVALUE
     checks = [
-        _check("eigenvalue-offsets", np.column_stack([k1, offs]), 2.0,
-               "k+1", "|lambda_k - e0|"),
+        _check("eigenvalue-offsets", np.column_stack([k1, offs]), 2.0),
     ]
     if non_generic:
         checks.append(_check(
             "boundary-weights", np.column_stack([k1, wts]), 0.0,
-            "k+1", "a_k", note="non-generic signature: flat weight profile"))
+            note="non-generic signature: flat weight profile"))
     else:
         checks.append(_check(
-            "boundary-weights", np.column_stack([k1, wts]), 2.0, "k+1", "a_k"))
+            "boundary-weights", np.column_stack([k1, wts]), 2.0))
 
     lam = edge.e0 + profile.offsets
     spacings = np.abs(np.diff(lam))
@@ -173,8 +170,7 @@ def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
     if keep_s.sum() >= 4:
         checks.append(_check(
             "eigenvalue-spacings",
-            np.column_stack([ks[keep_s] + 1.0, spacings[keep_s]]), 1.0,
-            "k+1", "lambda_{k+1} - lambda_k"))
+            np.column_stack([ks[keep_s] + 1.0, spacings[keep_s]]), 1.0))
 
     if resonances is not None:
         rs = [r for r in resonances if r.n >= FIT_EXCLUDE_LOWEST]
@@ -182,7 +178,7 @@ def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
             raise TooFewPoints(f"only {len(rs)} resonances beyond index "
                                f"{FIT_EXCLUDE_LOWEST - 1}")
         pts = np.array([[r.n + 1.0, abs(r.z.imag)] for r in rs])
-        checks.append(_check("resonance-widths", pts, 2.0, "n+1", "|Im z_n|"))
+        checks.append(_check("resonance-widths", pts, 2.0))
 
     return ScalingReport(
         edge_energy=edge.e0,
@@ -212,17 +208,13 @@ def l_scaling(samples, require_same_n: bool = True) -> PowerLawFit:
             raise ValueError(f"samples mix local indices {sorted(ns)}")
     pts = np.array([[float(L), abs(r.z.imag)] for L, _, r in samples])
     order = np.argsort(pts[:, 0])
-    return fit_power_law(pts[order], x_name="L", y_name="|Im z_n|",
-                         min_points=3)
+    return fit_power_law(pts[order], min_points=3)
 
 
 @dataclass(frozen=True)
 class SeedAccuracy:
     """Seed-error ratios |z - seed| * L^5 |alpha|^3 / (n+1)^4 per resonance."""
 
-    L: int
-    n: np.ndarray
-    seed_error: np.ndarray
     ratio: np.ndarray
 
     @property
@@ -237,4 +229,4 @@ def seed_accuracy(resonances: list[Resonance], L: int) -> SeedAccuracy:
     err = np.array([abs(r.z - r.seed) for r in resonances])
     alph = np.array([abs(r.alpha_n) for r in resonances])
     ratio = err * float(L) ** 5 * alph ** 3 / (ns + 1.0) ** 4
-    return SeedAccuracy(L=L, n=ns, seed_error=err, ratio=ratio)
+    return SeedAccuracy(ratio=ratio)

@@ -61,8 +61,17 @@ def _load_potential(args) -> PeriodicPotential:
     if args.potential_file:
         with open(args.potential_file) as fh:
             data = json.load(fh)
-        return PeriodicPotential(period=int(data["period"]),
-                                 values=tuple(float(v) for v in data["values"]))
+        shape = '{"period": p, "values": [v, ...]}'
+        if not (isinstance(data, dict) and "period" in data
+                and isinstance(data.get("values"), list)):
+            raise UsageError(f"--potential-file must hold {shape}")
+        try:
+            period = int(data["period"])
+            values = tuple(float(v) for v in data["values"])
+        except TypeError as exc:
+            raise UsageError(f"--potential-file must hold {shape}: {exc}") \
+                from None
+        return PeriodicPotential(period=period, values=values)
     if args.potential is None:
         raise UsageError("one of --potential or --potential-file is required")
     try:
@@ -74,44 +83,46 @@ def _load_potential(args) -> PeriodicPotential:
     return PeriodicPotential.from_values(values)
 
 
-def _match_edge(bs, value: float):
+def _match_edge(bs, value: float) -> float:
     best = min(bs.edge_points, key=lambda ep: abs(ep.energy - value))
     if abs(best.energy - value) > EDGE_MATCH_TOL:
         raise UsageError(
             f"--edge {value} does not match any computed edge within "
             f"{EDGE_MATCH_TOL:g}; edges are "
             f"{[round(e.energy, 12) for e in bs.edge_points]}")
-    return best
+    return best.energy
 
 
 class UsageError(Exception):
     pass
 
 
-def _check_positive(args, *names):
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            raise UsageError(f"--{name.replace('_', '-')} must be positive, "
-                             f"got {value}")
+def _check_positive(name: str, value: float):
+    if value <= 0:
+        raise UsageError(f"--{name} must be positive, got {value}")
 
 
-def _check_resonance_config(args):
-    _check_positive(args, "eps", "c0", "c1", "newton_tol")
-    if getattr(args, "max_iter", 1) < 1:
-        raise UsageError("--max-iter must be at least 1")
-    if getattr(args, "L", 10) < 10:
-        raise UsageError(f"resonance commands need L >= 10, got {args.L}")
+def _section(V, bs, L: int, seed: int):
+    """Band-enumerated spectral data of the length-L Dirichlet section."""
+    sd = spectrum.eigensystem(spectrum.assemble(V, L), seed=seed)
+    return spectrum.band_enumerate(sd, bs)
 
 
-def _spectral_pipeline(args):
+def _edge_inputs(args):
+    """Potential, bands and matched edge energy of an edge command."""
+    _check_positive("eps", args.eps)
     V = _load_potential(args)
-    if args.L < 1:
-        raise UsageError(f"--L must be positive, got {args.L}")
     bs = floquet.band_structure(V)
-    sd = spectrum.eigensystem(spectrum.assemble(V, args.L), seed=args.seed)
-    sd = spectrum.band_enumerate(sd, bs)
-    return V, bs, sd
+    return V, bs, _match_edge(bs, args.edge)
+
+
+def _edge_setup(args):
+    """Bands, section and classified edge of a single-L edge command."""
+    if args.L < 10:
+        raise UsageError(f"resonance commands need L >= 10, got {args.L}")
+    V, bs, e0 = _edge_inputs(args)
+    sd = _section(V, bs, args.L, args.seed)
+    return bs, sd, floquet.classify_edge(V, bs, e0, sd.j)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +157,10 @@ def _cmd_edges(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    V, bs, sd = _spectral_pipeline(args)
+    V = _load_potential(args)
+    if args.L < 1:
+        raise UsageError(f"--L must be positive, got {args.L}")
+    sd = _section(V, floquet.band_structure(V), args.L, args.seed)
     rows = [{
         "k": k,
         "lambda": float(sd.lambdas[k]),
@@ -178,24 +192,17 @@ _RES_FIELDS = ["n", "lambda_n", "a_n", "alpha_re", "alpha_im", "seed_re",
 
 
 def _cmd_resonances(args) -> int:
-    _check_resonance_config(args)
-    V, bs, sd = _spectral_pipeline(args)
-    ep = _match_edge(bs, args.edge)
-    edge = floquet.classify_edge(V, bs, ep.energy, sd.j)
-    results = resonance.sweep_band_edge(
-        sd, edge, eps=args.eps, C0=args.c0, C1=args.c1,
-        newton_tol=args.newton_tol, max_iter=args.max_iter,
-        strict=False)
+    _check_positive("c1", args.c1)
+    _, sd, edge = _edge_setup(args)
+    results = resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1,
+                                        strict=False)
     _emit(_render(_resonance_rows(results), _RES_FIELDS, args.format),
           args.output)
     return 0 if all(r.winding_verified for r in results) else 1
 
 
 def _cmd_free_region(args) -> int:
-    _check_resonance_config(args)
-    V, bs, sd = _spectral_pipeline(args)
-    ep = _match_edge(bs, args.edge)
-    edge = floquet.classify_edge(V, bs, ep.energy, sd.j)
+    bs, sd, edge = _edge_setup(args)
     free = resonance.free_region_check(sd, edge, args.eps, bs)
     rows = [{"free": free, "x_lo": edge.e0 - args.eps, "x_hi": edge.e0,
              "depth": args.eps ** 5}]
@@ -213,17 +220,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    _check_resonance_config(args)
-    V, bs, sd = _spectral_pipeline(args)
-    ep = _match_edge(bs, args.edge)
-    edge = floquet.classify_edge(V, bs, ep.energy, sd.j)
+    _check_positive("c1", args.c1)
+    bs, sd, edge = _edge_setup(args)
     results = None
-    if edge.classification in (floquet.EdgeClassification.GENERIC_A,
-                               floquet.EdgeClassification.GENERIC_B):
-        results = resonance.sweep_band_edge(
-            sd, edge, eps=args.eps, C0=args.c0, C1=args.c1,
-            newton_tol=args.newton_tol, max_iter=args.max_iter,
-            strict=False)
+    if edge.is_generic:
+        results = resonance.sweep_band_edge(sd, edge, eps=args.eps,
+                                            C1=args.c1, strict=False)
     report = analysis.scaling_report(sd, results, edge, bs, eps=args.eps)
     rows = [c.to_dict() for c in report.checks]
     fields = ["name", "slope", "intercept", "r_squared", "n_points",
@@ -232,42 +234,38 @@ def _cmd_scaling(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _l_scaling_row(track: str, kind: str, fit) -> dict:
+    expected, band = analysis.L_SCALING_SLOPES[kind]
+    return {"track": track, "slope": fit.slope, "intercept": fit.intercept,
+            "r_squared": fit.r_squared, "n_points": fit.n_points,
+            "expected_slope": expected,
+            "passed": abs(fit.slope - expected) <= band}
+
+
 def _cmd_l_scaling(args) -> int:
-    _check_positive(args, "eps", "c0")
-    V = _load_potential(args)
-    bs = floquet.band_structure(V)
     try:
         lengths = [int(tok) for tok in args.L_list.split(",") if tok]
     except ValueError as exc:
         raise UsageError(f"bad --L-list: {exc}") from None
     if len(lengths) < 3:
         raise UsageError("--L-list needs at least 3 lengths")
+    V, bs, e0 = _edge_inputs(args)
     fixed, prop = [], []
     for L in lengths:
-        sd = spectrum.eigensystem(spectrum.assemble(V, L), seed=args.seed)
-        sd = spectrum.band_enumerate(sd, bs)
-        ep = _match_edge(bs, args.edge)
-        edge = floquet.classify_edge(V, bs, ep.energy, sd.j)
+        sd = _section(V, bs, L, args.seed)
+        edge = floquet.classify_edge(V, bs, e0, sd.j)
         fixed.append((L, sd.j, resonance.locate_resonance(
-            sd, edge, args.n, eps=args.eps, C0=args.c0)))
+            sd, edge, args.n, eps=args.eps)))
         if args.proportional is not None:
             n_prop = int(args.proportional * L)
             prop.append((L, sd.j, resonance.locate_resonance(
-                sd, edge, n_prop, eps=args.eps, C0=args.c0)))
-    rows = []
-    fit = analysis.l_scaling(fixed)
-    rows.append({"track": f"fixed-n={args.n}", "slope": fit.slope,
-                 "intercept": fit.intercept, "r_squared": fit.r_squared,
-                 "n_points": fit.n_points, "expected_slope": -3.0,
-                 "passed": abs(fit.slope + 3.0) <= analysis.SLOPE_TOLERANCE})
+                sd, edge, n_prop, eps=args.eps)))
+    rows = [_l_scaling_row(f"fixed-n={args.n}", "fixed",
+                           analysis.l_scaling(fixed))]
     if prop:
-        fit2 = analysis.l_scaling(prop, require_same_n=False)
-        rows.append({"track": f"proportional-n={args.proportional}",
-                     "slope": fit2.slope, "intercept": fit2.intercept,
-                     "r_squared": fit2.r_squared, "n_points": fit2.n_points,
-                     "expected_slope": -1.0,
-                     "passed": (abs(fit2.slope + 1.0)
-                                <= analysis.PROPORTIONAL_SLOPE_TOLERANCE)})
+        rows.append(_l_scaling_row(
+            f"proportional-n={args.proportional}", "proportional",
+            analysis.l_scaling(prop, require_same_n=False)))
     fields = ["track", "slope", "intercept", "r_squared", "n_points",
               "expected_slope", "passed"]
     _emit(_render(rows, fields, args.format), args.output)
@@ -298,14 +296,22 @@ def _add_spectral(p):
     _add_seed(p, "inverse-iteration starts")
 
 
-def _add_resonance(p):
-    p.add_argument("--edge", type=float, required=True,
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _add_edge(p):
+    p.add_argument("--edge", type=_finite_float, required=True,
                    help="band-edge energy (matched within 1e-6)")
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--c0", type=float, default=50.0)
-    p.add_argument("--c1", type=float, default=10.0)
-    p.add_argument("--newton-tol", type=float, default=1e-11)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--eps", type=_finite_float, default=0.2)
+
+
+def _add_sweep(p):
+    _add_edge(p)
+    p.add_argument("--c1", type=_finite_float, default=10.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,14 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resonances", help="sweep the resonances below one edge")
     _add_common(p)
     _add_spectral(p)
-    _add_resonance(p)
+    _add_sweep(p)
     p.set_defaults(func=_cmd_resonances)
 
     p = sub.add_parser("free-region", help="certify a resonance-free rectangle")
     _add_common(p)
     _add_spectral(p)
-    p.add_argument("--edge", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.2)
+    _add_edge(p)
     p.set_defaults(func=_cmd_free_region)
 
     p = sub.add_parser("verify", help="run the property suites")
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", help="near-edge scaling-law report")
     _add_common(p)
     _add_spectral(p)
-    _add_resonance(p)
+    _add_sweep(p)
     p.set_defaults(func=_cmd_scaling)
 
     p = sub.add_parser("l-scaling", help="resonance width scaling in L")
@@ -357,11 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L-list", required=True,
                    help="comma-separated section lengths (>= 3)")
     _add_seed(p, "inverse-iteration starts")
-    p.add_argument("--edge", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--c0", type=float, default=50.0)
+    _add_edge(p)
     p.add_argument("--n", type=int, default=3, help="fixed local index")
-    p.add_argument("--proportional", type=float,
+    p.add_argument("--proportional", type=_finite_float,
                    help="also fit the track n = floor(FRAC * L)")
     p.set_defaults(func=_cmd_l_scaling)
 
@@ -373,10 +376,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (UsageError, ValueError, OSError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SpectralError as exc:

@@ -186,9 +186,9 @@ class BandStructure:
     def discriminant_derivative_at(self, E):
         return npoly.polyval(E, npoly.polyder(self.discriminant_coeffs))
 
-    def locate(self, E: float, tol: float = 1e-12):
-        """Index of the band containing E (within tol), else None."""
-        atol = tol * max(1.0, abs(E))
+    def locate(self, E: float):
+        """Index of the band containing E (within 1e-12), else None."""
+        atol = 1e-12 * max(1.0, abs(E))
         for i, (lo, hi) in enumerate(self.bands):
             if lo - atol <= E <= hi + atol:
                 return i
@@ -355,7 +355,7 @@ def quasi_momentum(bs: BandStructure, E: float) -> float:
     Equals pi times the integrated density of states; closed gaps are passed
     through without a jump.
     """
-    idx = bs.locate(E, tol=1e-12)
+    idx = bs.locate(E)
     if idx is None:
         raise OutsideSpectrum(f"E = {E} is not inside any band")
     return float(_theta_band(bs, idx, np.asarray([E], dtype=float))[0])
@@ -363,7 +363,7 @@ def quasi_momentum(bs: BandStructure, E: float) -> float:
 
 def density_of_states(bs: BandStructure, E: float) -> float:
     """Density of states at an energy strictly inside a band."""
-    idx = bs.locate(E, tol=1e-12)
+    idx = bs.locate(E)
     if idx is None:
         raise OutsideSpectrum(f"E = {E} is not inside any band")
     delta = float(bs.discriminant_at(E))
@@ -420,7 +420,7 @@ def h_values(V: PeriodicPotential, bs: BandStructure, j: int,
         return np.zeros(0)
     if np.any(np.diff(energies) < 0):
         raise ValueError("energies must be sorted ascending")
-    idx = bs.locate(energies[0], tol=1e-12)
+    idx = bs.locate(energies[0])
     if idx is None:
         raise OutsideSpectrum(f"E = {energies[0]} is not inside any band")
     lo, hi = bs.bands[idx]
@@ -496,6 +496,12 @@ class EdgeData:
     b_j1: float
     d_j1: float
     classification: EdgeClassification
+
+    @property
+    def is_generic(self) -> bool:
+        """GenericA or GenericB: each near-edge eigenvalue has one resonance."""
+        return self.classification in (EdgeClassification.GENERIC_A,
+                                       EdgeClassification.GENERIC_B)
 
 
 def classify_edge(V: PeriodicPotential, bs: BandStructure, e0: float,

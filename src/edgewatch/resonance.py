@@ -30,7 +30,7 @@ from .errors import (
     PoleHit,
     UniquenessFailed,
 )
-from .floquet import BandStructure, EdgeClassification, EdgeData
+from .floquet import BandStructure, EdgeData
 from .spectrum import L_SOFT_CAP, SpectralData
 from .summation import dd_sum
 
@@ -81,6 +81,13 @@ def theta_prime(E):
 
 
 _POLE_TOL = 1e-14  # closest approach to an eigenvalue, relative to scale
+
+# Fixed constants of the certificate: the shallow cell of resonance n has
+# depth SHALLOW_C0 (n+1)/L^2, and Newton stops at |f| <= NEWTON_TOL (or at
+# its representability floor) within NEWTON_MAX_ITER steps.
+SHALLOW_C0 = 50.0
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 50
 
 
 def _terms(sd: SpectralData, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +158,9 @@ def alpha_and_seed(sd: SpectralData, band: int, n: int) -> tuple[complex, comple
     return alpha, seed
 
 
-def newton_refine(sd: SpectralData, seed: complex, max_iter: int = 50,
-                  tol: float = 1e-11) -> tuple[complex, float, int]:
+def newton_refine(sd: SpectralData, seed: complex,
+                  max_iter: int = NEWTON_MAX_ITER,
+                  tol: float = NEWTON_TOL) -> tuple[complex, float, int]:
     """Damped Newton iteration on f from a lower-half-plane seed.
 
     Full step first, halved up to 8 times until |f| decreases; iterates are
@@ -360,15 +368,14 @@ def _box_for(sd: SpectralData, edge: EdgeData, n: int,
     return ResonanceBox(x_lo=min(a, b), x_hi=max(a, b), depth=depth, n=n)
 
 
-def _sweep_one(sd, edge, n, eps, C0, newton_tol, max_iter, strict):
+def _sweep_one(sd, edge, n, eps, strict):
     box = _box_for(sd, edge, n, depth=eps ** 5)  # checks n before any indexing
     members = _edge_ordered_members(sd, edge)
     local = int(sd.local_index[members[n]])
     alpha, seed = alpha_and_seed(sd, edge.band_index, local)
-    z, residual, iters = newton_refine(sd, seed, max_iter=max_iter,
-                                       tol=newton_tol)
+    z, residual, iters = newton_refine(sd, seed)
     count = count_in_box(sd, box)
-    shallow = C0 * (n + 1) / sd.L ** 2
+    shallow = SHALLOW_C0 * (n + 1) / sd.L ** 2
     in_shallow = (box.x_lo <= z.real <= box.x_hi
                   and -shallow <= z.imag < 0.0)
     verified = (count == 1) and in_shallow and z.imag < 0.0 and box.contains(z)
@@ -386,36 +393,34 @@ def _sweep_one(sd, edge, n, eps, C0, newton_tol, max_iter, strict):
     )
 
 
-def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
-                     eps: float = 0.2, C0: float = 50.0,
-                     newton_tol: float = 1e-11, max_iter: int = 50,
-                     strict: bool = True) -> Resonance:
-    """Locate and certify the single resonance attached to eigenvalue n."""
-    if edge.classification not in (EdgeClassification.GENERIC_A,
-                                   EdgeClassification.GENERIC_B):
+def _require_generic(edge: EdgeData):
+    if not edge.is_generic:
         raise NonGenericEdge(
-            f"edge {edge.e0} is {edge.classification.value}")
-    return _sweep_one(sd, edge, n, eps, C0, newton_tol, max_iter, strict)
+            f"edge {edge.e0} is {edge.classification.value}; resonances are "
+            "located only at generic edges")
+
+
+def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
+                     eps: float = 0.2, strict: bool = True) -> Resonance:
+    """Locate and certify the resonance of eigenvalue n: one sweep_band_edge step."""
+    _require_generic(edge)
+    return _sweep_one(sd, edge, n, eps, strict)
 
 
 def sweep_band_edge(sd: SpectralData, edge: EdgeData,
-                    eps: float = 0.2, C0: float = 50.0, C1: float = 10.0,
-                    newton_tol: float = 1e-11, max_iter: int = 50,
+                    eps: float = 0.2, C1: float = 10.0,
                     strict: bool = True) -> list[Resonance]:
     """Locate and certify the resonance attached to each near-edge eigenvalue.
 
     For n = 0 .. floor(eps*L/C1): build the box between midpoints of
     neighbouring eigenvalues (reflecting through the edge for n = 0) with
-    depth eps^5, refine the closed-form seed by Newton, and verify that the
-    box holds exactly one resonance lying within the shallower cell of depth
-    C0 (n+1)/L^2.  With strict=True any failed certificate raises
+    depth eps^5, refine the closed-form seed by Newton (tolerance
+    NEWTON_TOL, at most NEWTON_MAX_ITER steps), and verify that the box holds
+    exactly one resonance lying within the shallower cell of depth
+    SHALLOW_C0 (n+1)/L^2.  With strict=True any failed certificate raises
     UniquenessFailed; otherwise it is recorded on the Resonance.
     """
-    if edge.classification not in (EdgeClassification.GENERIC_A,
-                                   EdgeClassification.GENERIC_B):
-        raise NonGenericEdge(
-            f"edge {edge.e0} is {edge.classification.value}; sweep requires a "
-            "generic edge")
+    _require_generic(edge)
     if not 0.0 < eps <= 0.3:
         raise ValueError(f"eps must be in (0, 0.3], got {eps}")
     if sd.L * eps / C1 < 3:
@@ -431,8 +436,7 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
             f"band {edge.band_index} holds {len(members)} eigenvalues; need "
             f"{n_max + 2} for the requested sweep")
 
-    return [_sweep_one(sd, edge, n, eps, C0, newton_tol, max_iter, strict)
-            for n in range(n_max + 1)]
+    return [_sweep_one(sd, edge, n, eps, strict) for n in range(n_max + 1)]
 
 
 def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
@@ -467,7 +471,7 @@ _CERTIFICATE_GRID = 30  # lattice points per side of the certificate strip
 
 
 def no_root_certificate(sd: SpectralData, edge: EdgeData, n: int, eps: float,
-                        C0: float = 50.0) -> tuple[float, float]:
+                        C0: float = SHALLOW_C0) -> tuple[float, float]:
     """(max |Im S_L|, min |Im exp(-i theta)|) over a lattice on the strip.
 
     The strip lies between the shallow cell of depth C0 (n+1)/L^2 and the

@@ -97,8 +97,8 @@ class SpectralData:
     def _members_by_band(self) -> dict[int, np.ndarray]:
         out = {}
         for band in np.unique(self.band_of):
-            idx = np.where(self.band_of == band)[0]
-            idx = idx[np.argsort(self.local_index[idx])]
+            # eigenvalues are sorted, so global order is local-index order
+            idx = np.flatnonzero(self.band_of == band)
             idx.flags.writeable = False
             out[int(band)] = idx
         return out
@@ -230,19 +230,19 @@ def band_enumerate(sd: SpectralData, bs: BandStructure) -> SpectralData:
     snap = EIGENVALUE_TOL * sd.scale
     for ep in bs.edge_points:
         lam[np.abs(lam - ep.energy) <= snap] = ep.energy
-    band_of = np.full(len(lam), -1, dtype=int)
-    for i, lam_k in enumerate(lam):
-        atol = BAND_TOL * max(1.0, abs(lam_k))
-        hits = [b for b, (lo, hi) in enumerate(bs.bands)
-                if lo - atol <= lam_k <= hi + atol]
-        if len(hits) > 1:
-            raise AmbiguousAssignment(
-                f"eigenvalue {lam_k} matches bands {hits} within {BAND_TOL}")
-        if hits:
-            band_of[i] = hits[0]
+    lo, hi = np.array(bs.bands, dtype=float).reshape(-1, 2).T
+    atol = (BAND_TOL * np.maximum(1.0, np.abs(lam)))[:, None]
+    hits = (lo - atol <= lam[:, None]) & (lam[:, None] <= hi + atol)
+    ambiguous = np.flatnonzero(hits.sum(axis=1) > 1)
+    if len(ambiguous):
+        i = ambiguous[0]
+        raise AmbiguousAssignment(
+            f"eigenvalue {lam[i]} matches bands "
+            f"{np.flatnonzero(hits[i]).tolist()} within {BAND_TOL}")
+    band_of = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
     local = np.full(len(lam), -1, dtype=int)
     for b in range(len(bs.bands)):
-        members = np.where(band_of == b)[0]  # lambdas sorted, so members are too
+        members = np.flatnonzero(band_of == b)  # lambdas sorted, so members are too
         local[members] = np.arange(len(members))
     return replace(sd, lambdas=lam, band_of=band_of, local_index=local)
 
@@ -284,12 +284,9 @@ def quantization_residuals(sd: SpectralData, bs: BandStructure,
 class WeightProfile:
     """Near-edge spectral table, ordered by distance from the edge."""
 
-    edge: EdgeData
     k: np.ndarray             # edge-local index, 0 = closest eigenvalue
     offsets: np.ndarray       # lambda - e0 (signed)
     weights_end: np.ndarray
-    weights_start: np.ndarray
-    global_index: np.ndarray
 
     def __len__(self) -> int:
         return len(self.k)
@@ -323,10 +320,7 @@ def weight_profile(sd: SpectralData, edge: EdgeData, eps: float,
             f"only {len(lam)} eigenvalues within {window:.3e} of the edge; "
             "increase L or eps")
     return WeightProfile(
-        edge=edge,
         k=np.arange(len(lam)),
         offsets=lam - edge.e0,
         weights_end=sd.weights_end[members],
-        weights_start=sd.weights_start[members],
-        global_index=members,
     )

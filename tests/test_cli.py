@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+from edgewatch import cli
 from edgewatch.cli import main
 
 
@@ -116,7 +118,15 @@ def test_removed_options_rejected():
     for argv in (["bands", "--potential", "0,3", "--seed", "1"],
                  ["edges", "--potential", "0,3", "--j", "0", "--seed", "1"],
                  ["spectrum", "--potential", "0,3", "--L", "20",
-                  "--tol", "1e-13"]):
+                  "--tol", "1e-13"],
+                 ["resonances", "--potential", "0,3", "--L", "200",
+                  "--edge", "-1", "--c0", "50"],
+                 ["scaling", "--potential", "0,3", "--L", "200",
+                  "--edge", "-1", "--newton-tol", "1e-11"],
+                 ["resonances", "--potential", "0,3", "--L", "200",
+                  "--edge", "-1", "--max-iter", "50"],
+                 ["l-scaling", "--potential", "0,3", "--edge", "-1",
+                  "--L-list", "100,200,400", "--c0", "50"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -204,3 +214,76 @@ def test_potential_file(tmp_path, capsys):
     bad.write_text(json.dumps({"period": 3, "values": [0.0, 3.0]}))
     code, _, err = run_cli(capsys, "bands", "--potential-file", str(bad))
     assert code == 2
+    # valid JSON of the wrong shape is a usage error, not a traceback or a
+    # string read character by character
+    for data in ([0, 3], {"period": 2, "values": 3},
+                 {"period": 2, "values": "03"},
+                 {"period": None, "values": [0, 3]},
+                 {"period": 2, "values": [None, 3]}):
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "bands", "--potential-file",
+                                 str(bad))
+        assert code == 2
+        assert out == ""
+        assert "--potential-file must hold" in err
+
+
+def test_non_finite_values_rejected(capsys):
+    # NaN compares false against every tolerance, so a NaN edge would match
+    # the first edge and a NaN eps would reach the box constructor
+    for argv in (["resonances", "--potential", "0,3", "--L", "200",
+                  "--edge", "nan"],
+                 ["free-region", "--potential", "0,3", "--L", "200",
+                  "--edge", "nan"],
+                 ["resonances", "--potential", "0,3", "--L", "200",
+                  "--edge", "-1", "--eps", "nan"],
+                 ["scaling", "--potential", "0,3", "--L", "200",
+                  "--edge", "-1", "--c1", "inf"],
+                 ["l-scaling", "--potential", "0,3", "--edge", "-1",
+                  "--L-list", "100,200,400", "--eps", "inf"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+
+class _Recorder:
+    """Stands in for a layer module as seen from edgewatch.cli."""
+
+    def __init__(self, module, calls):
+        self._module = module
+        self._calls = calls
+
+    def __getattr__(self, name):
+        obj = getattr(self._module, name)
+        if not inspect.isfunction(obj):
+            return obj
+        label = f"{self._module.__name__.rsplit('.', 1)[-1]}.{name}"
+
+        def call(*args, **kwargs):
+            self._calls.append(label)
+            return obj(*args, **kwargs)
+        return call
+
+
+def test_layer_calls_go_through_module_references(monkeypatch, capsys):
+    # the benchmark's traced mode times the CLI by swapping exactly these
+    # module references, so every section and every resonance must pass
+    # through them
+    calls = []
+    for name in ("spectrum", "resonance"):
+        monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
+    section = ["spectrum.assemble", "spectrum.eigensystem",
+               "spectrum.band_enumerate"]
+    code, out, _ = run_cli(capsys, "resonances", "--potential", "0,3",
+                           "--L", "200", "--edge", "-1")
+    assert code == 0 and len(out.splitlines()) == 1 + 5
+    assert calls == section + ["resonance.sweep_band_edge"]
+    calls.clear()
+    code, out, _ = run_cli(capsys, "l-scaling", "--potential", "0,3",
+                           "--edge", "-1", "--L-list", "100,200,400",
+                           "--n", "1", "--proportional", "0.02")
+    assert code == 0 and len(out.splitlines()) == 1 + 2
+    assert calls == 3 * (section + 2 * ["resonance.locate_resonance"])

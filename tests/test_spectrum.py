@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import edgewatch as ew
 from edgewatch import floquet, spectrum
-from edgewatch.errors import TooFewPoints
-from conftest import free_chain_closed_forms
+from edgewatch.errors import AmbiguousAssignment, TooFewPoints
 
 
 def test_assemble_shapes():
@@ -27,17 +28,6 @@ def test_eigensystem_free_chain_small():
                                atol=1e-12)
     np.testing.assert_allclose(sd.weights_end, [0.25, 0.5, 0.25], atol=1e-12)
     np.testing.assert_allclose(sd.weights_start, [0.25, 0.5, 0.25], atol=1e-12)
-
-
-@pytest.mark.parametrize("L", [2, 9, 50])
-def test_eigensystem_free_chain_closed_forms(L):
-    V0 = ew.PeriodicPotential.from_values([0.0])
-    sd = ew.eigensystem(ew.assemble(V0, L))
-    lam, w = free_chain_closed_forms(L)
-    np.testing.assert_allclose(sd.lambdas, lam, atol=1e-10)
-    np.testing.assert_allclose(sd.weights_end, w, atol=1e-10)
-    np.testing.assert_allclose(sd.weights_start, w, atol=1e-10)
-    assert sd.weights_end.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_eigensystem_properties_random():
@@ -117,6 +107,17 @@ def test_band_enumerate_partition(V03, bs03):
     sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V03, 40)), bs03)
     counts = [int(np.sum(sd.band_of == b)) for b in range(len(bs03.bands))]
     assert sum(counts) == 41 - sd.n_outside
+
+
+def test_band_enumerate_ambiguous(bs03, sd400):
+    # a second band starting half of BAND_TOL above the edge eigenvalue at 0
+    close = dataclasses.replace(
+        bs03, bands=((-1.0, 0.0), (0.5 * spectrum.BAND_TOL, 4.0)))
+    assert sd400.lambdas[sd400.band_members(0)[-1]] == 0.0
+    with pytest.raises(AmbiguousAssignment,
+                       match=r"^eigenvalue 0\.0 matches bands \[0, 1\] "
+                             r"within 1e-09$"):
+        ew.band_enumerate(sd400, close)
 
 
 def test_band_enumerate_outside_eigenvalues_stable():
