@@ -43,7 +43,6 @@ from .resonance import (
     sweep_band_edge,
     theta,
     theta_prime,
-    winding_count,
     winding_number,
 )
 from .analysis import (

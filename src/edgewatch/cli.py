@@ -68,9 +68,12 @@ def _load_potential(args) -> PeriodicPotential:
         try:
             period = int(data["period"])
             values = tuple(float(v) for v in data["values"])
-        except TypeError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"--potential-file must hold {shape}: {exc}") \
                 from None
+        if isinstance(data["period"], float) and data["period"] != period:
+            raise UsageError(f"--potential-file must hold {shape}: period "
+                             f"{data['period']} is not an integer")
         return PeriodicPotential(period=period, values=values)
     if args.potential is None:
         raise UsageError("one of --potential or --potential-file is required")
@@ -116,10 +119,14 @@ def _edge_inputs(args):
     return V, bs, _match_edge(bs, args.edge)
 
 
+def _check_section_length(L: int):
+    if L < 10:
+        raise UsageError(f"resonance commands need L >= 10, got {L}")
+
+
 def _edge_setup(args):
     """Bands, section and classified edge of a single-L edge command."""
-    if args.L < 10:
-        raise UsageError(f"resonance commands need L >= 10, got {args.L}")
+    _check_section_length(args.L)
     V, bs, e0 = _edge_inputs(args)
     sd = _section(V, bs, args.L, args.seed)
     return bs, sd, floquet.classify_edge(V, bs, e0, sd.j)
@@ -250,6 +257,14 @@ def _cmd_l_scaling(args) -> int:
     if len(lengths) < 3:
         raise UsageError("--L-list needs at least 3 lengths")
     V, bs, e0 = _edge_inputs(args)
+    # the fits need distinct lengths of one residue class L mod p
+    _check_section_length(min(lengths))
+    if len(set(lengths)) < len(lengths):
+        raise UsageError(f"--L-list repeats a length: {args.L_list}")
+    residues = sorted({L % V.period for L in lengths})
+    if len(residues) > 1:
+        raise UsageError(f"--L-list mixes residues L mod {V.period}: "
+                         f"{residues}")
     fixed, prop = [], []
     for L in lengths:
         sd = _section(V, bs, L, args.seed)
@@ -360,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("l-scaling", help="resonance width scaling in L")
     _add_common(p)
     p.add_argument("--L-list", required=True,
-                   help="comma-separated section lengths (>= 3)")
+                   help="comma-separated, 3+ distinct lengths >= 10, one "
+                        "residue L mod p")
     _add_seed(p, "inverse-iteration starts")
     _add_edge(p)
     p.add_argument("--n", type=int, default=3, help="fixed local index")

@@ -45,7 +45,6 @@ __all__ = [
     "alpha_and_seed",
     "newton_refine",
     "winding_number",
-    "winding_count",
     "count_in_box",
     "locate_resonance",
     "sweep_band_edge",
@@ -139,8 +138,6 @@ def alpha_and_seed(sd: SpectralData, band: int, n: int) -> tuple[complex, comple
     (outside-band ones included) and adds exp(-i theta(lambda_n)); the seed is
     lambda_n + a_n/alpha_n, always strictly below the real axis.
     """
-    if sd.band_of is None:
-        raise ValueError("run band_enumerate first")
     members = sd.band_members(band)
     if not 0 <= n < len(members):
         raise ValueError(f"band {band} has no local index {n}")
@@ -266,28 +263,6 @@ def winding_number(func, rect) -> int:
     return int(round(w))
 
 
-def winding_count(sd: SpectralData, rect) -> int:
-    """Winding number of the resonance function f along a rectangle.
-
-    The two vertical edges must keep clear of every eigenvalue and the
-    boundary must avoid the branch cuts.
-    """
-    x_lo, x_hi, y_lo, y_hi = (float(v) for v in rect)
-    guard = 1e-10 * sd.scale
-    for x in (x_lo, x_hi):
-        d = float(np.min(np.abs(sd.lambdas - x)))
-        if d < guard:
-            raise EdgeTooCloseToEigenvalue(
-                f"vertical edge x = {x} is {d:.3e} from an eigenvalue")
-    if y_lo <= 0.0 <= y_hi and max(abs(x_lo), abs(x_hi)) >= 2.0:
-        raise OnBranchCut("rectangle crosses the real axis outside (-2, 2)")
-
-    def f(z):
-        return complex(np.sum(_terms(sd, z)[1])) + cmath.exp(-1j * theta(z))
-
-    return winding_number(f, rect)
-
-
 # ---------------------------------------------------------------------------
 # Boxes, counting, sweeping
 
@@ -333,7 +308,9 @@ def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
     f has no zeros on or above the axis, so the contour is lifted to
     Im = +delta, a tenth of the closest approach of an enclosed eigenvalue to
     a vertical edge (clearing the real poles), and the eigenvalues strictly
-    inside the real interval are added back to the winding number.
+    inside the real interval are added back to the winding number.  Both
+    vertical edges cross the axis: each must lie 1e-10*scale clear of every
+    eigenvalue (EdgeTooCloseToEigenvalue) and off the cuts |E| >= 2 (OnBranchCut).
     """
     inside = sd.lambdas[(sd.lambdas > box.x_lo) & (sd.lambdas < box.x_hi)]
     P = len(inside)
@@ -342,18 +319,25 @@ def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
                                               box.x_hi - inside)))
     else:
         delta = 0.1 * (box.x_hi - box.x_lo)
-    W = winding_count(sd, (box.x_lo, box.x_hi, -box.depth, delta))
-    return W + P
+    guard = 1e-10 * sd.scale
+    for x in (box.x_lo, box.x_hi):
+        d = float(np.min(np.abs(sd.lambdas - x)))
+        if d < guard:
+            raise EdgeTooCloseToEigenvalue(
+                f"vertical edge x = {x} is {d:.3e} from an eigenvalue")
+    if max(abs(box.x_lo), abs(box.x_hi)) >= 2.0:
+        raise OnBranchCut(f"box [{box.x_lo}, {box.x_hi}] meets the real axis "
+                          "outside (-2, 2)")
 
+    def f(z):
+        return complex(np.sum(_terms(sd, z)[1])) + cmath.exp(-1j * theta(z))
 
-def _edge_ordered_members(sd: SpectralData, edge: EdgeData) -> np.ndarray:
-    members = sd.band_members(edge.band_index)
-    return members[::-1] if edge.side == "right" else members
+    return winding_number(f, (box.x_lo, box.x_hi, -box.depth, delta)) + P
 
 
 def _box_for(sd: SpectralData, edge: EdgeData, n: int,
              depth: float) -> ResonanceBox:
-    members = _edge_ordered_members(sd, edge)
+    members = sd.edge_members(edge)
     if n < 0:
         raise ValueError(f"resonance index n must be >= 0, got {n}")
     if n + 1 >= len(members):
@@ -370,15 +354,13 @@ def _box_for(sd: SpectralData, edge: EdgeData, n: int,
 
 def _sweep_one(sd, edge, n, eps, strict):
     box = _box_for(sd, edge, n, depth=eps ** 5)  # checks n before any indexing
-    members = _edge_ordered_members(sd, edge)
+    members = sd.edge_members(edge)
     local = int(sd.local_index[members[n]])
     alpha, seed = alpha_and_seed(sd, edge.band_index, local)
     z, residual, iters = newton_refine(sd, seed)
     count = count_in_box(sd, box)
     shallow = SHALLOW_C0 * (n + 1) / sd.L ** 2
-    in_shallow = (box.x_lo <= z.real <= box.x_hi
-                  and -shallow <= z.imag < 0.0)
-    verified = (count == 1) and in_shallow and z.imag < 0.0 and box.contains(z)
+    verified = count == 1 and box.contains(z) and -shallow <= z.imag < 0.0
     if strict and count != 1:
         raise UniquenessFailed(n, count)
     if strict and not verified:
@@ -393,17 +375,23 @@ def _sweep_one(sd, edge, n, eps, strict):
     )
 
 
-def _require_generic(edge: EdgeData):
+def _check_step_inputs(edge: EdgeData, eps: float):
+    """Refuse a non-generic edge, then an eps outside (0, 0.3]."""
     if not edge.is_generic:
         raise NonGenericEdge(
             f"edge {edge.e0} is {edge.classification.value}; resonances are "
             "located only at generic edges")
+    if not 0.0 < eps <= 0.3:
+        raise ValueError(f"eps must be in (0, 0.3], got {eps}")
 
 
 def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
                      eps: float = 0.2, strict: bool = True) -> Resonance:
-    """Locate and certify the resonance of eigenvalue n: one sweep_band_edge step."""
-    _require_generic(edge)
+    """Locate and certify the resonance of eigenvalue n: one sweep_band_edge step.
+
+    As in sweep_band_edge, the edge must be generic and eps in (0, 0.3].
+    """
+    _check_step_inputs(edge, eps)
     return _sweep_one(sd, edge, n, eps, strict)
 
 
@@ -420,17 +408,13 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     SHALLOW_C0 (n+1)/L^2.  With strict=True any failed certificate raises
     UniquenessFailed; otherwise it is recorded on the Resonance.
     """
-    _require_generic(edge)
-    if not 0.0 < eps <= 0.3:
-        raise ValueError(f"eps must be in (0, 0.3], got {eps}")
+    _check_step_inputs(edge, eps)
     if sd.L * eps / C1 < 3:
         raise ValueError(f"L*eps/C1 = {sd.L * eps / C1:.2f} < 3; increase L")
     if abs(edge.e0) >= 2.0:
         raise OnBranchCut(f"edge {edge.e0} is outside (-2, 2)")
-    if sd.band_of is None:
-        raise ValueError("run band_enumerate first")
     n_max = int(math.floor(eps * sd.L / C1))
-    members = _edge_ordered_members(sd, edge)
+    members = sd.edge_members(edge)
     if n_max + 1 >= len(members):
         raise ValueError(
             f"band {edge.band_index} holds {len(members)} eigenvalues; need "

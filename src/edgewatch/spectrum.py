@@ -109,6 +109,11 @@ class SpectralData:
             raise ValueError("band_enumerate has not been run")
         return self._members_by_band.get(band, _NO_MEMBERS)
 
+    def edge_members(self, edge: EdgeData) -> np.ndarray:
+        """`band_members` of the edge's band, nearest the edge first (read-only)."""
+        members = self.band_members(edge.band_index)
+        return members[::-1] if edge.side == "right" else members
+
 
 def assemble(V: PeriodicPotential, L: int) -> TridiagonalOperator:
     """Dirichlet section on sites 0..L: diagonal v_{n mod p}, couplings 1."""
@@ -257,8 +262,6 @@ def quantization_residuals(sd: SpectralData, bs: BandStructure,
     offset of the phase.  Eigenvalues within BAND_TOL of a band edge are
     left out (the phase numerator may vanish right at an edge).
     """
-    if sd.band_of is None:
-        raise ValueError("run band_enumerate first")
     res = []
     bands = [band] if band is not None else list(range(len(bs.bands)))
     for b in bands:
@@ -301,13 +304,8 @@ def weight_profile(sd: SpectralData, edge: EdgeData, eps: float,
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must be in (0, 0.5), got {eps}")
-    if sd.band_of is None:
-        raise ValueError("run band_enumerate first")
-    members = sd.band_members(edge.band_index)
+    members = sd.edge_members(edge)
     lam = sd.lambdas[members]
-    if edge.side == "right":
-        members = members[::-1]
-        lam = lam[::-1]
     # window scale: eps^2 in units of the band width
     lo, hi = bs.bands[edge.band_index]
     window = eps * eps * (hi - lo)

@@ -154,6 +154,12 @@ def test_run_config_invariants(capsys):
                            "--L", "200", "--edge", "-1", "--eps", "-0.1")
     assert code == 2
     assert "eps" in err
+    code, out, err = run_cli(capsys, "l-scaling", "--potential", "0,3",
+                             "--edge", "-1", "--L-list", "100,200,400",
+                             "--n", "1", "--eps", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "eps must be in (0, 0.3]" in err
 
 
 def test_numerical_error_exit_code(capsys):
@@ -206,10 +212,11 @@ def test_l_scaling_command(capsys):
 
 def test_potential_file(tmp_path, capsys):
     path = tmp_path / "pot.json"
-    path.write_text(json.dumps({"period": 2, "values": [0.0, 3.0]}))
-    code, out, _ = run_cli(capsys, "bands", "--potential-file", str(path))
-    assert code == 0
-    assert "-1,0,0" in out
+    for period in (2, 2.0):
+        path.write_text(json.dumps({"period": period, "values": [0.0, 3.0]}))
+        code, out, _ = run_cli(capsys, "bands", "--potential-file", str(path))
+        assert code == 0
+        assert "-1,0,0" in out
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"period": 3, "values": [0.0, 3.0]}))
     code, _, err = run_cli(capsys, "bands", "--potential-file", str(bad))
@@ -219,6 +226,8 @@ def test_potential_file(tmp_path, capsys):
     for data in ([0, 3], {"period": 2, "values": 3},
                  {"period": 2, "values": "03"},
                  {"period": None, "values": [0, 3]},
+                 {"period": 2.7, "values": [0, 3]},
+                 {"period": float("inf"), "values": [0, 3]},
                  {"period": 2, "values": [None, 3]}):
         bad.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "bands", "--potential-file",
@@ -287,3 +296,21 @@ def test_layer_calls_go_through_module_references(monkeypatch, capsys):
                            "--n", "1", "--proportional", "0.02")
     assert code == 0 and len(out.splitlines()) == 1 + 2
     assert calls == 3 * (section + 2 * ["resonance.locate_resonance"])
+
+
+def test_l_scaling_refuses_bad_lengths_before_numerics(monkeypatch, capsys):
+    # the fit needs distinct lengths >= 10 of one residue L mod p; that is
+    # known from --L-list and the period before any section is built
+    calls = []
+    for name in ("spectrum", "resonance"):
+        monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
+    for lengths, msg in (("100,200,401", "mixes residues"),
+                         ("100,100,100", "repeats a length"),
+                         ("4,6,8", "L >= 10")):
+        code, out, err = run_cli(capsys, "l-scaling", "--potential", "0,3",
+                                 "--edge", "-1", "--L-list", lengths,
+                                 "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert msg in err
+        assert calls == []

@@ -1,0 +1,64 @@
+"""Fuzz test of the edge commands' input surface."""
+
+import contextlib
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from edgewatch.cli import main  # noqa: E402
+from edgewatch.floquet import band_structure  # noqa: E402
+from edgewatch.potential import PeriodicPotential  # noqa: E402
+
+
+_FUZZ_EDGES = {p: [ep.energy for ep in band_structure(
+                   PeriodicPotential.from_values(p.split(","))
+               ).edge_points] for p in ("0,3", "1,-2,0.5")}
+
+
+@st.composite
+def _edge_argv(draw):
+    command = draw(st.sampled_from(
+        ["resonances", "free-region", "scaling", "l-scaling"]))
+    potential = draw(st.sampled_from(sorted(_FUZZ_EDGES)))
+    edge = draw(st.one_of(st.sampled_from(_FUZZ_EDGES[potential]),
+                          st.floats(-3.0, 5.0)))
+    # half the draws of eps, L and --L-list are valid, so that runs reach
+    # the numerics; --opt=value keeps argparse from reading "-1e-05" as an
+    # option
+    eps = draw(st.one_of(st.floats(0.05, 0.3), st.floats(-0.5, 3.0)))
+    argv = [command, f"--potential={potential}", f"--edge={edge!r}",
+            f"--eps={eps!r}"]
+    length = st.one_of(st.integers(100, 300), st.integers(1, 300))
+    if command != "l-scaling":
+        return argv + [f"--L={draw(length)}"]
+    lengths = draw(st.one_of(
+        st.lists(length, min_size=3, max_size=3),
+        st.lists(st.integers(2, 50).map(lambda k: 6 * k), min_size=3,
+                 max_size=3, unique=True)))
+    argv += [f"--L-list={','.join(map(str, lengths))}",
+             f"--n={draw(st.integers(-2, 10))}"]
+    proportional = draw(st.one_of(st.none(), st.floats(-0.1, 0.5)))
+    if proportional is not None:
+        argv.append(f"--proportional={proportional!r}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_edge_argv())
+def test_edge_commands_fuzz(argv):
+    # any input ends in an exit code, never a traceback, and a refused run
+    # prints nothing to stdout
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+            assert code == 2
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out.getvalue() == ""

@@ -213,14 +213,19 @@ def test_winding_zero_on_boundary_fails():
         rz.winding_number(lambda z: z, (0.0, 1.0, -0.5, 0.5))
 
 
-def test_winding_count_guards(sd400):
+def test_count_in_box_guards(sd400):
     lam0 = float(sd400.lambdas[0])
     with pytest.raises(EdgeTooCloseToEigenvalue):
-        rz.winding_count(sd400, (lam0, lam0 + 0.1, -0.1, 0.1))
+        rz.count_in_box(sd400, rz.ResonanceBox(x_lo=lam0, x_hi=lam0 + 0.1,
+                                               depth=0.1, n=0))
+    # at this depth no contour sample lands on the cut itself, and without
+    # the guard the count would silently come out 0
     with pytest.raises(OnBranchCut):
-        rz.winding_count(sd400, (1.5, 2.5, -0.1, 0.1))
+        rz.count_in_box(sd400, rz.ResonanceBox(x_lo=1.5, x_hi=2.5,
+                                               depth=0.05, n=0))
     # strictly above the axis there are no zeros and no poles
-    assert rz.winding_count(sd400, (-1.001, -0.9, 0.01, 0.02)) == 0
+    f = lambda z: rz.f_and_fprime(sd400, z)[0]
+    assert rz.winding_number(f, (-1.001, -0.9, 0.01, 0.02)) == 0
 
 
 def test_count_in_box_eigenvalue_free_interval(sd400):
@@ -288,6 +293,10 @@ def test_sweep_rejects_non_generic(V03, bs03, sd400):
 def test_sweep_parameter_validation(sd400, edge_m1_j0):
     with pytest.raises(ValueError):
         ew.sweep_band_edge(sd400, edge_m1_j0, eps=0.5)
+    # a single step takes the sweep's eps range
+    for eps in (0.0, 0.5, 3.0):
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 0.3\]"):
+            rz.locate_resonance(sd400, edge_m1_j0, 1, eps=eps)
     with pytest.raises(ValueError):
         ew.sweep_band_edge(sd400, edge_m1_j0, eps=0.05, C1=10.0)
 
@@ -318,6 +327,23 @@ def test_sweep_right_edge_generic_b(V03, bs03):
     # eigenvalues approach the edge from below, widths still grow with n
     ims = [abs(r.z.imag) for r in res]
     assert np.all(np.diff(ims) > 0)
+
+
+def test_public_steps_reproduce_the_sweep(V03, bs03, sd400, sweep400):
+    # the benchmark's traced replay re-runs every box through these public
+    # steps and requires the sweep's numbers back exactly
+    sd401 = ew.band_enumerate(ew.eigensystem(ew.assemble(V03, 401)), bs03)
+    right = ew.sweep_band_edge(sd401, ew.classify_edge(V03, bs03, 0.0,
+                                                       sd401.j))
+    for sd, results in ((sd400, sweep400), (sd401, right)):
+        for r in results:
+            g = int(np.flatnonzero(sd.lambdas == r.lambda_n)[0])
+            alpha, seed = rz.alpha_and_seed(sd, r.band,
+                                            int(sd.local_index[g]))
+            z, _, iters = rz.newton_refine(sd, seed)
+            assert (alpha, seed, z, iters) == (r.alpha_n, r.seed, r.z,
+                                               r.newton_iters)
+            assert rz.count_in_box(sd, r.box) == 1
 
 
 def test_sweep_period_three_potential():
