@@ -5,18 +5,15 @@ from .floquet import (
     BandStructure,
     EdgeClassification,
     EdgeData,
-    Matrix2,
     band_structure,
     classify_edge,
     density_of_states,
-    discriminant,
     discriminant_coeffs,
     h_j,
     h_values,
     monodromy,
     product_matrix,
     quasi_momentum,
-    transfer_matrix,
 )
 from .spectrum import (
     SpectralData,
@@ -32,6 +29,7 @@ from .resonance import (
     Resonance,
     ResonanceBox,
     alpha_and_seed,
+    check_step_inputs,
     count_in_box,
     f_and_fprime,
     free_region_check,

@@ -100,20 +100,8 @@ class ScalingCheck:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    edge_energy: float
-    edge_classification: str
-    L: int
     checks: tuple[ScalingCheck, ...]
     non_generic: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "edge_energy": self.edge_energy,
-            "edge_classification": self.edge_classification,
-            "L": self.L,
-            "non_generic": self.non_generic,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
     @property
     def all_passed(self) -> bool:
@@ -180,13 +168,7 @@ def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
         pts = np.array([[r.n + 1.0, abs(r.z.imag)] for r in rs])
         checks.append(_check("resonance-widths", pts, 2.0))
 
-    return ScalingReport(
-        edge_energy=edge.e0,
-        edge_classification=edge.classification.value,
-        L=sd.L,
-        checks=tuple(checks),
-        non_generic=non_generic,
-    )
+    return ScalingReport(checks=tuple(checks), non_generic=non_generic)
 
 
 def l_scaling(samples, require_same_n: bool = True) -> PowerLawFit:

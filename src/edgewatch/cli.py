@@ -15,7 +15,7 @@ import sys
 
 from . import analysis, resonance, spectrum, verify
 from . import floquet
-from .errors import SpectralError
+from .errors import NonGenericEdge, SpectralError
 from .potential import PeriodicPotential
 
 EDGE_MATCH_TOL = 1e-6
@@ -125,11 +125,14 @@ def _check_section_length(L: int):
 
 
 def _edge_setup(args):
-    """Bands, section and classified edge of a single-L edge command."""
+    """Potential, bands and edge of a single-L edge command.
+
+    The edge is classified for the residue j = L mod p before any section
+    is built, so input checks on it cost no eigensolve.
+    """
     _check_section_length(args.L)
     V, bs, e0 = _edge_inputs(args)
-    sd = _section(V, bs, args.L, args.seed)
-    return bs, sd, floquet.classify_edge(V, bs, e0, sd.j)
+    return V, bs, floquet.classify_edge(V, bs, e0, args.L % V.period)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,9 @@ _RES_FIELDS = ["n", "lambda_n", "a_n", "alpha_re", "alpha_im", "seed_re",
 
 def _cmd_resonances(args) -> int:
     _check_positive("c1", args.c1)
-    _, sd, edge = _edge_setup(args)
+    V, bs, edge = _edge_setup(args)
+    resonance.check_step_inputs(edge, args.eps)
+    sd = _section(V, bs, args.L, args.seed)
     results = resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1,
                                         strict=False)
     _emit(_render(_resonance_rows(results), _RES_FIELDS, args.format),
@@ -209,7 +214,8 @@ def _cmd_resonances(args) -> int:
 
 
 def _cmd_free_region(args) -> int:
-    bs, sd, edge = _edge_setup(args)
+    V, bs, edge = _edge_setup(args)
+    sd = _section(V, bs, args.L, args.seed)
     free = resonance.free_region_check(sd, edge, args.eps, bs)
     rows = [{"free": free, "x_lo": edge.e0 - args.eps, "x_hi": edge.e0,
              "depth": args.eps ** 5}]
@@ -228,9 +234,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scaling(args) -> int:
     _check_positive("c1", args.c1)
-    bs, sd, edge = _edge_setup(args)
+    V, bs, edge = _edge_setup(args)
+    # resonances are swept wherever the step check admits the edge; a
+    # non-generic edge inside (-2, 2) still gets the eigenvalue fits
+    try:
+        resonance.check_step_inputs(edge, args.eps)
+        sweep = True
+    except NonGenericEdge:
+        sweep = False
+    sd = _section(V, bs, args.L, args.seed)
     results = None
-    if edge.is_generic:
+    if sweep:
         results = resonance.sweep_band_edge(sd, edge, eps=args.eps,
                                             C1=args.c1, strict=False)
     report = analysis.scaling_report(sd, results, edge, bs, eps=args.eps)
@@ -265,10 +279,11 @@ def _cmd_l_scaling(args) -> int:
     if len(residues) > 1:
         raise UsageError(f"--L-list mixes residues L mod {V.period}: "
                          f"{residues}")
+    edge = floquet.classify_edge(V, bs, e0, residues[0])
+    resonance.check_step_inputs(edge, args.eps)
     fixed, prop = [], []
     for L in lengths:
         sd = _section(V, bs, L, args.seed)
-        edge = floquet.classify_edge(V, bs, e0, sd.j)
         fixed.append((L, sd.j, resonance.locate_resonance(
             sd, edge, args.n, eps=args.eps)))
         if args.proportional is not None:

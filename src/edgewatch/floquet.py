@@ -28,15 +28,12 @@ from .errors import (
 from .potential import PeriodicPotential
 
 __all__ = [
-    "Matrix2",
     "BandStructure",
     "EdgePoint",
     "EdgeData",
     "EdgeClassification",
-    "transfer_matrix",
     "product_matrix",
     "monodromy",
-    "discriminant",
     "discriminant_coeffs",
     "band_structure",
     "quasi_momentum",
@@ -48,85 +45,17 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrices and their polynomial-entry counterparts
-
-
-@dataclass(frozen=True)
-class Matrix2:
-    """A 2x2 complex matrix; transfer products keep |det - 1| at roundoff."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    def det(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def trace(self) -> complex:
-        return self.m11 + self.m22
-
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    @classmethod
-    def identity(cls) -> "Matrix2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-
-def transfer_matrix(V: PeriodicPotential, E, l: int) -> Matrix2:
-    """One-step transfer matrix ((E - v_l, -1), (1, 0)); det is exactly 1."""
-    if l < 0:
-        raise ValueError(f"site index must be >= 0, got {l}")
-    v = V.value_at(l)
-    return Matrix2(E - v, -1.0, 1.0, 0.0)
-
-
-def product_matrix(V: PeriodicPotential, E, k: int) -> Matrix2:
-    """Partial product T_{k-1}(E)...T_0(E); k = 0 gives the identity.
-
-    Top row holds the depth-k polynomials, bottom row the depth-(k-1) ones;
-    the cross determinant of the rows is 1.
-    """
-    if not 0 <= k <= V.period:
-        raise ValueError(f"k must be in [0, {V.period}], got {k}")
-    M = Matrix2.identity()
-    for l in range(k):
-        M = transfer_matrix(V, E, l) @ M
-    return M
-
-
-def monodromy(V: PeriodicPotential, E, k: int = 0) -> Matrix2:
-    """One-period product T_{k+p-1}(E)...T_k(E); its trace does not depend on k."""
-    if not 0 <= k <= V.period - 1:
-        raise ValueError(f"k must be in [0, {V.period - 1}], got {k}")
-    M = Matrix2.identity()
-    for l in range(k, k + V.period):
-        M = transfer_matrix(V, E, l) @ M
-    return M
-
-
-def discriminant(V: PeriodicPotential, E):
-    """Trace of the one-period transfer product; real for real energies."""
-    tr = monodromy(V, E, 0).trace()
-    if isinstance(E, complex) or np.iscomplexobj(E):
-        return tr
-    return float(tr.real)
+# Transfer products as polynomials in E
 
 
 @lru_cache(maxsize=64)
 def _partial_product_polys(V: PeriodicPotential):
     """Ascending-coefficient entries of T_{k-1}...T_0 for k = 0 .. p.
 
-    Returned as a tuple over k of 2x2 nested tuples of float arrays, exactly
-    the convention of :func:`product_matrix`; index p is the monodromy at
+    The one engine behind every transfer product: returned as a tuple over k
+    of 2x2 nested tuples of float arrays, index p being the monodromy at
     base site 0.  Multiplying by T_l = ((E - v_l, -1), (1, 0)) maps the rows
-    (top, bottom) to ((E - v_l) top - bottom, top).
+    (top, bottom) to ((E - v_l) top - bottom, top), so det T_l = 1 exactly.
     """
     one = np.array([1.0])
     zero = np.array([0.0])
@@ -137,6 +66,27 @@ def _partial_product_polys(V: PeriodicPotential):
                             for t, b in zip(top, bottom)), top
         out.append((top, bottom))
     return tuple(out)
+
+
+def product_matrix(V: PeriodicPotential, E, k: int) -> np.ndarray:
+    """Partial product T_{k-1}(E)...T_0(E) as a 2x2 array; k = 0 gives the identity.
+
+    Top row holds the depth-k polynomials, bottom row the depth-(k-1) ones;
+    the cross determinant of the rows is 1.  An array E gives shape
+    (2, 2) + E.shape.
+    """
+    if not 0 <= k <= V.period:
+        raise ValueError(f"k must be in [0, {V.period}], got {k}")
+    return np.array([[npoly.polyval(E, c) for c in row]
+                     for row in _partial_product_polys(V)[k]])
+
+
+def monodromy(V: PeriodicPotential, E, k: int = 0) -> np.ndarray:
+    """One-period product T_{k+p-1}(E)...T_k(E); its trace does not depend on k."""
+    if not 0 <= k <= V.period - 1:
+        raise ValueError(f"k must be in [0, {V.period - 1}], got {k}")
+    rotated = PeriodicPotential.from_values(V.values[k:] + V.values[:k])
+    return product_matrix(rotated, E, V.period)
 
 
 def discriminant_coeffs(V: PeriodicPotential) -> np.ndarray:
@@ -390,13 +340,10 @@ def _phase_factor(bs: BandStructure, band_index: int, E: np.ndarray) -> np.ndarr
 
 
 def _s_values(V, bs, j, band_index, E):
-    polys = _partial_product_polys(V)
-    Mp = polys[V.period]
-    a_j1 = polys[j + 1][0][0]
-    b_j1 = polys[j + 1][0][1]
+    Mp = product_matrix(V, E, V.period)
+    a_j1, b_j1 = product_matrix(V, E, j + 1)[0]
     rho = _phase_factor(bs, band_index, E)
-    return (npoly.polyval(E, a_j1) * (rho - npoly.polyval(E, Mp[0][0]))
-            - npoly.polyval(E, b_j1) * npoly.polyval(E, Mp[1][0]))
+    return a_j1 * (rho - Mp[0, 0]) - b_j1 * Mp[1, 0]
 
 
 def _centered_mod_pi(x: np.ndarray) -> np.ndarray:
@@ -523,12 +470,9 @@ def classify_edge(V: PeriodicPotential, bs: BandStructure, e0: float,
         raise NotAnEdge(f"{e0} is not within 1e-9 of a recorded band edge")
     E0 = match.energy
 
-    polys = _partial_product_polys(V)
-    Mp = polys[V.period]
-    a0_pm1 = float(npoly.polyval(E0, Mp[1][0]))
-    a0_p = float(npoly.polyval(E0, Mp[0][0]))
-    a_j1 = float(npoly.polyval(E0, polys[j + 1][0][0]))
-    b_j1 = float(npoly.polyval(E0, polys[j + 1][0][1]))
+    Mp = product_matrix(V, E0, V.period)
+    a0_pm1, a0_p = float(Mp[1, 0]), float(Mp[0, 0])
+    a_j1, b_j1 = (float(x) for x in product_matrix(V, E0, j + 1)[0])
     rho = 1.0 if float(bs.discriminant_at(E0)) > 0 else -1.0
     d_j1 = a_j1 * (a0_p - rho) + b_j1 * a0_pm1
 

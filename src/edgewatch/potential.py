@@ -29,9 +29,6 @@ class PeriodicPotential:
         vals = tuple(float(v) for v in values)
         return cls(period=len(vals), values=vals)
 
-    def value_at(self, n: int) -> float:
-        return self.values[n % self.period]
-
     def sampled(self, length: int) -> Sequence[float]:
         """Values v_0 .. v_{length-1} of the periodic extension."""
         return [self.values[n % self.period] for n in range(length)]

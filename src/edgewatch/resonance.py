@@ -45,6 +45,7 @@ __all__ = [
     "alpha_and_seed",
     "newton_refine",
     "winding_number",
+    "check_step_inputs",
     "count_in_box",
     "locate_resonance",
     "sweep_band_edge",
@@ -375,8 +376,16 @@ def _sweep_one(sd, edge, n, eps, strict):
     )
 
 
-def _check_step_inputs(edge: EdgeData, eps: float):
-    """Refuse a non-generic edge, then an eps outside (0, 0.3]."""
+def check_step_inputs(edge: EdgeData, eps: float):
+    """Refuse an edge outside (-2, 2), then a non-generic edge, then an eps
+    outside (0, 0.3].
+
+    The one input check of locate_resonance and sweep_band_edge.  It reads
+    only the classified edge, so it can run before any section is built.
+    """
+    if abs(edge.e0) >= 2.0:
+        raise ValueError(f"edge {edge.e0} lies outside (-2, 2); resonances "
+                         "are located only at edges inside it")
     if not edge.is_generic:
         raise NonGenericEdge(
             f"edge {edge.e0} is {edge.classification.value}; resonances are "
@@ -389,9 +398,9 @@ def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
                      eps: float = 0.2, strict: bool = True) -> Resonance:
     """Locate and certify the resonance of eigenvalue n: one sweep_band_edge step.
 
-    As in sweep_band_edge, the edge must be generic and eps in (0, 0.3].
+    The inputs must pass check_step_inputs, as for sweep_band_edge.
     """
-    _check_step_inputs(edge, eps)
+    check_step_inputs(edge, eps)
     return _sweep_one(sd, edge, n, eps, strict)
 
 
@@ -408,11 +417,9 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     SHALLOW_C0 (n+1)/L^2.  With strict=True any failed certificate raises
     UniquenessFailed; otherwise it is recorded on the Resonance.
     """
-    _check_step_inputs(edge, eps)
+    check_step_inputs(edge, eps)
     if sd.L * eps / C1 < 3:
         raise ValueError(f"L*eps/C1 = {sd.L * eps / C1:.2f} < 3; increase L")
-    if abs(edge.e0) >= 2.0:
-        raise OnBranchCut(f"edge {edge.e0} is outside (-2, 2)")
     n_max = int(math.floor(eps * sd.L / C1))
     members = sd.edge_members(edge)
     if n_max + 1 >= len(members):

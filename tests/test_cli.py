@@ -181,12 +181,23 @@ def test_resonances_output_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
+VERIFY_ROWS = ["transfer-determinants", "product-unimodular",
+               "trace-k-independence", "band-partition", "quasi-momentum",
+               "free-chain-oracle", "weight-normalisation",
+               "cauchy-interlacing", "theta-branch", "im-s-identity",
+               "winding-exactness", "fit-exactness"]
+
+
 def test_verify_command(capsys):
-    code, out, _ = run_cli(capsys, "verify")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "name,passed,detail"
-    assert all(",true," in line for line in lines[1:])
+    # the property checks live in verify.py only; every row must pass, also
+    # at seed 1, whose transfer products reach entries of ~4e3
+    for seed in ("0", "1"):
+        code, out, _ = run_cli(capsys, "verify", "--seed", seed)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "name,passed,detail"
+        assert [line.split(",")[0] for line in lines[1:]] == VERIFY_ROWS
+        assert all(",true," in line for line in lines[1:])
 
 
 def test_scaling_command(capsys):
@@ -289,28 +300,53 @@ def test_layer_calls_go_through_module_references(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "resonances", "--potential", "0,3",
                            "--L", "200", "--edge", "-1")
     assert code == 0 and len(out.splitlines()) == 1 + 5
-    assert calls == section + ["resonance.sweep_band_edge"]
+    assert calls == (["resonance.check_step_inputs"] + section
+                     + ["resonance.sweep_band_edge"])
     calls.clear()
     code, out, _ = run_cli(capsys, "l-scaling", "--potential", "0,3",
                            "--edge", "-1", "--L-list", "100,200,400",
                            "--n", "1", "--proportional", "0.02")
     assert code == 0 and len(out.splitlines()) == 1 + 2
-    assert calls == 3 * (section + 2 * ["resonance.locate_resonance"])
+    assert calls == (["resonance.check_step_inputs"]
+                     + 3 * (section + 2 * ["resonance.locate_resonance"]))
 
 
 def test_l_scaling_refuses_bad_lengths_before_numerics(monkeypatch, capsys):
     # the fit needs distinct lengths >= 10 of one residue L mod p; that is
-    # known from --L-list and the period before any section is built
+    # known from --L-list and the period before any section is built, and
+    # so is the step check on the edge classified for that residue
     calls = []
     for name in ("spectrum", "resonance"):
         monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
-    for lengths, msg in (("100,200,401", "mixes residues"),
-                         ("100,100,100", "repeats a length"),
-                         ("4,6,8", "L >= 10")):
+    step = ["resonance.check_step_inputs"]
+    for lengths, edge, eps, msg, expected in (
+            ("100,200,401", "-1", "0.2", "mixes residues", []),
+            ("100,100,100", "-1", "0.2", "repeats a length", []),
+            ("4,6,8", "-1", "0.2", "L >= 10", []),
+            ("100,200,400", "3", "0.2", "outside (-2, 2)", step),
+            ("100,200,400", "-1", "0.5", "eps must be in (0, 0.3]", step)):
+        calls.clear()
         code, out, err = run_cli(capsys, "l-scaling", "--potential", "0,3",
-                                 "--edge", "-1", "--L-list", lengths,
-                                 "--n", "0")
+                                 "--edge", edge, "--eps", eps,
+                                 "--L-list", lengths, "--n", "0")
         assert code == 2
         assert out == ""
         assert msg in err
-        assert calls == []
+        assert calls == expected
+
+
+def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
+    # an edge on |E| >= 2 is one usage error, found before any eigensolve,
+    # whether the edge is generic (L = 200) or not (L = 99)
+    calls = []
+    for name in ("spectrum", "resonance"):
+        monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
+    for command, L in (("resonances", "200"), ("scaling", "200"),
+                       ("resonances", "99"), ("scaling", "99")):
+        calls.clear()
+        code, out, err = run_cli(capsys, command, "--potential", "0,3",
+                                 "--L", L, "--edge", "3")
+        assert code == 2
+        assert out == ""
+        assert "outside (-2, 2)" in err
+        assert calls == ["resonance.check_step_inputs"]

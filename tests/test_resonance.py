@@ -39,21 +39,6 @@ def test_theta_values():
     assert -np.pi < th.real < 0
 
 
-def test_theta_branch_random():
-    rng = np.random.default_rng(10)
-    for _ in range(1000):
-        E = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
-        if E.imag == 0.0 and abs(E.real) >= 2.0:
-            continue
-        th = rz.theta(E)
-        assert abs(2 * cmath.cos(th) - E) <= 1e-13 * (1 + abs(E))
-        assert -np.pi < th.real < 0
-        if E.imag > 0:
-            assert th.imag > 0
-        if E.imag < 0:
-            assert th.imag < 0
-
-
 def test_theta_branch_cut_rejection():
     for E in (2.0, -2.0, 2.5, -3.0):
         with pytest.raises(OnBranchCut):
@@ -89,17 +74,6 @@ def test_s_l_warns_beyond_length_cap():
                       weights_start=np.full(n, 1.0 / n))
     with pytest.warns(UserWarning, match="working-precision cap"):
         rz.s_l(sd, 0.05 - 0.5j)
-
-
-def test_s_l_sign_identity(sd400):
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        E = complex(rng.uniform(-2, 5), rng.uniform(0.001, 1.0) * rng.choice([-1, 1]))
-        s = rz.s_l(sd400, E)
-        direct = E.imag * float(np.sum(sd400.weights_end
-                                       / np.abs(sd400.lambdas - E) ** 2))
-        assert abs(s.imag - direct) <= 1e-12 * max(abs(s.imag), abs(direct))
-        assert s.imag * E.imag > 0
 
 
 def test_s_l_matches_dd_oracle(V03, bs03, sd400, sweep400):

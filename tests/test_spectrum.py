@@ -30,16 +30,6 @@ def test_eigensystem_free_chain_small():
     np.testing.assert_allclose(sd.weights_start, [0.25, 0.5, 0.25], atol=1e-12)
 
 
-def test_eigensystem_properties_random():
-    rng = np.random.default_rng(7)
-    V = ew.PeriodicPotential.from_values(rng.uniform(-2, 2, 3))
-    sd = ew.eigensystem(ew.assemble(V, 80))
-    assert np.all(np.diff(sd.lambdas) > 0)
-    assert sd.weights_end.sum() == pytest.approx(1.0, abs=1e-10)
-    assert sd.weights_start.sum() == pytest.approx(1.0, abs=1e-10)
-    assert np.all((sd.weights_end >= 0) & (sd.weights_end <= 1))
-
-
 def _sturm_counts(diag, x):
     """Number of eigenvalues below each shift in x (LDL^T pivot signs)."""
     q = diag[0] - x
@@ -84,15 +74,6 @@ def test_eigensystem_deterministic_given_seed():
     b = ew.eigensystem(ew.assemble(V, 60), seed=0)
     np.testing.assert_array_equal(a.weights_end, b.weights_end)
     np.testing.assert_array_equal(a.lambdas, b.lambdas)
-
-
-def test_interlacing_random():
-    rng = np.random.default_rng(8)
-    V = ew.PeriodicPotential.from_values(rng.uniform(-2, 2, 2))
-    small = ew.eigensystem(ew.assemble(V, 59)).lambdas
-    big = ew.eigensystem(ew.assemble(V, 60)).lambdas
-    assert np.all(big[:-1] <= small + 1e-10)
-    assert np.all(small <= big[1:] + 1e-10)
 
 
 def test_band_enumerate_free_chain(free_chain):
