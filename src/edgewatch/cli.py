@@ -2,7 +2,7 @@
 
 Subcommands: bands, edges, spectrum, resonances, free-region, verify,
 scaling, l-scaling.  Output is CSV (default) or JSON with identical bytes
-for identical configuration and seed.  Exit codes: 0 success, 1 verification
+for identical configuration.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 numerical error.
 """
 
@@ -105,15 +105,14 @@ def _check_positive(name: str, value: float):
         raise UsageError(f"--{name} must be positive, got {value}")
 
 
-def _section(V, bs, L: int, seed: int):
+def _section(V, bs, L: int):
     """Band-enumerated spectral data of the length-L Dirichlet section."""
-    sd = spectrum.eigensystem(spectrum.assemble(V, L), seed=seed)
+    sd = spectrum.eigensystem(spectrum.assemble(V, L))
     return spectrum.band_enumerate(sd, bs)
 
 
 def _edge_inputs(args):
     """Potential, bands and matched edge energy of an edge command."""
-    _check_positive("eps", args.eps)
     V = _load_potential(args)
     bs = floquet.band_structure(V)
     return V, bs, _match_edge(bs, args.edge)
@@ -170,7 +169,7 @@ def _cmd_spectrum(args) -> int:
     V = _load_potential(args)
     if args.L < 1:
         raise UsageError(f"--L must be positive, got {args.L}")
-    sd = _section(V, floquet.band_structure(V), args.L, args.seed)
+    sd = _section(V, floquet.band_structure(V), args.L)
     rows = [{
         "k": k,
         "lambda": float(sd.lambdas[k]),
@@ -205,7 +204,7 @@ def _cmd_resonances(args) -> int:
     _check_positive("c1", args.c1)
     V, bs, edge = _edge_setup(args)
     resonance.check_step_inputs(edge, args.eps)
-    sd = _section(V, bs, args.L, args.seed)
+    sd = _section(V, bs, args.L)
     results = resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1,
                                         strict=False)
     _emit(_render(_resonance_rows(results), _RES_FIELDS, args.format),
@@ -214,8 +213,9 @@ def _cmd_resonances(args) -> int:
 
 
 def _cmd_free_region(args) -> int:
+    _check_positive("eps", args.eps)
     V, bs, edge = _edge_setup(args)
-    sd = _section(V, bs, args.L, args.seed)
+    sd = _section(V, bs, args.L)
     free = resonance.free_region_check(sd, edge, args.eps, bs)
     rows = [{"free": free, "x_lo": edge.e0 - args.eps, "x_hi": edge.e0,
              "depth": args.eps ** 5}]
@@ -236,13 +236,15 @@ def _cmd_scaling(args) -> int:
     _check_positive("c1", args.c1)
     V, bs, edge = _edge_setup(args)
     # resonances are swept wherever the step check admits the edge; a
-    # non-generic edge inside (-2, 2) still gets the eigenvalue fits
+    # non-generic edge inside (-2, 2) still gets the eigenvalue fits, which
+    # need only a positive eps
     try:
         resonance.check_step_inputs(edge, args.eps)
         sweep = True
     except NonGenericEdge:
+        _check_positive("eps", args.eps)
         sweep = False
-    sd = _section(V, bs, args.L, args.seed)
+    sd = _section(V, bs, args.L)
     results = None
     if sweep:
         results = resonance.sweep_band_edge(sd, edge, eps=args.eps,
@@ -283,7 +285,7 @@ def _cmd_l_scaling(args) -> int:
     resonance.check_step_inputs(edge, args.eps)
     fixed, prop = [], []
     for L in lengths:
-        sd = _section(V, bs, L, args.seed)
+        sd = _section(V, bs, L)
         fixed.append((L, sd.j, resonance.locate_resonance(
             sd, edge, args.n, eps=args.eps)))
         if args.proportional is not None:
@@ -316,14 +318,18 @@ def _add_common(p, potential=True):
     p.add_argument("--output", help="write to this path instead of stdout")
 
 
-def _add_seed(p, purpose):
-    p.add_argument("--seed", type=int, default=0,
-                   help=f"seed for {purpose} (default 0)")
+def _add_seed(p, text):
+    p.add_argument("--seed", type=int, default=0, help=text)
+
+
+# the spectral commands are deterministic; --seed stays accepted so that
+# existing command lines keep working
+_IGNORED_SEED = "accepted and ignored"
 
 
 def _add_spectral(p):
     p.add_argument("--L", type=int, required=True, help="section length")
-    _add_seed(p, "inverse-iteration starts")
+    _add_seed(p, _IGNORED_SEED)
 
 
 def _finite_float(text: str) -> float:
@@ -378,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suites")
     _add_common(p, potential=False)
-    _add_seed(p, "the randomized checks")
+    _add_seed(p, "seed for the randomized checks (default 0)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scaling", help="near-edge scaling-law report")
@@ -392,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L-list", required=True,
                    help="comma-separated, 3+ distinct lengths >= 10, one "
                         "residue L mod p")
-    _add_seed(p, "inverse-iteration starts")
+    _add_seed(p, _IGNORED_SEED)
     _add_edge(p)
     p.add_argument("--n", type=int, default=3, help="fixed local index")
     p.add_argument("--proportional", type=_finite_float,

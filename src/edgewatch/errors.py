@@ -30,13 +30,13 @@ class NotAnEdge(SpectralError):
 
 
 class ConvergenceFailure(SpectralError):
-    """Inverse iteration failed for one eigenvector."""
+    """An eigenvector failed its residual check."""
 
     def __init__(self, index, residual, message=None):
         self.index = index
         self.residual = residual
-        super().__init__(message or f"inverse iteration failed at index {index} "
-                                    f"(residual {residual:.3e})")
+        super().__init__(message or f"eigenvector residual check failed at "
+                                    f"index {index} (residual {residual:.3e})")
 
 
 class AmbiguousAssignment(SpectralError):

@@ -171,11 +171,12 @@ def test_numerical_error_exit_code(capsys):
 
 
 def test_resonances_output_deterministic(capsys):
-    # README contract: identical configuration and seed give identical bytes
+    # README contract: identical configuration gives identical bytes; --seed
+    # is accepted for old command lines and steers nothing
     outs = []
-    for _ in range(2):
+    for seed in ("0", "7"):
         code, out, _ = run_cli(capsys, "resonances", "--potential", "0,3",
-                               "--L", "200", "--edge", "-1")
+                               "--L", "400", "--edge", "-1", "--seed", seed)
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
@@ -337,16 +338,30 @@ def test_l_scaling_refuses_bad_lengths_before_numerics(monkeypatch, capsys):
 
 def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
     # an edge on |E| >= 2 is one usage error, found before any eigensolve,
-    # whether the edge is generic (L = 200) or not (L = 99)
+    # whether the edge is generic (L = 200) or not (L = 99); so is an eps
+    # outside (0, 0.3], whose one owner is resonance.check_step_inputs
     calls = []
     for name in ("spectrum", "resonance"):
         monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
-    for command, L in (("resonances", "200"), ("scaling", "200"),
-                       ("resonances", "99"), ("scaling", "99")):
+    step = ["resonance.check_step_inputs"]
+    eps_msg = "eps must be in (0, 0.3]"
+    for command, L, edge, eps, msg, expected in (
+            ("resonances", "200", "3", "0.2", "outside (-2, 2)", step),
+            ("scaling", "200", "3", "0.2", "outside (-2, 2)", step),
+            ("resonances", "99", "3", "0.2", "outside (-2, 2)", step),
+            ("scaling", "99", "3", "0.2", "outside (-2, 2)", step),
+            ("resonances", "200", "-1", "-0.1", eps_msg, step),
+            ("resonances", "200", "-1", "0.5", eps_msg, step),
+            ("scaling", "200", "-1", "-0.1", eps_msg, step),
+            # the fits at a non-generic edge and free-region need only a
+            # positive eps
+            ("scaling", "200", "0", "-0.1", "--eps must be positive", step),
+            ("free-region", "200", "-1", "-0.1", "--eps must be positive",
+             [])):
         calls.clear()
         code, out, err = run_cli(capsys, command, "--potential", "0,3",
-                                 "--L", L, "--edge", "3")
+                                 "--L", L, "--edge", edge, "--eps", eps)
         assert code == 2
         assert out == ""
-        assert "outside (-2, 2)" in err
-        assert calls == ["resonance.check_step_inputs"]
+        assert msg in err
+        assert calls == expected

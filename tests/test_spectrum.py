@@ -1,12 +1,14 @@
 import dataclasses
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import edgewatch as ew
 from edgewatch import floquet, spectrum
-from edgewatch.errors import AmbiguousAssignment, TooFewPoints
+from edgewatch.errors import AmbiguousAssignment, ConvergenceFailure, TooFewPoints
 
 
 def test_assemble_shapes():
@@ -70,10 +72,86 @@ def test_eigenvalues_match_bisection():
 
 def test_eigensystem_deterministic_given_seed():
     V = ew.PeriodicPotential.from_values([0.0, 3.0])
-    a = ew.eigensystem(ew.assemble(V, 60), seed=0)
-    b = ew.eigensystem(ew.assemble(V, 60), seed=0)
+    a = ew.eigensystem(ew.assemble(V, 60))
+    b = ew.eigensystem(ew.assemble(V, 60))
     np.testing.assert_array_equal(a.weights_end, b.weights_end)
     np.testing.assert_array_equal(a.lambdas, b.lambdas)
+
+
+def _oracle_weights(diag, lam, dps):
+    """(weight_end, weight_start) at dps digits: Newton on the characteristic
+    polynomial from lam, then the eigenvector by the forward recurrence."""
+    with mpmath.workdps(dps):
+        v = [mpmath.mpf(float(t)) for t in diag]
+        x = mpmath.mpf(float(lam))
+        for _ in range(50):
+            p0, p1, d0, d1 = mpmath.mpf(1), v[0] - x, mpmath.mpf(0), mpmath.mpf(-1)
+            for vi in v[1:]:
+                p0, p1, d0, d1 = p1, (vi - x) * p1 - p0, d1, (vi - x) * d1 - p1 - d0
+            step = p1 / d1
+            x -= step
+            if abs(step) <= mpmath.mpf(10) ** (10 - dps):
+                break
+        phi = [mpmath.mpf(1), x - v[0]]
+        for i in range(1, len(v) - 1):
+            phi.append((x - v[i]) * phi[i] - phi[i - 1])
+        norm = mpmath.fsum(f * f for f in phi)
+        return phi[-1] ** 2 / norm, phi[0] ** 2 / norm
+
+
+def _assert_weights_match(sd, diag, indices, dps):
+    for k in indices:
+        for ref, got in zip(_oracle_weights(diag, sd.lambdas[k], dps),
+                            (sd.weights_end[k], sd.weights_start[k])):
+            if ref >= mpmath.mpf("1e-250"):
+                assert abs(got - float(ref)) <= 1e-11 * float(ref), (k, ref, got)
+            else:
+                assert abs(got) <= 1e-300, (k, ref, got)
+
+
+def test_weights_match_mpmath_oracle():
+    # the gap states, localised at one end, have weights down to 1e-105 at
+    # the other; the near-edge weights feed every resonance seed
+    for values, L, dps in (([0.0, 3.0], 400, 200), ([1.0, -2.0, 0.5], 301, 200)):
+        V = ew.PeriodicPotential.from_values(values)
+        bs = ew.band_structure(V)
+        H = ew.assemble(V, L)
+        sd = ew.band_enumerate(ew.eigensystem(H), bs)
+        picked = set(np.flatnonzero(sd.band_of < 0).tolist())
+        for ep in bs.edge_points:
+            picked.update(np.argsort(np.abs(sd.lambdas - ep.energy))[:4].tolist())
+        _assert_weights_match(sd, H.diag, sorted(picked), dps)
+
+
+def test_weights_at_exact_floating_point_eigenvalues():
+    # at these gap states the pivot recurrences meet their eigenvalue exactly
+    # (a zero pivot every period), so |gamma| vanishes at most sites and the
+    # smallest |gamma| alone would twist where the norms overflow
+    for values, L, k in (([0.0, 1.0, 3.0], 300, 100), ([1.0, 3.0, 0.0], 301, 100)):
+        H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
+        sd = ew.eigensystem(H)
+        _assert_weights_match(sd, H.diag, [k], 200)
+
+
+def test_weight_certificate_refuses_a_shifted_spectrum():
+    # a twisted vector's residual is at least the distance to the spectrum
+    H = ew.assemble(ew.PeriodicPotential.from_values([0.0, 3.0]), 200)
+    lam = ew.eigensystem(H).lambdas
+    with pytest.raises(ConvergenceFailure):
+        spectrum._boundary_weights(H.diag, lam + 1e-6)
+
+
+def test_eigensystem_memory_stays_small():
+    # the weights kernel keeps a few roots of L checkpointed pivots per
+    # eigenvalue; one slice of sqrt(L) checkpoints at L = 4000 needs ~4.6 MB
+    H = ew.assemble(ew.PeriodicPotential.from_values([0.0, 3.0]), 4000)
+    tracemalloc.start()
+    try:
+        ew.eigensystem(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
 
 
 def test_band_enumerate_free_chain(free_chain):
