@@ -84,19 +84,6 @@ class ScalingCheck:
     passed: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "slope": self.fit.slope,
-            "intercept": self.fit.intercept,
-            "r_squared": self.fit.r_squared,
-            "n_points": self.fit.n_points,
-            "expected_slope": self.expected_slope,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class ScalingReport:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: bands, edges, spectrum, resonances, free-region, verify,
-scaling, l-scaling.  Output is CSV (default) or JSON with identical bytes
-for identical configuration.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 numerical error.
+scaling, l-scaling.  Each command returns its table rows and a verdict;
+`main` prints the rows as CSV (default, the header is the keys of the first
+row) or JSON, with identical bytes for identical configuration.  Exit codes:
+0 success, 1 verification failure, 2 usage error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -36,16 +37,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render(rows: list[dict], fields: list[str], fmt: str) -> str:
+def _print_table(rows: list[dict], fmt: str, path: str | None):
+    """Write rows as JSON, or as CSV headed by the keys of the first row."""
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[f]) for f in fields))
-    return "\n".join(lines) + "\n"
-
-
-def _emit(text: str, path: str | None):
+        text = json.dumps(rows, indent=2) + "\n"
+    else:
+        lines = [rows[0], *(map(_fmt, row.values()) for row in rows)]
+        text = "".join(",".join(cells) + "\n" for cells in lines)
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -138,16 +136,14 @@ def _edge_setup(args):
 # Commands
 
 
-def _cmd_bands(args) -> int:
-    V = _load_potential(args)
-    bs = floquet.band_structure(V)
+def _cmd_bands(args):
+    bs = floquet.band_structure(_load_potential(args))
     rows = [{"lo": lo, "hi": hi, "closed_gaps": c}
             for (lo, hi), c in zip(bs.bands, bs.closed_gap_counts)]
-    _emit(_render(rows, ["lo", "hi", "closed_gaps"], args.format), args.output)
-    return 0
+    return rows, True
 
 
-def _cmd_edges(args) -> int:
+def _cmd_edges(args):
     V = _load_potential(args)
     bs = floquet.band_structure(V)
     rows = []
@@ -159,13 +155,10 @@ def _cmd_edges(args) -> int:
             "rho": ed.rho, "a_j1": ed.a_j1, "b_j1": ed.b_j1,
             "d_j1": ed.d_j1, "classification": ed.classification.value,
         })
-    fields = ["energy", "band", "side", "j", "a0_p_minus_1", "a0_p", "rho",
-              "a_j1", "b_j1", "d_j1", "classification"]
-    _emit(_render(rows, fields, args.format), args.output)
-    return 0
+    return rows, True
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     V = _load_potential(args)
     if args.L < 1:
         raise UsageError(f"--L must be positive, got {args.L}")
@@ -178,61 +171,53 @@ def _cmd_spectrum(args) -> int:
         "band": int(sd.band_of[k]),
         "local_index": int(sd.local_index[k]),
     } for k in range(len(sd.lambdas))]
-    fields = ["k", "lambda", "weight_end", "weight_start", "band", "local_index"]
-    _emit(_render(rows, fields, args.format), args.output)
-    return 0
+    return rows, True
 
 
-def _resonance_rows(results):
-    rows = []
-    for r in results:
-        rows.append({
-            "n": r.n, "lambda_n": r.lambda_n, "a_n": r.a_n,
-            "alpha_re": r.alpha_n.real, "alpha_im": r.alpha_n.imag,
-            "seed_re": r.seed.real, "seed_im": r.seed.imag,
-            "z_re": r.z.real, "z_im": r.z.imag,
-            "residual": r.residual, "winding_verified": r.winding_verified,
-        })
-    return rows
-
-
-_RES_FIELDS = ["n", "lambda_n", "a_n", "alpha_re", "alpha_im", "seed_re",
-               "seed_im", "z_re", "z_im", "residual", "winding_verified"]
-
-
-def _cmd_resonances(args) -> int:
+def _cmd_resonances(args):
     _check_positive("c1", args.c1)
     V, bs, edge = _edge_setup(args)
     resonance.check_step_inputs(edge, args.eps)
     sd = _section(V, bs, args.L)
     results = resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1,
                                         strict=False)
-    _emit(_render(_resonance_rows(results), _RES_FIELDS, args.format),
-          args.output)
-    return 0 if all(r.winding_verified for r in results) else 1
+    rows = [{
+        "n": r.n, "lambda_n": r.lambda_n, "a_n": r.a_n,
+        "alpha_re": r.alpha_n.real, "alpha_im": r.alpha_n.imag,
+        "seed_re": r.seed.real, "seed_im": r.seed.imag,
+        "z_re": r.z.real, "z_im": r.z.imag,
+        "residual": r.residual, "winding_verified": r.winding_verified,
+    } for r in results]
+    return rows, all(r.winding_verified for r in results)
 
 
-def _cmd_free_region(args) -> int:
+def _cmd_free_region(args):
     _check_positive("eps", args.eps)
     V, bs, edge = _edge_setup(args)
     sd = _section(V, bs, args.L)
     free = resonance.free_region_check(sd, edge, args.eps, bs)
     rows = [{"free": free, "x_lo": edge.e0 - args.eps, "x_hi": edge.e0,
              "depth": args.eps ** 5}]
-    _emit(_render(rows, ["free", "x_lo", "x_hi", "depth"], args.format),
-          args.output)
-    return 0 if free else 1
+    return rows, free
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     results = verify.run_all(seed=args.seed)
     rows = [{"name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results]
-    _emit(_render(rows, ["name", "passed", "detail"], args.format), args.output)
-    return 0 if all(r.passed for r in results) else 1
+    return rows, all(r.passed for r in results)
 
 
-def _cmd_scaling(args) -> int:
+def _scaling_row(check) -> dict:
+    return {"name": check.name, "slope": check.fit.slope,
+            "intercept": check.fit.intercept,
+            "r_squared": check.fit.r_squared, "n_points": check.fit.n_points,
+            "expected_slope": check.expected_slope,
+            "tolerance": check.tolerance, "passed": check.passed,
+            "note": check.note}
+
+
+def _cmd_scaling(args):
     _check_positive("c1", args.c1)
     V, bs, edge = _edge_setup(args)
     # resonances are swept wherever the step check admits the edge; a
@@ -250,11 +235,7 @@ def _cmd_scaling(args) -> int:
         results = resonance.sweep_band_edge(sd, edge, eps=args.eps,
                                             C1=args.c1, strict=False)
     report = analysis.scaling_report(sd, results, edge, bs, eps=args.eps)
-    rows = [c.to_dict() for c in report.checks]
-    fields = ["name", "slope", "intercept", "r_squared", "n_points",
-              "expected_slope", "tolerance", "passed", "note"]
-    _emit(_render(rows, fields, args.format), args.output)
-    return 0 if report.all_passed else 1
+    return [_scaling_row(c) for c in report.checks], report.all_passed
 
 
 def _l_scaling_row(track: str, kind: str, fit) -> dict:
@@ -265,7 +246,7 @@ def _l_scaling_row(track: str, kind: str, fit) -> dict:
             "passed": abs(fit.slope - expected) <= band}
 
 
-def _cmd_l_scaling(args) -> int:
+def _cmd_l_scaling(args):
     try:
         lengths = [int(tok) for tok in args.L_list.split(",") if tok]
     except ValueError as exc:
@@ -281,6 +262,9 @@ def _cmd_l_scaling(args) -> int:
     if len(residues) > 1:
         raise UsageError(f"--L-list mixes residues L mod {V.period}: "
                          f"{residues}")
+    if args.proportional is not None and not 0.0 <= args.proportional < 1.0:
+        raise UsageError(f"--proportional must be in [0, 1), got "
+                         f"{args.proportional}")
     edge = floquet.classify_edge(V, bs, e0, residues[0])
     resonance.check_step_inputs(edge, args.eps)
     fixed, prop = [], []
@@ -298,10 +282,7 @@ def _cmd_l_scaling(args) -> int:
         rows.append(_l_scaling_row(
             f"proportional-n={args.proportional}", "proportional",
             analysis.l_scaling(prop, require_same_n=False)))
-    fields = ["track", "slope", "intercept", "r_squared", "n_points",
-              "expected_slope", "passed"]
-    _emit(_render(rows, fields, args.format), args.output)
-    return 0 if all(r["passed"] for r in rows) else 1
+    return rows, all(r["passed"] for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +383,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_edge(p)
     p.add_argument("--n", type=int, default=3, help="fixed local index")
     p.add_argument("--proportional", type=_finite_float,
-                   help="also fit the track n = floor(FRAC * L)")
+                   help="also fit the track n = floor(FRAC * L), "
+                        "FRAC in [0, 1)")
     p.set_defaults(func=_cmd_l_scaling)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rows, ok = args.func(args)
+        _print_table(rows, args.format, args.output)
     except (UsageError, ValueError, OSError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SpectralError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -96,8 +96,14 @@ def discriminant_coeffs(V: PeriodicPotential) -> np.ndarray:
 
 
 def _abs_polyval(coeffs: np.ndarray, x) -> float:
-    # magnitude scale of a polynomial evaluation at |x|
-    return float(npoly.polyval(abs(x), np.abs(coeffs))) + 1e-300
+    # magnitude scale of a polynomial evaluation at |x|; a check against a
+    # scale that overflows to inf certifies nothing, so it is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(npoly.polyval(abs(x), np.abs(coeffs))) + 1e-300
+    if not np.isfinite(scale):
+        raise RootFindingFailure(
+            f"polynomial magnitude scale overflows at E = {x:.17g}")
+    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +206,9 @@ def band_structure(V: PeriodicPotential) -> BandStructure:
         if real.size == 0:
             continue
         polished = _polish_real_roots(c[::-1], real)
-        resid = np.abs(np.polyval(c[::-1], polished))
         scale = np.array([_abs_polyval(np.abs(c), r) for r in polished])
-        bad = resid > 1e-12 * scale
+        resid = np.abs(np.polyval(c[::-1], polished))
+        bad = ~(resid <= 1e-12 * scale)  # a NaN residual fails too
         if bad.any():
             raise RootFindingFailure(
                 f"root polish residual {resid[bad].max():.3e} at "
@@ -212,11 +218,12 @@ def band_structure(V: PeriodicPotential) -> BandStructure:
     edges: list[float] = []
     gaps: list[float] = []
     for r in sorted(candidates):
-        dval = abs(np.polyval(der_desc, r))
+        # each scale first: a finite scale bounds the value it belongs to
         d_scale = _abs_polyval(np.abs(der_desc[::-1]), r)
+        dval = abs(np.polyval(der_desc, r))
+        off_scale = max(_abs_polyval(Mp[0][1], r), _abs_polyval(Mp[1][0], r))
         off_hi = abs(float(npoly.polyval(r, Mp[0][1])))
         off_lo = abs(float(npoly.polyval(r, Mp[1][0])))
-        off_scale = max(_abs_polyval(Mp[0][1], r), _abs_polyval(Mp[1][0], r))
         if dval <= 1e-8 * d_scale and max(off_hi, off_lo) <= 1e-8 * off_scale:
             gaps.append(r)
         else:

@@ -455,20 +455,23 @@ def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
 
 
 # ---------------------------------------------------------------------------
-# Small-imaginary-part certificates
-
-
-_CERTIFICATE_GRID = 30  # lattice points per side of the certificate strip
+# Small-imaginary-part certificate
 
 
 def no_root_certificate(sd: SpectralData, edge: EdgeData, n: int, eps: float,
                         C0: float = SHALLOW_C0) -> tuple[float, float]:
-    """(max |Im S_L|, min |Im exp(-i theta)|) over a lattice on the strip.
+    """(upper bound of |Im S_L|, lower bound of |Im exp(-i theta)|) on a strip.
 
-    The strip lies between the shallow cell of depth C0 (n+1)/L^2 and the
-    box floor eps^5, sampled on a _CERTIFICATE_GRID x _CERTIFICATE_GRID
-    lattice.  The first value strictly below the second certifies that the
-    resonance equation has no solution there.
+    The strip is z = x - iy with x in box n's [x_lo, x_hi] and y between the
+    shallow cell's depth top = C0 (n+1)/L^2 and the box floor bottom = eps^5.
+    There Im S_L = y sum a_k/((lambda_k - x)^2 + y^2), at most
+    bottom sum a_k/(dist_k^2 + top^2) with dist_k the distance of lambda_k
+    from [x_lo, x_hi], inflated by the sum's rounding bound; and
+    Im exp(-i theta) = Im z/2 + Re sqrt(1 - z^2/4) >= sqrt(1 - xm^2/4) -
+    bottom/2 with xm = max(|x_lo|, |x_hi|), since Re sqrt(w) >= sqrt(Re w).
+    The first value strictly below the second proves, for the computed
+    eigenvalues and weights, that the resonance equation has no solution on
+    the strip.
     """
     top = C0 * (n + 1) / sd.L ** 2
     bottom = eps ** 5
@@ -477,11 +480,11 @@ def no_root_certificate(sd: SpectralData, edge: EdgeData, n: int, eps: float,
             f"C0*(n+1)/L^2 = {top:.3e} >= eps^5 = {bottom:.3e}; "
             "the strip between the shallow cell and the box floor is empty")
     box = _box_for(sd, edge, n, depth=bottom)
-    xs = np.linspace(box.x_lo, box.x_hi, _CERTIFICATE_GRID)
-    im_s, im_phase = 0.0, math.inf
-    for y in np.linspace(-bottom, -top, _CERTIFICATE_GRID):
-        for x in xs:
-            z = complex(x, y)
-            im_s = max(im_s, abs(complex(np.sum(_terms(sd, z)[1])).imag))
-            im_phase = min(im_phase, abs(cmath.exp(-1j * theta(z)).imag))
-    return im_s, im_phase
+    xm = max(abs(box.x_lo), abs(box.x_hi))
+    if xm >= 2.0:
+        raise OnBranchCut(f"the strip reaches |Re z| = {xm} >= 2")
+    dist = np.maximum(0.0, np.maximum(box.x_lo - sd.lambdas,
+                                      sd.lambdas - box.x_hi))
+    im_s = bottom * float(np.sum(sd.weights_end / (dist ** 2 + top ** 2)))
+    im_s *= 1.0 + 4.0 * (sd.L + 1) * math.ulp(1.0)
+    return im_s, math.sqrt(1.0 - xm ** 2 / 4.0) - bottom / 2.0

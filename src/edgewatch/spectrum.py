@@ -421,7 +421,7 @@ def band_enumerate(sd: SpectralData, bs: BandStructure) -> SpectralData:
     exactly to that edge, so edge eigenvalues do not carry the last-ulp
     noise of the eigensolver.  Eigenvalues farther than
     BAND_TOL * max(1, |lambda|) from every band are flagged with -1; their
-    count is available as `n_outside` and is reported, never interpreted.
+    count is available for inspection as `n_outside`, never interpreted.
     """
     lam = sd.lambdas.copy()
     snap = EIGENVALUE_TOL * sd.scale

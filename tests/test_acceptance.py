@@ -171,8 +171,8 @@ def test_criterion_11_small_im_s_region(cache):
                                                 C0=10.0)
         assert im_s <= 10.0 * EPS
         assert im_s < im_phase
-    _report(11, "grid max of |Im S_L| below 10*eps and below the phase-term "
-                "floor for n in {1, 2, 4}")
+    _report(11, "closed-form strip bound of |Im S_L| below 10*eps and below "
+                "the phase-term floor for n in {1, 2, 4}")
 
 
 def test_criterion_12_winding_exactness():

@@ -5,6 +5,7 @@ import pytest
 
 import edgewatch as ew
 from edgewatch import analysis
+from edgewatch.cli import main
 from edgewatch.errors import DegenerateData, MixedResidues, TooFewPoints
 from edgewatch.resonance import Resonance, ResonanceBox
 
@@ -89,8 +90,7 @@ def test_scaling_report_generic(bs03, sd400, sweep400, edge_m1_j0):
     # determinism
     report2 = analysis.scaling_report(sd400, sweep400, edge_m1_j0, eps=0.2,
                                       bs=bs03)
-    assert [c.to_dict() for c in report.checks] == \
-        [c.to_dict() for c in report2.checks]
+    assert report.checks == report2.checks
 
 
 def test_scaling_report_without_resonances(sd400, edge_m1_j0, bs03):
@@ -116,11 +116,15 @@ def test_scaling_report_refuses_outside_domain(free_chain):
         analysis.scaling_report(sd, None, edge, eps=0.2, bs=bs0)
 
 
-def test_report_serialization_round_trip(sd400, sweep400, edge_m1_j0, bs03):
+def test_report_serialization_round_trip(capsys, sd400, sweep400, edge_m1_j0,
+                                         bs03):
+    # `edgewatch scaling --format json` carries every fit value exactly
     report = analysis.scaling_report(sd400, sweep400, edge_m1_j0, eps=0.2,
                                      bs=bs03)
-    text = json.dumps([c.to_dict() for c in report.checks])
-    back = json.loads(text)
+    assert main(["scaling", "--potential", "0,3", "--L", "400", "--edge",
+                 "-1", "--format", "json"]) == 0
+    back = json.loads(capsys.readouterr().out)
+    assert [cb["name"] for cb in back] == [c.name for c in report.checks]
     for c, cb in zip(report.checks, back):
         assert cb["slope"] == c.fit.slope          # exact round trip
         assert cb["intercept"] == c.fit.intercept

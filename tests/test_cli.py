@@ -135,7 +135,8 @@ def test_removed_options_rejected():
 def test_resonance_index_out_of_range_exit_code(capsys):
     # a negative or past-the-band index is a usage error, not a wrapped index
     for extra, msg in ((["--n", "-1"], "n must be >= 0"),
-                       (["--proportional", "-0.004"], "n must be >= 0"),
+                       (["--proportional", "-0.004"],
+                        "--proportional must be in [0, 1)"),
                        (["--n", "500"], "inside the band")):
         code, out, err = run_cli(capsys, "l-scaling", "--potential", "0,3",
                                  "--edge", "-1", "--L-list", "250,500,1000",
@@ -163,11 +164,19 @@ def test_run_config_invariants(capsys):
 
 
 def test_numerical_error_exit_code(capsys):
-    # sweeping a non-generic edge is a numerical error, exit 3
-    code, _, err = run_cli(capsys, "resonances", "--potential", "0,3",
-                           "--L", "200", "--edge", "0")
-    assert code == 3
-    assert "NonGenericEdge" in err
+    # sweeping a non-generic edge is a numerical error, exit 3; so is a
+    # potential whose polynomial scale overflows, where the root residual
+    # check would compare against inf and certify nothing
+    for argv, name in (
+            (["resonances", "--potential", "0,3", "--L", "200", "--edge",
+              "0"], "NonGenericEdge"),
+            (["bands", "--potential", "1e200,0"], "RootFindingFailure"),
+            (["edges", "--potential", "1e200,0", "--j", "0"],
+             "RootFindingFailure")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert name in err
 
 
 def test_resonances_output_deterministic(capsys):
@@ -182,11 +191,10 @@ def test_resonances_output_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
-VERIFY_ROWS = ["transfer-determinants", "product-unimodular",
-               "trace-k-independence", "band-partition", "quasi-momentum",
-               "free-chain-oracle", "weight-normalisation",
-               "cauchy-interlacing", "theta-branch", "im-s-identity",
-               "winding-exactness", "fit-exactness"]
+VERIFY_ROWS = ["product-unimodular", "trace-k-independence",
+               "band-partition", "quasi-momentum", "free-chain-oracle",
+               "weight-normalisation", "cauchy-interlacing", "theta-branch",
+               "im-s-identity", "winding-exactness", "fit-exactness"]
 
 
 def test_verify_command(capsys):
@@ -334,6 +342,16 @@ def test_l_scaling_refuses_bad_lengths_before_numerics(monkeypatch, capsys):
         assert out == ""
         assert msg in err
         assert calls == expected
+    # so is a --proportional fraction outside [0, 1): int(FRAC * L) is then
+    # no index of the band, and at FRAC = 1e308 it overflows
+    calls.clear()
+    code, out, err = run_cli(capsys, "l-scaling", "--potential", "0,3",
+                             "--edge", "-1", "--L-list", "100,200,400",
+                             "--proportional", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "--proportional must be in [0, 1)" in err
+    assert calls == []
 
 
 def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):

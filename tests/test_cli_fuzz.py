@@ -1,4 +1,4 @@
-"""Fuzz test of the edge commands' input surface."""
+"""Fuzz tests of the commands' input surface and of random potentials."""
 
 import contextlib
 import io
@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from edgewatch.cli import main  # noqa: E402
+from edgewatch.errors import SpectralError  # noqa: E402
 from edgewatch.floquet import band_structure  # noqa: E402
 from edgewatch.potential import PeriodicPotential  # noqa: E402
 
@@ -46,9 +47,7 @@ def _edge_argv(draw):
     return argv
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(argv=_edge_argv())
-def test_edge_commands_fuzz(argv):
+def _assert_clean_exit(argv):
     # any input ends in an exit code, never a traceback, and a refused run
     # prints nothing to stdout
     out = io.StringIO()
@@ -62,3 +61,41 @@ def test_edge_commands_fuzz(argv):
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
         assert out.getvalue() == ""
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_edge_argv())
+def test_edge_commands_fuzz(argv):
+    _assert_clean_exit(argv)
+
+
+# integer cells make the section's gap states exact floating-point
+# eigenvalues, with a zero pivot every period
+_CELLS = st.one_of(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5),
+                   st.lists(st.integers(-3, 3).map(float), min_size=1,
+                            max_size=5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(values=_CELLS, spectrum_L=st.integers(1, 60),
+       edge_L=st.integers(100, 150), c1=st.sampled_from([2.0, 5.0, 10.0]),
+       edge_pick=st.integers(0, 9))
+def test_random_potential_fuzz(values, spectrum_L, edge_L, c1, edge_pick):
+    potential = "--potential=" + ",".join(map(repr, values))
+    argvs = [["bands", potential],
+             ["spectrum", potential, f"--L={spectrum_L}"]]
+    argvs += [["edges", potential, f"--j={j}"] for j in range(len(values))]
+    try:
+        edges = band_structure(
+            PeriodicPotential.from_values(values)).edge_points
+    except SpectralError:
+        edges = ()
+    # edges inside (-2, 2), where resonances are located, when there are any
+    edges = [e for e in edges if abs(e.energy) < 2.0] or edges
+    if edges:
+        edge = f"--edge={edges[edge_pick % len(edges)].energy!r}"
+        argvs += [["resonances", potential, edge, f"--L={edge_L}",
+                   f"--c1={c1!r}"],
+                  ["free-region", potential, edge, f"--L={edge_L}"]]
+    for argv in argvs:
+        _assert_clean_exit(argv)
