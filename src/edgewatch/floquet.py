@@ -468,12 +468,10 @@ def classify_edge(V: PeriodicPotential, bs: BandStructure, e0: float,
     """
     if not 0 <= j <= V.period - 1:
         raise ValueError(f"j must be in [0, {V.period - 1}], got {j}")
-    match = None
-    for ep in bs.edge_points:
-        if abs(ep.energy - e0) <= 1e-9 * max(1.0, abs(e0)):
-            match = ep
-            break
-    if match is None:
+    # the nearest edge point, not the first one within the tolerance: a band
+    # narrower than the tolerance would otherwise lose its right edge
+    match = min(bs.edge_points, key=lambda ep: abs(ep.energy - e0))
+    if abs(match.energy - e0) > 1e-9 * max(1.0, abs(e0)):
         raise NotAnEdge(f"{e0} is not within 1e-9 of a recorded band edge")
     E0 = match.energy
 

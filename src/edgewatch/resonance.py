@@ -90,19 +90,69 @@ NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
 
 
+def _nearest_distance(lambdas: np.ndarray, x) -> np.ndarray:
+    """Distance from each real x to the nearest eigenvalue.
+
+    The one nearest-eigenvalue search of the module: a binary search in the
+    sorted eigenvalues, then the neighbours on either side.  For complex z
+    the distance to the nearest eigenvalue is hypot(distance at Re z, Im z).
+    """
+    i = np.searchsorted(lambdas, x)
+    return np.minimum(np.abs(lambdas.take(i - 1, mode="clip") - x),
+                      np.abs(lambdas.take(i, mode="clip") - x))
+
+
+def _pole_guard(sd: SpectralData, z):
+    """Refuse any z within _POLE_TOL*scale of an eigenvalue (PoleHit)."""
+    z = np.asarray(z, dtype=complex)
+    hit = (np.hypot(_nearest_distance(sd.lambdas, z.real), z.imag)
+           < _POLE_TOL * sd.scale)
+    if hit.any():
+        z_hit = complex(z.flat[np.argmax(hit)])
+        k = int(np.argmin(np.abs(sd.lambdas - z_hit)))  # ties: lower index
+        raise PoleHit(f"E = {z_hit} is within {_POLE_TOL:g}*scale of "
+                      f"eigenvalue {sd.lambdas[k]} (k = {k})")
+
+
 def _terms(sd: SpectralData, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """diffs = eigenvalue - z and terms = weight/diffs, refusing z at a pole.
 
-    The one pole-guarded evaluation of the terms of S_L; S_L, f and f' are
-    numpy (pairwise) sums over what it returns.
+    The pole-guarded evaluation of the terms of S_L at one point; S_L, f and
+    f' are numpy (pairwise) sums over what it returns.
     """
+    _pole_guard(sd, z)
     diffs = sd.lambdas - z
-    dist = np.abs(diffs)
-    k = int(np.argmin(dist))
-    if dist[k] < _POLE_TOL * sd.scale:
-        raise PoleHit(f"E = {z} is within {_POLE_TOL:g}*scale of eigenvalue "
-                      f"{sd.lambdas[k]} (k = {k})")
     return diffs, sd.weights_end / diffs
+
+
+_CHUNK = 1 << 14  # (points x eigenvalues) entries per temporary: 128 KB
+
+
+def _f_contour(sd: SpectralData, z: np.ndarray) -> np.ndarray:
+    """f at every point of a 1-D complex array, in real arithmetic.
+
+    With d = eigenvalue - Re z and y = Im z, S_L = sum w (d + iy)/(d^2 + y^2):
+    q = w/(d^2 + y^2), Re S_L = sum q d, Im S_L = y sum q, evaluated over
+    blocks of whole rows of at most _CHUNK entries.  The contour counterpart
+    of _terms, behind the same pole guard; the points must lie off the cuts
+    |E| >= 2 of the real axis, which count_in_box checks.
+    """
+    z = np.asarray(z, dtype=complex)
+    _pole_guard(sd, z)
+    lam, w = sd.lambdas, sd.weights_end
+    x, y = z.real, z.imag
+    out = np.empty(len(z), dtype=complex)
+    rows = max(1, _CHUNK // len(lam))
+    for s in range(0, len(z), rows):
+        ys = y[s:s + rows]
+        d = lam - x[s:s + rows, None]
+        q = d * d
+        q += (ys * ys)[:, None]
+        np.divide(w, q, out=q)
+        out.imag[s:s + rows] = ys * np.sum(q, axis=1)
+        d *= q
+        out.real[s:s + rows] = np.sum(d, axis=1)
+    return out + np.exp(1j * np.arccos(z / 2.0))
 
 
 def s_l(sd: SpectralData, E) -> complex:
@@ -216,47 +266,59 @@ _SAMPLES_PER_EDGE = 16  # initial samples on each side of a contour
 _MAX_DEPTH = 24  # bisection levels allowed below one initial sample interval
 
 
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack((a, b), axis=1).ravel()
+
+
 def winding_number(func, rect) -> int:
     """Winding number of func along a rectangle boundary, positively oriented.
 
-    Phase increments are tracked by adaptive sampling: each boundary segment
-    is bisected until its increment is below pi/2, up to _MAX_DEPTH levels.
-    Returns zeros minus poles enclosed; failure to track the phase raises
-    AdaptiveDepthExceeded rather than quietly returning a miscount.
+    func maps a 1-D complex array of boundary points to the array of its
+    values.  Phase increments are tracked by adaptive sampling, one call per
+    level: the 4 x _SAMPLES_PER_EDGE initial samples, then the midpoints of
+    every segment whose increment is not below pi/2, up to _MAX_DEPTH
+    levels.  Returns zeros minus poles enclosed; a vanishing or non-finite
+    value, or failure to track the phase, raises AdaptiveDepthExceeded
+    rather than quietly returning a miscount.
     """
     x_lo, x_hi, y_lo, y_hi = (float(v) for v in rect)
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError(f"degenerate rectangle {rect}")
-    corners = [complex(x_lo, y_lo), complex(x_hi, y_lo),
-               complex(x_hi, y_hi), complex(x_lo, y_hi), complex(x_lo, y_lo)]
+    corners = np.array([complex(x_lo, y_lo), complex(x_hi, y_lo),
+                        complex(x_hi, y_hi), complex(x_lo, y_hi),
+                        complex(x_lo, y_lo)])
 
-    def val(z):
-        w = complex(func(z))
-        if w == 0 or not (math.isfinite(w.real) and math.isfinite(w.imag)):
+    def values(z):
+        w = np.broadcast_to(np.asarray(func(z), dtype=complex), z.shape)
+        bad = np.flatnonzero((w == 0) | ~np.isfinite(w))
+        if bad.size:
             raise AdaptiveDepthExceeded(
-                f"boundary value vanished or blew up at {z}")
+                f"boundary value vanished or blew up at {complex(z[bad[0]])}")
         return w
 
+    ts = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE + 1)[:-1]
+    z1 = (corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * ts).ravel()
+    w1 = values(z1)
+    z2, w2 = np.roll(z1, -1), np.roll(w1, -1)
     total = 0.0
-    for c1, c2 in zip(corners[:-1], corners[1:]):
-        ts = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE + 1)
-        pts = [c1 + (c2 - c1) * t for t in ts]
-        vals = [val(z) for z in pts]
-        for i in range(_SAMPLES_PER_EDGE):
-            stack = [(pts[i], vals[i], pts[i + 1], vals[i + 1], 0)]
-            while stack:
-                z1, w1, z2, w2, depth = stack.pop()
-                dphi = cmath.phase(w2 / w1)
-                if abs(dphi) < math.pi / 2.0:
-                    total += dphi
-                    continue
-                if depth >= _MAX_DEPTH:
-                    raise AdaptiveDepthExceeded(
-                        f"phase step {dphi:.3f} at depth {depth} near {z1}")
-                zm = 0.5 * (z1 + z2)
-                wm = val(zm)
-                stack.append((zm, wm, z2, w2, depth + 1))
-                stack.append((z1, w1, zm, wm, depth + 1))
+    depth = 0
+    while True:
+        dphi = np.angle(w2 / w1)
+        ok = np.abs(dphi) < math.pi / 2.0
+        total += float(np.sum(dphi[ok]))
+        bad = np.flatnonzero(~ok)
+        if not bad.size:
+            break
+        if depth >= _MAX_DEPTH:
+            i = bad[0]
+            raise AdaptiveDepthExceeded(f"phase step {dphi[i]:.3f} at depth "
+                                        f"{depth} near {complex(z1[i])}")
+        z1, w1, z2, w2 = z1[bad], w1[bad], z2[bad], w2[bad]
+        zm = 0.5 * (z1 + z2)
+        wm = values(zm)
+        z1, z2 = _interleave(z1, zm), _interleave(zm, z2)
+        w1, w2 = _interleave(w1, wm), _interleave(wm, w2)
+        depth += 1
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 1e-6:
         raise AdaptiveDepthExceeded(
@@ -312,8 +374,13 @@ def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
     inside the real interval are added back to the winding number.  Both
     vertical edges cross the axis: each must lie 1e-10*scale clear of every
     eigenvalue (EdgeTooCloseToEigenvalue) and off the cuts |E| >= 2 (OnBranchCut).
+    The contour is evaluated by _f_contour, one real-arithmetic array pass
+    per subdivision level in chunks of _CHUNK entries; the edge guard and
+    the pole guard both go through the binary search of _nearest_distance.
     """
-    inside = sd.lambdas[(sd.lambdas > box.x_lo) & (sd.lambdas < box.x_hi)]
+    lam = sd.lambdas
+    inside = lam[np.searchsorted(lam, box.x_lo, side="right"):
+                 np.searchsorted(lam, box.x_hi, side="left")]
     P = len(inside)
     if P:
         delta = 0.1 * float(np.min(np.minimum(inside - box.x_lo,
@@ -321,19 +388,16 @@ def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
     else:
         delta = 0.1 * (box.x_hi - box.x_lo)
     guard = 1e-10 * sd.scale
-    for x in (box.x_lo, box.x_hi):
-        d = float(np.min(np.abs(sd.lambdas - x)))
+    dist = _nearest_distance(lam, [box.x_lo, box.x_hi])
+    for x, d in zip((box.x_lo, box.x_hi), dist.tolist()):
         if d < guard:
             raise EdgeTooCloseToEigenvalue(
                 f"vertical edge x = {x} is {d:.3e} from an eigenvalue")
     if max(abs(box.x_lo), abs(box.x_hi)) >= 2.0:
         raise OnBranchCut(f"box [{box.x_lo}, {box.x_hi}] meets the real axis "
                           "outside (-2, 2)")
-
-    def f(z):
-        return complex(np.sum(_terms(sd, z)[1])) + cmath.exp(-1j * theta(z))
-
-    return winding_number(f, (box.x_lo, box.x_hi, -box.depth, delta)) + P
+    return winding_number(lambda z: _f_contour(sd, z),
+                          (box.x_lo, box.x_hi, -box.depth, delta)) + P
 
 
 def _box_for(sd: SpectralData, edge: EdgeData, n: int,

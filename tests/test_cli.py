@@ -56,6 +56,19 @@ def test_edges_classification_column(capsys):
     assert by_energy["0"] == "EdgeEigenvalue"
 
 
+def test_edges_narrow_bands_keep_both_edges(capsys):
+    # band 0 is 4e-10 wide, narrower than classify_edge's 1e-9 match
+    # tolerance; each edge must resolve to itself, not to the first edge
+    # point within the tolerance
+    code, out, _ = run_cli(capsys, "edges", "--potential", "0,1e5,1e5",
+                           "--j", "0")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [(r[1], r[2]) for r in rows] == [
+        (str(b), side) for b in range(3) for side in ("left", "right")]
+    assert len({r[0] for r in rows}) == 6
+
+
 def test_resonances_small_run(capsys):
     code, out, _ = run_cli(capsys, "resonances", "--potential", "0,3",
                            "--L", "200", "--edge", "-1", "--eps", "0.2")

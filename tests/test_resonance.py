@@ -187,6 +187,84 @@ def test_winding_zero_on_boundary_fails():
         rz.winding_number(lambda z: z, (0.0, 1.0, -0.5, 0.5))
 
 
+@pytest.mark.parametrize("kind", ["zero", "pole"])
+def test_winding_subdivides_near_each_side(kind):
+    # a zero (pole) 1e-6 or 1e-9 from a side slips between the 64 initial
+    # samples; only the level-by-level bisection resolves it
+    x_lo, x_hi, y_lo, y_hi = rect = (0.3, 0.302, -0.002, 0.0005)
+    feet = [complex(x_lo + 0.37e-3, y_lo), complex(x_hi, y_lo + 0.37e-3),
+            complex(x_lo + 0.37e-3, y_hi), complex(x_lo, y_lo + 0.37e-3)]
+    inward = [1j, -1, -1j, 1]
+    for foot, normal in zip(feet, inward):
+        for dist in (1e-6, 1e-9):
+            for side in (1, -1):
+                z0 = foot + side * dist * normal
+                requested = []
+
+                def func(z, z0=z0):
+                    requested.append(len(z))
+                    return z - z0 if kind == "zero" else 1.0 / (z - z0)
+
+                expected = (1 if side > 0 else 0) * (1 if kind == "zero" else -1)
+                assert rz.winding_number(func, rect) == expected, (z0, expected)
+                assert requested[0] == 64
+                assert sum(requested) > 64, z0
+    # a zero on a side, between samples, still cannot be tracked
+    on_side = feet[0]
+    with pytest.raises(AdaptiveDepthExceeded):
+        rz.winding_number(lambda z: z - on_side, rect)
+
+
+def test_contour_evaluator_matches_f(monkeypatch, sd400, sweep400):
+    V = ew.PeriodicPotential.from_values([1.0, -2.0, 0.5])
+    bs = ew.band_structure(V)
+    sd1000 = ew.band_enumerate(ew.eigensystem(ew.assemble(V, 1000)), bs)
+    edge = ew.classify_edge(V, bs, 0.5, 1)
+    assert edge.side == "right"
+    right = ew.sweep_band_edge(sd1000, edge)
+    evaluate = rz._f_contour
+    calls = []
+    monkeypatch.setattr(rz, "_f_contour",
+                        lambda sd, z: calls.append(z) or evaluate(sd, z))
+    for sd, results in ((sd400, sweep400), (sd1000, right)):
+        for r in results:
+            calls.clear()
+            assert rz.count_in_box(sd, r.box) == 1
+            z = calls[0]  # the 64 initial samples, which settle every box
+            assert len(calls) == 1 and z.shape == (64,)
+            got = evaluate(sd, z)
+            for zk, fk in zip(z, got):
+                ref = rz.f_and_fprime(sd, zk)[0]
+                scale = float(np.sum(np.abs(sd.weights_end / (sd.lambdas - zk))))
+                assert abs(fk - ref) <= 1e-13 * (scale + 1.0), (zk, fk, ref)
+
+
+def test_pole_guard_shared_by_point_and_contour(sd400):
+    tol = rz._POLE_TOL * sd400.scale
+    k = 137
+    lam = float(sd400.lambdas[k])
+    for offset in (0.5 * tol, -0.5 * tol, -0.5j * tol):
+        z = lam + offset
+        with pytest.raises(PoleHit, match=f"k = {k}\\)"):
+            rz._terms(sd400, z)
+        with pytest.raises(PoleHit, match=f"k = {k}\\)"):
+            rz._f_contour(sd400, np.array([0.1 - 0.1j, z]))
+    for offset in (2.0 * tol, -2.0 * tol, -2.0j * tol):
+        z = lam + offset
+        assert np.all(np.isfinite(rz._terms(sd400, z)[1]))
+        assert np.all(np.isfinite(rz._f_contour(sd400, np.array([z]))))
+    # equidistant eigenvalues: PoleHit names the lower index
+    lambdas = np.array([-1.0, 0.0, 1e-14, 1.0])
+    pair = SpectralData(L=3, j=0, lambdas=lambdas, weights_end=np.ones(4),
+                        weights_start=np.ones(4))
+    for guarded in (lambda z: rz._terms(pair, z),
+                    lambda z: rz._f_contour(pair, np.array([z]))):
+        with pytest.raises(PoleHit, match=r"k = 1\)"):
+            guarded(0.5e-14 + 0j)
+    assert rz._nearest_distance(lambdas, [-3.0, 0.75, 3.0]).tolist() == [
+        2.0, 0.25, 2.0]
+
+
 def test_count_in_box_guards(sd400):
     lam0 = float(sd400.lambdas[0])
     with pytest.raises(EdgeTooCloseToEigenvalue):
@@ -198,7 +276,7 @@ def test_count_in_box_guards(sd400):
         rz.count_in_box(sd400, rz.ResonanceBox(x_lo=1.5, x_hi=2.5,
                                                depth=0.05, n=0))
     # strictly above the axis there are no zeros and no poles
-    f = lambda z: rz.f_and_fprime(sd400, z)[0]
+    f = lambda z: rz._f_contour(sd400, z)
     assert rz.winding_number(f, (-1.001, -0.9, 0.01, 0.02)) == 0
 
 
