@@ -81,8 +81,11 @@ class ScalingCheck:
     fit: PowerLawFit
     expected_slope: float
     tolerance: float
-    passed: bool
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.fit.slope - self.expected_slope) <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,9 @@ class ScalingReport:
 
 
 def _check(name, pts, expected, note=""):
-    fit = fit_power_law(pts)
-    passed = abs(fit.slope - expected) <= SLOPE_TOLERANCE
-    return ScalingCheck(name=name, fit=fit, expected_slope=expected,
-                        tolerance=SLOPE_TOLERANCE, passed=passed, note=note)
+    return ScalingCheck(name=name, fit=fit_power_law(pts),
+                        expected_slope=expected, tolerance=SLOPE_TOLERANCE,
+                        note=note)
 
 
 def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
@@ -110,12 +112,9 @@ def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
     Generic edges expect slopes (2, 2, 1, 2) against the index; an
     edge-eigenvalue (non-generic) edge expects a flat weight profile instead,
     which is flagged as a signature rather than a failure.  Resonances are
-    optional; without them the width fit is skipped.
+    optional; without them the width fit is skipped.  The asymptotics hold
+    only at edges inside (-2, 2), which check_step_inputs owns.
     """
-    if abs(edge.e0) >= 2.0:
-        raise ValueError(
-            f"edge {edge.e0} lies outside (-2, 2); the resonance asymptotics "
-            "do not apply there")
     profile = weight_profile(sd, edge, eps, bs=bs)
     keep = profile.k >= FIT_EXCLUDE_LOWEST
     k1 = profile.k[keep] + 1.0
@@ -158,26 +157,30 @@ def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
     return ScalingReport(checks=tuple(checks), non_generic=non_generic)
 
 
-def l_scaling(samples, require_same_n: bool = True) -> PowerLawFit:
+def l_scaling(samples, track: str) -> ScalingCheck:
     """Fit |Im z| against L over a fixed-residue family of section lengths.
 
     `samples` holds (L, j, Resonance) triples; all residues j must agree, and
-    by default all local indices n as well (pass require_same_n=False for the
-    proportional-index track where n grows with L).
+    on the "fixed" track all local indices n as well ("proportional" lets n
+    grow with L).  The expected slope and its pass band are
+    L_SCALING_SLOPES[track].
     """
+    expected, band = L_SCALING_SLOPES[track]
     samples = list(samples)
     if len(samples) < 3:
         raise TooFewPoints(f"need at least 3 lengths, got {len(samples)}")
     js = {j for _, j, _ in samples}
     if len(js) > 1:
         raise MixedResidues(f"samples mix residues {sorted(js)}")
-    if require_same_n:
+    if track == "fixed":
         ns = {r.n for _, _, r in samples}
         if len(ns) > 1:
             raise ValueError(f"samples mix local indices {sorted(ns)}")
     pts = np.array([[float(L), abs(r.z.imag)] for L, _, r in samples])
     order = np.argsort(pts[:, 0])
-    return fit_power_law(pts[order], min_points=3)
+    return ScalingCheck(name=track,
+                        fit=fit_power_law(pts[order], min_points=3),
+                        expected_slope=expected, tolerance=band)
 
 
 @dataclass(frozen=True)

@@ -177,10 +177,9 @@ def _cmd_spectrum(args):
 def _cmd_resonances(args):
     _check_positive("c1", args.c1)
     V, bs, edge = _edge_setup(args)
-    resonance.check_step_inputs(edge, args.eps)
+    resonance.check_step_inputs(edge, args.eps, L=args.L, C1=args.c1)
     sd = _section(V, bs, args.L)
-    results = resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1,
-                                        strict=False)
+    results = resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1)
     rows = [{
         "n": r.n, "lambda_n": r.lambda_n, "a_n": r.a_n,
         "alpha_re": r.alpha_n.real, "alpha_im": r.alpha_n.imag,
@@ -224,26 +223,23 @@ def _cmd_scaling(args):
     # non-generic edge inside (-2, 2) still gets the eigenvalue fits, which
     # need only a positive eps
     try:
-        resonance.check_step_inputs(edge, args.eps)
+        resonance.check_step_inputs(edge, args.eps, L=args.L, C1=args.c1)
         sweep = True
     except NonGenericEdge:
         _check_positive("eps", args.eps)
         sweep = False
     sd = _section(V, bs, args.L)
-    results = None
-    if sweep:
-        results = resonance.sweep_band_edge(sd, edge, eps=args.eps,
-                                            C1=args.c1, strict=False)
+    results = (resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1)
+               if sweep else None)
     report = analysis.scaling_report(sd, results, edge, bs, eps=args.eps)
     return [_scaling_row(c) for c in report.checks], report.all_passed
 
 
-def _l_scaling_row(track: str, kind: str, fit) -> dict:
-    expected, band = analysis.L_SCALING_SLOPES[kind]
-    return {"track": track, "slope": fit.slope, "intercept": fit.intercept,
-            "r_squared": fit.r_squared, "n_points": fit.n_points,
-            "expected_slope": expected,
-            "passed": abs(fit.slope - expected) <= band}
+def _l_scaling_row(track: str, check) -> dict:
+    return {"track": track, "slope": check.fit.slope,
+            "intercept": check.fit.intercept,
+            "r_squared": check.fit.r_squared, "n_points": check.fit.n_points,
+            "expected_slope": check.expected_slope, "passed": check.passed}
 
 
 def _cmd_l_scaling(args):
@@ -266,22 +262,20 @@ def _cmd_l_scaling(args):
         raise UsageError(f"--proportional must be in [0, 1), got "
                          f"{args.proportional}")
     edge = floquet.classify_edge(V, bs, e0, residues[0])
-    resonance.check_step_inputs(edge, args.eps)
+    resonance.check_step_inputs(edge, args.eps, n=args.n)
     fixed, prop = [], []
     for L in lengths:
         sd = _section(V, bs, L)
         fixed.append((L, sd.j, resonance.locate_resonance(
             sd, edge, args.n, eps=args.eps)))
         if args.proportional is not None:
-            n_prop = int(args.proportional * L)
             prop.append((L, sd.j, resonance.locate_resonance(
-                sd, edge, n_prop, eps=args.eps)))
-    rows = [_l_scaling_row(f"fixed-n={args.n}", "fixed",
-                           analysis.l_scaling(fixed))]
+                sd, edge, int(args.proportional * L), eps=args.eps)))
+    rows = [_l_scaling_row(f"fixed-n={args.n}",
+                           analysis.l_scaling(fixed, "fixed"))]
     if prop:
-        rows.append(_l_scaling_row(
-            f"proportional-n={args.proportional}", "proportional",
-            analysis.l_scaling(prop, require_same_n=False)))
+        rows.append(_l_scaling_row(f"proportional-n={args.proportional}",
+                                   analysis.l_scaling(prop, "proportional")))
     return rows, all(r["passed"] for r in rows)
 
 

@@ -192,16 +192,20 @@ def alpha_and_seed(sd: SpectralData, band: int, n: int) -> tuple[complex, comple
     members = sd.band_members(band)
     if not 0 <= n < len(members):
         raise ValueError(f"band {band} has no local index {n}")
-    g = int(members[n])
+    return _alpha_and_seed(sd, int(members[n]))
+
+
+def _alpha_and_seed(sd: SpectralData, g: int) -> tuple[complex, complex]:
+    """alpha_and_seed of global index g; theta refuses a lambda_g on the cuts,
+    and of the sorted eigenvalues only g-1 and g+1 can coincide with it."""
     lam_n = float(sd.lambdas[g])
-    if abs(lam_n) >= 2.0:
-        raise OnBranchCut(f"lambda_n = {lam_n} is outside (-2, 2)")
-    others = np.delete(np.arange(len(sd.lambdas)), g)
-    diffs = sd.lambdas[others] - lam_n
-    if np.min(np.abs(diffs)) <= _POLE_TOL * sd.scale:
+    phase = cmath.exp(-1j * theta(lam_n))
+    diffs = sd.lambdas - lam_n
+    diffs[g] = np.inf  # term g is deleted from the sum
+    near = diffs[max(g - 1, 0):g + 2].tolist()  # lambda_g's own is inf
+    if min(map(abs, near)) <= _POLE_TOL * sd.scale:
         raise PoleHit(f"coincident eigenvalues at lambda = {lam_n}")
-    alpha = complex(np.sum(sd.weights_end[others] / diffs))
-    alpha += cmath.exp(-1j * theta(lam_n))
+    alpha = complex(np.sum(np.delete(sd.weights_end / diffs, g))) + phase
     seed = complex(lam_n + sd.weights_end[g] / alpha)
     return alpha, seed
 
@@ -401,52 +405,44 @@ def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
 
 
 def _box_for(sd: SpectralData, edge: EdgeData, n: int,
-             depth: float) -> ResonanceBox:
+             depth: float) -> tuple[int, ResonanceBox]:
+    """Global index g of eigenvalue n >= 0 from the edge, and its box between
+    the midpoints to lambda_{n-1} (lambda_0 reflected through the edge for
+    n = 0) and lambda_{n+1}."""
     members = sd.edge_members(edge)
-    if n < 0:
-        raise ValueError(f"resonance index n must be >= 0, got {n}")
     if n + 1 >= len(members):
         raise ValueError(f"need eigenvalue n+1 = {n + 1} inside the band, have "
                          f"{len(members)}")
-    lam = sd.lambdas[members]
-    lam_n = lam[n]
-    lam_prev = 2.0 * edge.e0 - lam[0] if n == 0 else lam[n - 1]
-    lam_next = lam[n + 1]
+    g = int(members[n])
+    lam_n = sd.lambdas[g]
+    lam_prev = 2.0 * edge.e0 - lam_n if n == 0 else sd.lambdas[members[n - 1]]
+    lam_next = sd.lambdas[members[n + 1]]
     a = 0.5 * (lam_prev + lam_n)
     b = 0.5 * (lam_n + lam_next)
-    return ResonanceBox(x_lo=min(a, b), x_hi=max(a, b), depth=depth, n=n)
+    return g, ResonanceBox(x_lo=min(a, b), x_hi=max(a, b), depth=depth, n=n)
 
 
-def _sweep_one(sd, edge, n, eps, strict):
-    box = _box_for(sd, edge, n, depth=eps ** 5)  # checks n before any indexing
-    members = sd.edge_members(edge)
-    local = int(sd.local_index[members[n]])
-    alpha, seed = alpha_and_seed(sd, edge.band_index, local)
+def _sweep_one(sd, edge, n, eps) -> tuple[Resonance, int]:
+    """The resonance of box n with its verdict, and the box's count."""
+    g, box = _box_for(sd, edge, n, depth=eps ** 5)
+    alpha, seed = _alpha_and_seed(sd, g)
     z, residual, iters = newton_refine(sd, seed)
     count = count_in_box(sd, box)
     shallow = SHALLOW_C0 * (n + 1) / sd.L ** 2
     verified = count == 1 and box.contains(z) and -shallow <= z.imag < 0.0
-    if strict and count != 1:
-        raise UniquenessFailed(n, count)
-    if strict and not verified:
-        raise UniquenessFailed(
-            n, count, f"resonance n={n}: z = {z} failed the box membership checks")
-    lam_n = float(sd.lambdas[members[n]])
     return Resonance(
-        band=edge.band_index, n=n, lambda_n=lam_n,
-        a_n=float(sd.weights_end[members[n]]), alpha_n=alpha, seed=seed, z=z,
+        band=edge.band_index, n=n, lambda_n=float(sd.lambdas[g]),
+        a_n=float(sd.weights_end[g]), alpha_n=alpha, seed=seed, z=z,
         residual=residual, box=box, winding_verified=verified,
         newton_iters=iters,
-    )
+    ), count
 
 
-def check_step_inputs(edge: EdgeData, eps: float):
-    """Refuse an edge outside (-2, 2), then a non-generic edge, then an eps
-    outside (0, 0.3].
-
-    The one input check of locate_resonance and sweep_band_edge.  It reads
-    only the classified edge, so it can run before any section is built.
-    """
+def check_step_inputs(edge: EdgeData, eps: float, *, L: int | None = None,
+                      C1: float | None = None, n: int | None = None):
+    """Refuse, in order: an edge outside (-2, 2), a non-generic edge, an eps
+    outside (0, 0.3], a sweep's L*eps/C1 < 3 and a single step's n < 0; the
+    one input check of every box builder, run before any section is built."""
     if abs(edge.e0) >= 2.0:
         raise ValueError(f"edge {edge.e0} lies outside (-2, 2); resonances "
                          "are located only at edges inside it")
@@ -456,21 +452,29 @@ def check_step_inputs(edge: EdgeData, eps: float):
             "located only at generic edges")
     if not 0.0 < eps <= 0.3:
         raise ValueError(f"eps must be in (0, 0.3], got {eps}")
+    if C1 is not None and L * eps / C1 < 3:
+        raise ValueError(f"L*eps/C1 = {L * eps / C1:.2f} < 3; increase L")
+    if n is not None and n < 0:
+        raise ValueError(f"resonance index n must be >= 0, got {n}")
 
 
 def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
-                     eps: float = 0.2, strict: bool = True) -> Resonance:
+                     eps: float = 0.2) -> Resonance:
     """Locate and certify the resonance of eigenvalue n: one sweep_band_edge step.
 
-    The inputs must pass check_step_inputs, as for sweep_band_edge.
+    The inputs must pass check_step_inputs; a failed certificate raises
+    UniquenessFailed.
     """
-    check_step_inputs(edge, eps)
-    return _sweep_one(sd, edge, n, eps, strict)
+    check_step_inputs(edge, eps, n=n)
+    r, count = _sweep_one(sd, edge, n, eps)
+    if not r.winding_verified:
+        detail = f"resonance n={n}: z = {r.z} failed the box membership checks"
+        raise UniquenessFailed(n, count, detail if count == 1 else None)
+    return r
 
 
 def sweep_band_edge(sd: SpectralData, edge: EdgeData,
-                    eps: float = 0.2, C1: float = 10.0,
-                    strict: bool = True) -> list[Resonance]:
+                    eps: float = 0.2, C1: float = 10.0) -> list[Resonance]:
     """Locate and certify the resonance attached to each near-edge eigenvalue.
 
     For n = 0 .. floor(eps*L/C1): build the box between midpoints of
@@ -478,12 +482,9 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     depth eps^5, refine the closed-form seed by Newton (tolerance
     NEWTON_TOL, at most NEWTON_MAX_ITER steps), and verify that the box holds
     exactly one resonance lying within the shallower cell of depth
-    SHALLOW_C0 (n+1)/L^2.  With strict=True any failed certificate raises
-    UniquenessFailed; otherwise it is recorded on the Resonance.
+    SHALLOW_C0 (n+1)/L^2.  Each verdict is recorded in winding_verified.
     """
-    check_step_inputs(edge, eps)
-    if sd.L * eps / C1 < 3:
-        raise ValueError(f"L*eps/C1 = {sd.L * eps / C1:.2f} < 3; increase L")
+    check_step_inputs(edge, eps, L=sd.L, C1=C1)
     n_max = int(math.floor(eps * sd.L / C1))
     members = sd.edge_members(edge)
     if n_max + 1 >= len(members):
@@ -491,7 +492,7 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
             f"band {edge.band_index} holds {len(members)} eigenvalues; need "
             f"{n_max + 2} for the requested sweep")
 
-    return [_sweep_one(sd, edge, n, eps, strict) for n in range(n_max + 1)]
+    return [_sweep_one(sd, edge, n, eps)[0] for n in range(n_max + 1)]
 
 
 def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
@@ -535,15 +536,16 @@ def no_root_certificate(sd: SpectralData, edge: EdgeData, n: int, eps: float,
     bottom/2 with xm = max(|x_lo|, |x_hi|), since Re sqrt(w) >= sqrt(Re w).
     The first value strictly below the second proves, for the computed
     eigenvalues and weights, that the resonance equation has no solution on
-    the strip.
+    the strip.  The inputs must pass check_step_inputs.
     """
+    check_step_inputs(edge, eps, n=n)
     top = C0 * (n + 1) / sd.L ** 2
     bottom = eps ** 5
     if top >= bottom:
         raise EmptyRegion(
             f"C0*(n+1)/L^2 = {top:.3e} >= eps^5 = {bottom:.3e}; "
             "the strip between the shallow cell and the box floor is empty")
-    box = _box_for(sd, edge, n, depth=bottom)
+    _, box = _box_for(sd, edge, n, depth=bottom)
     xm = max(abs(box.x_lo), abs(box.x_hi))
     if xm >= 2.0:
         raise OnBranchCut(f"the strip reaches |Re z| = {xm} >= 2")

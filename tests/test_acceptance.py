@@ -123,14 +123,12 @@ def test_criterion_08_width_scaling_in_l(cache):
         n_prop = int(0.02 * L)
         prop.append((L, sd.j, rz.locate_resonance(sd, cache.edge, n_prop,
                                                   eps=EPS)))
-    fits = {"fixed": analysis.l_scaling(fixed),
-            "proportional": analysis.l_scaling(prop, require_same_n=False)}
     notes = []
-    for track, fit in fits.items():
-        expected, band = analysis.L_SCALING_SLOPES[track]
-        assert abs(fit.slope - expected) <= band, track
-        notes.append(f"{track}-n slope {fit.slope:.4f} "
-                     f"(expect {expected:g} +- {band:g})")
+    for track, samples in (("fixed", fixed), ("proportional", prop)):
+        check = analysis.l_scaling(samples, track)
+        assert check.passed, track
+        notes.append(f"{track}-n slope {check.fit.slope:.4f} (expect "
+                     f"{check.expected_slope:g} +- {check.tolerance:g})")
     _report(8, "; ".join(notes))
 
 

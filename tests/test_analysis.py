@@ -47,24 +47,31 @@ def test_fit_errors():
 def test_l_scaling_exact_cube():
     samples = [(L, 0, _fake_resonance(3, 7.0 / L ** 3, L=L))
                for L in (250, 500, 1000, 2000)]
-    fit = analysis.l_scaling(samples)
-    assert fit.slope == pytest.approx(-3.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    check = analysis.l_scaling(samples, "fixed")
+    assert check.fit.slope == pytest.approx(-3.0, abs=1e-12)
+    assert check.fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert (check.expected_slope, check.tolerance) == \
+        analysis.L_SCALING_SLOPES["fixed"]
+    assert check.passed
 
 
 def test_l_scaling_guards():
     samples = [(L, L % 2, _fake_resonance(3, 1.0 / L ** 3, L=L))
                for L in (250, 501, 1000)]
     with pytest.raises(MixedResidues):
-        analysis.l_scaling(samples)
+        analysis.l_scaling(samples, "fixed")
     with pytest.raises(TooFewPoints):
-        analysis.l_scaling(samples[:2])
+        analysis.l_scaling(samples[:2], "fixed")
+    # the track decides whether n may vary: only the proportional one lets
+    # it grow with L, and its band around -1 rejects a slope of -3
     mixed_n = [(L, 0, _fake_resonance(n, 1.0 / L ** 3, L=L))
                for L, n in ((250, 3), (500, 4), (1000, 5))]
     with pytest.raises(ValueError):
-        analysis.l_scaling(mixed_n)
-    fit = analysis.l_scaling(mixed_n, require_same_n=False)
-    assert fit.slope == pytest.approx(-3.0, abs=1e-12)
+        analysis.l_scaling(mixed_n, "fixed")
+    check = analysis.l_scaling(mixed_n, "proportional")
+    assert check.fit.slope == pytest.approx(-3.0, abs=1e-12)
+    assert check.expected_slope == -1.0
+    assert not check.passed
 
 
 def test_seed_accuracy_rows():
@@ -106,14 +113,6 @@ def test_scaling_report_non_generic_signature(V03, bs03, sd400):
     assert wcheck.expected_slope == 0.0
     assert "non-generic signature" in wcheck.note
     assert abs(wcheck.fit.slope) <= 0.3
-
-
-def test_scaling_report_refuses_outside_domain(free_chain):
-    V0, bs0 = free_chain
-    sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V0, 200)), bs0)
-    edge = ew.classify_edge(V0, bs0, -2.0, 0)
-    with pytest.raises(ValueError, match="outside"):
-        analysis.scaling_report(sd, None, edge, eps=0.2, bs=bs0)
 
 
 def test_report_serialization_round_trip(capsys, sd400, sweep400, edge_m1_j0,

@@ -336,21 +336,24 @@ def test_layer_calls_go_through_module_references(monkeypatch, capsys):
 def test_l_scaling_refuses_bad_lengths_before_numerics(monkeypatch, capsys):
     # the fit needs distinct lengths >= 10 of one residue L mod p; that is
     # known from --L-list and the period before any section is built, and
-    # so is the step check on the edge classified for that residue
+    # so is the step check on the edge classified for that residue and n
     calls = []
     for name in ("spectrum", "resonance"):
         monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
     step = ["resonance.check_step_inputs"]
-    for lengths, edge, eps, msg, expected in (
-            ("100,200,401", "-1", "0.2", "mixes residues", []),
-            ("100,100,100", "-1", "0.2", "repeats a length", []),
-            ("4,6,8", "-1", "0.2", "L >= 10", []),
-            ("100,200,400", "3", "0.2", "outside (-2, 2)", step),
-            ("100,200,400", "-1", "0.5", "eps must be in (0, 0.3]", step)):
+    for lengths, edge, eps, n, msg, expected in (
+            ("100,200,401", "-1", "0.2", "0", "mixes residues", []),
+            ("100,100,100", "-1", "0.2", "0", "repeats a length", []),
+            ("4,6,8", "-1", "0.2", "0", "L >= 10", []),
+            ("100,200,400", "3", "0.2", "0", "outside (-2, 2)", step),
+            ("100,200,400", "-1", "0.5", "0", "eps must be in (0, 0.3]",
+             step),
+            ("100,200,400", "-1", "0.2", "-1", "n must be >= 0, got -1",
+             step)):
         calls.clear()
         code, out, err = run_cli(capsys, "l-scaling", "--potential", "0,3",
                                  "--edge", edge, "--eps", eps,
-                                 "--L-list", lengths, "--n", "0")
+                                 "--L-list", lengths, "--n", n)
         assert code == 2
         assert out == ""
         assert msg in err
@@ -369,14 +372,16 @@ def test_l_scaling_refuses_bad_lengths_before_numerics(monkeypatch, capsys):
 
 def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
     # an edge on |E| >= 2 is one usage error, found before any eigensolve,
-    # whether the edge is generic (L = 200) or not (L = 99); so is an eps
-    # outside (0, 0.3], whose one owner is resonance.check_step_inputs
+    # whether the edge is generic (L = 200) or not (L = 99); so are an eps
+    # outside (0, 0.3] and a sweep with L*eps/C1 < 3, whose one owner is
+    # resonance.check_step_inputs
     calls = []
     for name in ("spectrum", "resonance"):
         monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
     step = ["resonance.check_step_inputs"]
     eps_msg = "eps must be in (0, 0.3]"
-    for command, L, edge, eps, msg, expected in (
+    short = "L*eps/C1 = 2.00 < 3; increase L"
+    for command, L, edge, eps, msg, expected, *extra in (
             ("resonances", "200", "3", "0.2", "outside (-2, 2)", step),
             ("scaling", "200", "3", "0.2", "outside (-2, 2)", step),
             ("resonances", "99", "3", "0.2", "outside (-2, 2)", step),
@@ -384,6 +389,10 @@ def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
             ("resonances", "200", "-1", "-0.1", eps_msg, step),
             ("resonances", "200", "-1", "0.5", eps_msg, step),
             ("scaling", "200", "-1", "-0.1", eps_msg, step),
+            ("resonances", "100", "-1", "0.2", short, step),
+            ("scaling", "100", "-1", "0.2", short, step),
+            ("resonances", "200", "-1", "0.2", "L*eps/C1 = 0.00 < 3", step,
+             "--c1", "1e9"),
             # the fits at a non-generic edge and free-region need only a
             # positive eps
             ("scaling", "200", "0", "-0.1", "--eps must be positive", step),
@@ -391,7 +400,8 @@ def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
              [])):
         calls.clear()
         code, out, err = run_cli(capsys, command, "--potential", "0,3",
-                                 "--L", L, "--edge", edge, "--eps", eps)
+                                 "--L", L, "--edge", edge, "--eps", eps,
+                                 *extra)
         assert code == 2
         assert out == ""
         assert msg in err

@@ -1,4 +1,5 @@
 import cmath
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -150,6 +151,61 @@ def test_alpha_and_seed_signs(sd400):
         assert 0.1 <= abs(alpha) <= 4.0 / 0.2 ** 2
 
 
+def _gather_seed(sd, g):
+    """The seed formula before the one-pass rewrite, kept as the reference:
+    gather every other eigenvalue and weight, then sum."""
+    others = np.delete(np.arange(len(sd.lambdas)), g)
+    lam_n = float(sd.lambdas[g])
+    diffs = sd.lambdas[others] - lam_n
+    alpha = complex(np.sum(sd.weights_end[others] / diffs))
+    alpha += cmath.exp(-1j * rz.theta(lam_n))
+    return alpha, complex(lam_n + sd.weights_end[g] / alpha)
+
+
+@pytest.fixture(scope="module")
+def right401(V03, bs03):
+    """Section and sweep of the GenericB right edge at 0, L = 401."""
+    sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V03, 401)), bs03)
+    return sd, ew.sweep_band_edge(sd, ew.classify_edge(V03, bs03, 0.0, sd.j))
+
+
+def test_seed_matches_the_gather_formula(sd400, sweep400, right401):
+    # the one division pass and np.delete sum the same array as the gather
+    for sd, results in ((sd400, sweep400), right401):
+        for r in results:
+            g = int(np.flatnonzero(sd.lambdas == r.lambda_n)[0])
+            got = rz.alpha_and_seed(sd, r.band, int(sd.local_index[g]))
+            assert got == _gather_seed(sd, g) == (r.alpha_n, r.seed)
+
+
+@pytest.mark.parametrize("g", [0, 20, 40])
+def test_seed_guard_reads_both_neighbours(free_chain, g):
+    # only lambda_{g-1} and lambda_{g+1} can coincide with sorted lambda_g;
+    # the free chain puts all L + 1 = 41 eigenvalues in one band inside the
+    # cuts, so local index g is global index g, from the first to the last
+    V0, bs0 = free_chain
+    sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V0, 40)), bs0)
+    for k in (g - 1, g + 1):
+        if not 0 <= k <= 40:
+            continue
+        for gap in (0.0, 1e-9):
+            lam = sd.lambdas.copy()
+            lam[k] = lam[g] + gap * (k - g)
+            moved = replace(sd, lambdas=lam)
+            if gap:
+                _, seed = rz.alpha_and_seed(moved, 0, g)
+                assert seed.imag < 0
+            else:
+                with pytest.raises(PoleHit, match="coincident"):
+                    rz.alpha_and_seed(moved, 0, g)
+
+
+def test_seed_refuses_lambda_on_the_cut(sd400):
+    # the lowest eigenvalue of the band [3, 4] lies on the cut E >= 2
+    with pytest.raises(OnBranchCut):
+        rz.alpha_and_seed(sd400, 1, 0)
+
+
 def test_newton_refine_from_exact_zero(sd400):
     _, seed = rz.alpha_and_seed(sd400, 0, 0)
     z, res, _ = rz.newton_refine(sd400, seed)
@@ -289,7 +345,7 @@ def test_count_in_box_eigenvalue_free_interval(sd400):
 def test_count_in_box_single_resonance(sd400, edge_m1_j0):
     from edgewatch.resonance import _box_for
     for n in (0, 1, 2):
-        box = _box_for(sd400, edge_m1_j0, n, depth=0.2 ** 5)
+        _, box = _box_for(sd400, edge_m1_j0, n, depth=0.2 ** 5)
         assert rz.count_in_box(sd400, box) == 1
 
 
@@ -357,7 +413,7 @@ def test_resonance_index_out_of_range(sd400, edge_m1_j0):
     # a negative index used to wrap around to the far end of the band
     for n in (-1, -5):
         with pytest.raises(ValueError, match="n must be >= 0"):
-            rz.locate_resonance(sd400, edge_m1_j0, n, strict=False)
+            rz.locate_resonance(sd400, edge_m1_j0, n)
     top = len(sd400.band_members(edge_m1_j0.band_index))
     with pytest.raises(ValueError, match="inside the band"):
         rz.locate_resonance(sd400, edge_m1_j0, top)
@@ -381,13 +437,10 @@ def test_sweep_right_edge_generic_b(V03, bs03):
     assert np.all(np.diff(ims) > 0)
 
 
-def test_public_steps_reproduce_the_sweep(V03, bs03, sd400, sweep400):
+def test_public_steps_reproduce_the_sweep(sd400, sweep400, right401):
     # the benchmark's traced replay re-runs every box through these public
     # steps and requires the sweep's numbers back exactly
-    sd401 = ew.band_enumerate(ew.eigensystem(ew.assemble(V03, 401)), bs03)
-    right = ew.sweep_band_edge(sd401, ew.classify_edge(V03, bs03, 0.0,
-                                                       sd401.j))
-    for sd, results in ((sd400, sweep400), (sd401, right)):
+    for sd, results in ((sd400, sweep400), right401):
         for r in results:
             g = int(np.flatnonzero(sd.lambdas == r.lambda_n)[0])
             alpha, seed = rz.alpha_and_seed(sd, r.band,
@@ -457,7 +510,7 @@ def test_im_s_grid_certificate(sd400, edge_m1_j0):
         assert im_s < im_phase
         # the closed-form bounds hold at every point of a lattice on the
         # strip, which runs from the box floor up to the shallow cell
-        box = rz._box_for(sd400, edge_m1_j0, n, depth=eps ** 5)
+        _, box = rz._box_for(sd400, edge_m1_j0, n, depth=eps ** 5)
         top = 10.0 * (n + 1) / sd400.L ** 2
         pts = [complex(x, y) for x in np.linspace(box.x_lo, box.x_hi, 30)
                for y in np.linspace(-eps ** 5, -top, 30)]
