@@ -98,11 +98,6 @@ class UsageError(Exception):
     pass
 
 
-def _check_positive(name: str, value: float):
-    if value <= 0:
-        raise UsageError(f"--{name} must be positive, got {value}")
-
-
 def _section(V, bs, L: int):
     """Band-enumerated spectral data of the length-L Dirichlet section."""
     sd = spectrum.eigensystem(spectrum.assemble(V, L))
@@ -160,8 +155,6 @@ def _cmd_edges(args):
 
 def _cmd_spectrum(args):
     V = _load_potential(args)
-    if args.L < 1:
-        raise UsageError(f"--L must be positive, got {args.L}")
     sd = _section(V, floquet.band_structure(V), args.L)
     rows = [{
         "k": k,
@@ -175,7 +168,6 @@ def _cmd_spectrum(args):
 
 
 def _cmd_resonances(args):
-    _check_positive("c1", args.c1)
     V, bs, edge = _edge_setup(args)
     resonance.check_step_inputs(edge, args.eps, L=args.L, C1=args.c1)
     sd = _section(V, bs, args.L)
@@ -191,8 +183,8 @@ def _cmd_resonances(args):
 
 
 def _cmd_free_region(args):
-    _check_positive("eps", args.eps)
     V, bs, edge = _edge_setup(args)
+    resonance.check_region_inputs(edge, args.eps, bs)
     sd = _section(V, bs, args.L)
     free = resonance.free_region_check(sd, edge, args.eps, bs)
     rows = [{"free": free, "x_lo": edge.e0 - args.eps, "x_hi": edge.e0,
@@ -217,16 +209,15 @@ def _scaling_row(check) -> dict:
 
 
 def _cmd_scaling(args):
-    _check_positive("c1", args.c1)
     V, bs, edge = _edge_setup(args)
     # resonances are swept wherever the step check admits the edge; a
-    # non-generic edge inside (-2, 2) still gets the eigenvalue fits, which
-    # need only a positive eps
+    # non-generic edge inside (-2, 2) still gets the eigenvalue fits, whose
+    # eps rule spectrum.check_profile_inputs owns
     try:
         resonance.check_step_inputs(edge, args.eps, L=args.L, C1=args.c1)
         sweep = True
     except NonGenericEdge:
-        _check_positive("eps", args.eps)
+        spectrum.check_profile_inputs(args.eps)
         sweep = False
     sd = _section(V, bs, args.L)
     results = (resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     UniquenessFailed,
 )
 from .floquet import BandStructure, EdgeData
-from .spectrum import L_SOFT_CAP, SpectralData
+from .spectrum import SpectralData
 from .summation import dd_sum
 
 __all__ = [
@@ -46,6 +45,7 @@ __all__ = [
     "newton_refine",
     "winding_number",
     "check_step_inputs",
+    "check_region_inputs",
     "count_in_box",
     "locate_resonance",
     "sweep_band_edge",
@@ -157,9 +157,6 @@ def _f_contour(sd: SpectralData, z: np.ndarray) -> np.ndarray:
 
 def s_l(sd: SpectralData, E) -> complex:
     """Sum of weight/(eigenvalue - E) over all L+1 eigenvalues."""
-    if sd.L > L_SOFT_CAP:
-        warnings.warn(f"L = {sd.L} exceeds the working-precision cap {L_SOFT_CAP}",
-                      stacklevel=2)
     return complex(np.sum(_terms(sd, complex(E))[1]))
 
 
@@ -440,9 +437,11 @@ def _sweep_one(sd, edge, n, eps) -> tuple[Resonance, int]:
 
 def check_step_inputs(edge: EdgeData, eps: float, *, L: int | None = None,
                       C1: float | None = None, n: int | None = None):
-    """Refuse, in order: an edge outside (-2, 2), a non-generic edge, an eps
-    outside (0, 0.3], a sweep's L*eps/C1 < 3 and a single step's n < 0; the
-    one input check of every box builder, run before any section is built."""
+    """Refuse, in order: C1 <= 0, an edge outside (-2, 2), a non-generic
+    edge, an eps outside (0, 0.3], a sweep's L*eps/C1 < 3 and a step's n < 0;
+    the one input check of every box builder, run before any section."""
+    if C1 is not None and C1 <= 0:
+        raise ValueError(f"C1 must be positive, got {C1}")
     if abs(edge.e0) >= 2.0:
         raise ValueError(f"edge {edge.e0} lies outside (-2, 2); resonances "
                          "are located only at edges inside it")
@@ -495,13 +494,10 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     return [_sweep_one(sd, edge, n, eps)[0] for n in range(n_max + 1)]
 
 
-def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
-                      bs: BandStructure) -> bool:
-    """Certify the rectangle [e0 - eps, e0] x [-eps^5, 0] holds no resonance.
-
-    Requires a left edge with an eigenvalue-free interval of width eps below
-    it; an eigenvalue inside the interval raises EigenvalueInInterval.
-    """
+def check_region_inputs(edge: EdgeData, eps: float, bs: BandStructure):
+    """Refuse, in order: a right edge, eps <= 0, a gap below the edge
+    narrower than eps and a rectangle reaching |E| >= 2; the one input check
+    of free_region_check, run before any section is built."""
     if edge.side != "left":
         raise ValueError("free_region_check applies to left band edges")
     if eps <= 0:
@@ -511,8 +507,23 @@ def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
         if edge.e0 - eps < prev_top:
             raise ValueError(
                 f"gap below the edge is narrower than eps = {eps}")
+    if max(abs(edge.e0 - eps), abs(edge.e0)) >= 2.0:
+        raise ValueError(f"rectangle [{edge.e0 - eps}, {edge.e0}] meets the "
+                         "real axis outside (-2, 2)")
+
+
+def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
+                      bs: BandStructure) -> bool:
+    """Certify the rectangle [e0 - eps, e0] x [-eps^5, 0] holds no resonance.
+
+    The inputs must pass check_region_inputs; an eigenvalue in the closed
+    interval [e0 - eps, e0] raises EigenvalueInInterval.
+    """
+    check_region_inputs(edge, eps, bs)
     lo, hi = edge.e0 - eps, edge.e0
-    inside = sd.lambdas[(sd.lambdas >= lo) & (sd.lambdas <= hi)]
+    lam = sd.lambdas
+    inside = lam[np.searchsorted(lam, lo, side="left"):
+                 np.searchsorted(lam, hi, side="right")]
     if len(inside):
         raise EigenvalueInInterval(float(inside[0]))
     box = ResonanceBox(x_lo=lo, x_hi=hi, depth=eps ** 5, n=0)

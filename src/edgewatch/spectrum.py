@@ -35,6 +35,7 @@ __all__ = [
     "eigensystem",
     "band_enumerate",
     "quantization_residuals",
+    "check_profile_inputs",
     "weight_profile",
 ]
 
@@ -487,6 +488,13 @@ class WeightProfile:
         return len(self.k)
 
 
+def check_profile_inputs(eps: float):
+    """Refuse an eps outside (0, 0.5); the one input check of
+    weight_profile, run before any section is built."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"eps must be in (0, 0.5), got {eps}")
+
+
 def weight_profile(sd: SpectralData, edge: EdgeData, eps: float,
                    bs: BandStructure) -> WeightProfile:
     """In-band eigenvalues within eps^2 band-widths of the edge.
@@ -494,8 +502,7 @@ def weight_profile(sd: SpectralData, edge: EdgeData, eps: float,
     Rows are ordered by distance from the edge, which for a left edge
     coincides with the band-local enumeration.
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must be in (0, 0.5), got {eps}")
+    check_profile_inputs(eps)
     members = sd.edge_members(edge)
     lam = sd.lambdas[members]
     # window scale: eps^2 in units of the band width

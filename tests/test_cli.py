@@ -372,13 +372,15 @@ def test_l_scaling_refuses_bad_lengths_before_numerics(monkeypatch, capsys):
 
 def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
     # an edge on |E| >= 2 is one usage error, found before any eigensolve,
-    # whether the edge is generic (L = 200) or not (L = 99); so are an eps
-    # outside (0, 0.3] and a sweep with L*eps/C1 < 3, whose one owner is
-    # resonance.check_step_inputs
+    # whether the edge is generic (L = 200) or not (L = 99); so are a
+    # non-positive C1, an eps outside (0, 0.3] and a sweep with
+    # L*eps/C1 < 3, whose one owner is resonance.check_step_inputs
     calls = []
     for name in ("spectrum", "resonance"):
         monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
     step = ["resonance.check_step_inputs"]
+    profile = ["spectrum.check_profile_inputs"]
+    region = ["resonance.check_region_inputs"]
     eps_msg = "eps must be in (0, 0.3]"
     short = "L*eps/C1 = 2.00 < 3; increase L"
     for command, L, edge, eps, msg, expected, *extra in (
@@ -393,11 +395,23 @@ def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
             ("scaling", "100", "-1", "0.2", short, step),
             ("resonances", "200", "-1", "0.2", "L*eps/C1 = 0.00 < 3", step,
              "--c1", "1e9"),
-            # the fits at a non-generic edge and free-region need only a
-            # positive eps
-            ("scaling", "200", "0", "-0.1", "--eps must be positive", step),
-            ("free-region", "200", "-1", "-0.1", "--eps must be positive",
-             [])):
+            ("resonances", "200", "-1", "0.2", "C1 must be positive, got 0.0",
+             step, "--c1", "0"),
+            # the fits at a non-generic edge take eps in (0, 0.5), whose
+            # owner is spectrum.check_profile_inputs
+            ("scaling", "200", "0", "-0.1", "(0, 0.5), got -0.1",
+             step + profile),
+            ("scaling", "200", "0", "0.6", "(0, 0.5), got 0.6",
+             step + profile),
+            # free-region's rules have one owner, resonance.check_region_inputs
+            ("free-region", "200", "-1", "-0.1", "eps must be positive, got "
+             "-0.1", region),
+            ("free-region", "200", "0", "0.2", "applies to left band edges",
+             region),
+            ("free-region", "200", "3", "5", "gap below the edge is narrower "
+             "than eps = 5.0", region),
+            ("free-region", "200", "3", "0.2", "rectangle [2.8, 3.0] meets "
+             "the real axis outside (-2, 2)", region)):
         calls.clear()
         code, out, err = run_cli(capsys, command, "--potential", "0,3",
                                  "--L", L, "--edge", edge, "--eps", eps,
@@ -406,3 +420,11 @@ def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
         assert out == ""
         assert msg in err
         assert calls == expected
+    # a section length below 1 is refused by its owner, spectrum.assemble
+    calls.clear()
+    code, out, err = run_cli(capsys, "spectrum", "--potential", "0,3",
+                             "--L", "0")
+    assert code == 2
+    assert out == ""
+    assert "L must be >= 1, got 0" in err
+    assert calls == ["spectrum.assemble"]

@@ -67,16 +67,6 @@ def test_s_l_single_pole():
         rz.s_l(sd, 0.0 + 0.0j)
 
 
-def test_s_l_warns_beyond_length_cap():
-    n = 4002
-    sd = SpectralData(L=n - 1, j=0,
-                      lambdas=np.linspace(-1.9, 1.9, n),
-                      weights_end=np.full(n, 1.0 / n),
-                      weights_start=np.full(n, 1.0 / n))
-    with pytest.warns(UserWarning, match="working-precision cap"):
-        rz.s_l(sd, 0.05 - 0.5j)
-
-
 def test_s_l_matches_dd_oracle(V03, bs03, sd400, sweep400):
     sd = ew.eigensystem(ew.assemble(V03, 200))
     for E in (-0.5 - 0.01j, -0.9 - 1e-5j, 3.5 - 0.2j, 0.2 + 0.3j):
@@ -407,6 +397,10 @@ def test_sweep_parameter_validation(sd400, edge_m1_j0):
             rz.locate_resonance(sd400, edge_m1_j0, 1, eps=eps)
     with pytest.raises(ValueError):
         ew.sweep_band_edge(sd400, edge_m1_j0, eps=0.05, C1=10.0)
+    # a non-positive C1 is refused before L*eps/C1 is formed
+    for C1 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="C1 must be positive"):
+            rz.check_step_inputs(edge_m1_j0, 0.2, L=400, C1=C1)
 
 
 def test_resonance_index_out_of_range(sd400, edge_m1_j0):
@@ -484,8 +478,19 @@ def test_free_region(sd400, edge_m1_j0, bs03):
 
 def test_free_region_rejects_right_edge(V03, bs03, sd400):
     edge0 = ew.classify_edge(V03, bs03, 0.0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="applies to left band edges"):
         rz.free_region_check(sd400, edge0, 0.1, bs03)
+
+
+def test_free_region_refuses_bad_inputs(V03, bs03, sd400):
+    # check_region_inputs also refuses a non-positive eps, a gap below the
+    # edge narrower than eps and a rectangle reaching |E| >= 2
+    for e0, eps, msg in ((-1.0, -0.1, "eps must be positive"),
+                         (3.0, 5.0, "gap below the edge is narrower"),
+                         (3.0, 0.2, r"meets the real axis outside \(-2, 2\)")):
+        edge = ew.classify_edge(V03, bs03, e0, 0)
+        with pytest.raises(ValueError, match=msg):
+            rz.free_region_check(sd400, edge, eps, bs03)
 
 
 def test_free_region_eigenvalue_in_interval():

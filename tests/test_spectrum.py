@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -152,6 +153,15 @@ def test_eigensystem_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 3_000_000
+
+
+def test_eigensystem_warns_beyond_length_cap(V03):
+    # the warning is raised on entry, before the solve starts
+    H = ew.assemble(V03, spectrum.L_SOFT_CAP + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="working-precision cap"):
+            ew.eigensystem(H)
 
 
 def test_band_enumerate_free_chain(free_chain):
