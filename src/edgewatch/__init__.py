@@ -45,8 +45,6 @@ from .resonance import (
 )
 from .analysis import (
     PowerLawFit,
-    ScalingReport,
-    SeedAccuracy,
     fit_power_law,
     l_scaling,
     scaling_report,

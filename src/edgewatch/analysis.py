@@ -20,8 +20,6 @@ from .spectrum import SpectralData, weight_profile
 __all__ = [
     "PowerLawFit",
     "ScalingCheck",
-    "ScalingReport",
-    "SeedAccuracy",
     "fit_power_law",
     "scaling_report",
     "l_scaling",
@@ -88,16 +86,6 @@ class ScalingCheck:
         return abs(self.fit.slope - self.expected_slope) <= self.tolerance
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    checks: tuple[ScalingCheck, ...]
-    non_generic: bool = False
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _check(name, pts, expected, note=""):
     return ScalingCheck(name=name, fit=fit_power_law(pts),
                         expected_slope=expected, tolerance=SLOPE_TOLERANCE,
@@ -106,8 +94,9 @@ def _check(name, pts, expected, note=""):
 
 def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
                    edge: EdgeData, bs: BandStructure,
-                   eps: float = 0.2) -> ScalingReport:
-    """Fit the near-edge laws: eigenvalue offsets, weights, spacings, widths.
+                   eps: float = 0.2) -> tuple[ScalingCheck, ...]:
+    """The checks of the near-edge laws: eigenvalue offsets, weights,
+    spacings, widths.
 
     Generic edges expect slopes (2, 2, 1, 2) against the index; an
     edge-eigenvalue (non-generic) edge expects a flat weight profile instead,
@@ -125,11 +114,10 @@ def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
             f"only {int(keep.sum())} profile rows after excluding the lowest "
             f"{FIT_EXCLUDE_LOWEST} indices")
 
-    non_generic = edge.classification == EdgeClassification.EDGE_EIGENVALUE
     checks = [
         _check("eigenvalue-offsets", np.column_stack([k1, offs]), 2.0),
     ]
-    if non_generic:
+    if edge.classification == EdgeClassification.EDGE_EIGENVALUE:
         checks.append(_check(
             "boundary-weights", np.column_stack([k1, wts]), 0.0,
             note="non-generic signature: flat weight profile"))
@@ -154,7 +142,7 @@ def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
         pts = np.array([[r.n + 1.0, abs(r.z.imag)] for r in rs])
         checks.append(_check("resonance-widths", pts, 2.0))
 
-    return ScalingReport(checks=tuple(checks), non_generic=non_generic)
+    return tuple(checks)
 
 
 def l_scaling(samples, track: str) -> ScalingCheck:
@@ -183,22 +171,11 @@ def l_scaling(samples, track: str) -> ScalingCheck:
                         expected_slope=expected, tolerance=band)
 
 
-@dataclass(frozen=True)
-class SeedAccuracy:
+def seed_accuracy(resonances: list[Resonance], L: int) -> np.ndarray:
     """Seed-error ratios |z - seed| * L^5 |alpha|^3 / (n+1)^4 per resonance."""
-
-    ratio: np.ndarray
-
-    @property
-    def max_ratio(self) -> float:
-        return float(np.max(self.ratio))
-
-
-def seed_accuracy(resonances: list[Resonance], L: int) -> SeedAccuracy:
     if not resonances:
         raise TooFewPoints("no resonances given")
     ns = np.array([r.n for r in resonances], dtype=int)
     err = np.array([abs(r.z - r.seed) for r in resonances])
     alph = np.array([abs(r.alpha_n) for r in resonances])
-    ratio = err * float(L) ** 5 * alph ** 3 / (ns + 1.0) ** 4
-    return SeedAccuracy(ratio=ratio)
+    return err * float(L) ** 5 * alph ** 3 / (ns + 1.0) ** 4

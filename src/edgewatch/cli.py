@@ -184,11 +184,11 @@ def _cmd_resonances(args):
 
 def _cmd_free_region(args):
     V, bs, edge = _edge_setup(args)
-    resonance.check_region_inputs(edge, args.eps, bs)
+    box = resonance.check_region_inputs(edge, args.eps, bs)
     sd = _section(V, bs, args.L)
     free = resonance.free_region_check(sd, edge, args.eps, bs)
-    rows = [{"free": free, "x_lo": edge.e0 - args.eps, "x_hi": edge.e0,
-             "depth": args.eps ** 5}]
+    rows = [{"free": free, "x_lo": box.x_lo, "x_hi": box.x_hi,
+             "depth": box.depth}]
     return rows, free
 
 
@@ -222,8 +222,8 @@ def _cmd_scaling(args):
     sd = _section(V, bs, args.L)
     results = (resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1)
                if sweep else None)
-    report = analysis.scaling_report(sd, results, edge, bs, eps=args.eps)
-    return [_scaling_row(c) for c in report.checks], report.all_passed
+    checks = analysis.scaling_report(sd, results, edge, bs, eps=args.eps)
+    return [_scaling_row(c) for c in checks], all(c.passed for c in checks)
 
 
 def _l_scaling_row(track: str, check) -> dict:

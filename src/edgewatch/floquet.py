@@ -151,18 +151,18 @@ class BandStructure:
         return None
 
 
-def _polish_real_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    der = np.polyder(coeffs_desc)
+def _polish_real_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    der = npoly.polyder(coeffs)
     r = roots.copy()
     best = r.copy()
-    best_f = np.abs(np.polyval(coeffs_desc, r))
+    best_f = np.abs(npoly.polyval(r, coeffs))
     for _ in range(60):
-        f = np.polyval(coeffs_desc, r)
-        fp = np.polyval(der, r)
+        f = npoly.polyval(r, coeffs)
+        fp = npoly.polyval(r, der)
         fp = np.where(np.abs(fp) < 1e-300, 1e-300, fp)
         step = f / fp
         r = r - step
-        fr = np.abs(np.polyval(coeffs_desc, r))
+        fr = np.abs(npoly.polyval(r, coeffs))
         imp = fr < best_f
         best[imp] = r[imp]
         best_f[imp] = fr[imp]
@@ -192,10 +192,9 @@ def band_structure(V: PeriodicPotential) -> BandStructure:
     closed gaps interior to a band.
     """
     coeffs = discriminant_coeffs(V)
-    coeffs_desc = coeffs[::-1]
     p = V.period
     Mp = _partial_product_polys(V)[p]
-    der_desc = np.polyder(coeffs_desc)
+    der = npoly.polyder(coeffs)
 
     candidates: list[float] = []
     for shift in (2.0, -2.0):
@@ -205,9 +204,9 @@ def band_structure(V: PeriodicPotential) -> BandStructure:
         real = raw[np.abs(raw.imag) <= 1e-6 * (1.0 + np.abs(raw.real))].real
         if real.size == 0:
             continue
-        polished = _polish_real_roots(c[::-1], real)
+        polished = _polish_real_roots(c, real)
         scale = np.array([_abs_polyval(np.abs(c), r) for r in polished])
-        resid = np.abs(np.polyval(c[::-1], polished))
+        resid = np.abs(npoly.polyval(polished, c))
         bad = ~(resid <= 1e-12 * scale)  # a NaN residual fails too
         if bad.any():
             raise RootFindingFailure(
@@ -219,8 +218,8 @@ def band_structure(V: PeriodicPotential) -> BandStructure:
     gaps: list[float] = []
     for r in sorted(candidates):
         # each scale first: a finite scale bounds the value it belongs to
-        d_scale = _abs_polyval(np.abs(der_desc[::-1]), r)
-        dval = abs(np.polyval(der_desc, r))
+        d_scale = _abs_polyval(np.abs(der), r)
+        dval = abs(npoly.polyval(r, der))
         off_scale = max(_abs_polyval(Mp[0][1], r), _abs_polyval(Mp[1][0], r))
         off_hi = abs(float(npoly.polyval(r, Mp[0][1])))
         off_lo = abs(float(npoly.polyval(r, Mp[1][0])))

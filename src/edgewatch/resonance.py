@@ -333,16 +333,33 @@ def winding_number(func, rect) -> int:
 
 @dataclass(frozen=True)
 class ResonanceBox:
-    """Real interval times [-depth, 0]; the search cell for one resonance."""
+    """[x_lo, x_hi] x [-depth, 0]: the search cell of one resonance, or the
+    rectangle of a free-region certificate."""
 
     x_lo: float
     x_hi: float
     depth: float
-    n: int
 
     def __post_init__(self):
         if not (self.x_lo < self.x_hi and self.depth > 0):
             raise ValueError(f"invalid box {self}")
+
+    @classmethod
+    def between(cls, a, b, eps: float) -> ResonanceBox:
+        """The box over the interval between a and b with the certificate's
+        floor eps^5, in Python floats."""
+        return cls(x_lo=float(min(a, b)), x_hi=float(max(a, b)),
+                   depth=float(eps) ** 5)
+
+    @property
+    def reach(self) -> float:
+        """The largest |Re z| in the box."""
+        return max(abs(self.x_lo), abs(self.x_hi))
+
+    @property
+    def meets_cuts(self) -> bool:
+        """Whether the box meets the real axis outside (-2, 2)."""
+        return self.reach >= 2.0
 
     def contains(self, z: complex) -> bool:
         return (self.x_lo <= z.real <= self.x_hi
@@ -394,7 +411,7 @@ def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
         if d < guard:
             raise EdgeTooCloseToEigenvalue(
                 f"vertical edge x = {x} is {d:.3e} from an eigenvalue")
-    if max(abs(box.x_lo), abs(box.x_hi)) >= 2.0:
+    if box.meets_cuts:
         raise OnBranchCut(f"box [{box.x_lo}, {box.x_hi}] meets the real axis "
                           "outside (-2, 2)")
     return winding_number(lambda z: _f_contour(sd, z),
@@ -402,10 +419,10 @@ def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
 
 
 def _box_for(sd: SpectralData, edge: EdgeData, n: int,
-             depth: float) -> tuple[int, ResonanceBox]:
-    """Global index g of eigenvalue n >= 0 from the edge, and its box between
-    the midpoints to lambda_{n-1} (lambda_0 reflected through the edge for
-    n = 0) and lambda_{n+1}."""
+             eps: float) -> tuple[int, ResonanceBox]:
+    """Global index g of eigenvalue n >= 0 from the edge, and its box of
+    floor eps^5 between the midpoints to lambda_{n-1} (lambda_0 reflected
+    through the edge for n = 0) and lambda_{n+1}, which must be in the band."""
     members = sd.edge_members(edge)
     if n + 1 >= len(members):
         raise ValueError(f"need eigenvalue n+1 = {n + 1} inside the band, have "
@@ -414,18 +431,22 @@ def _box_for(sd: SpectralData, edge: EdgeData, n: int,
     lam_n = sd.lambdas[g]
     lam_prev = 2.0 * edge.e0 - lam_n if n == 0 else sd.lambdas[members[n - 1]]
     lam_next = sd.lambdas[members[n + 1]]
-    a = 0.5 * (lam_prev + lam_n)
-    b = 0.5 * (lam_n + lam_next)
-    return g, ResonanceBox(x_lo=min(a, b), x_hi=max(a, b), depth=depth, n=n)
+    return g, ResonanceBox.between(0.5 * (lam_prev + lam_n),
+                                   0.5 * (lam_n + lam_next), eps)
 
 
-def _sweep_one(sd, edge, n, eps) -> tuple[Resonance, int]:
-    """The resonance of box n with its verdict, and the box's count."""
-    g, box = _box_for(sd, edge, n, depth=eps ** 5)
+def _shallow_depth(C0: float, n: int, L: int) -> float:
+    """Depth C0 (n+1)/L^2 of the shallow cell of resonance n."""
+    return C0 * (n + 1) / L ** 2
+
+
+def _sweep_one(sd, edge, n, g, box) -> tuple[Resonance, int]:
+    """The resonance of box n (global index g) with its verdict, and the
+    box's count."""
     alpha, seed = _alpha_and_seed(sd, g)
     z, residual, iters = newton_refine(sd, seed)
     count = count_in_box(sd, box)
-    shallow = SHALLOW_C0 * (n + 1) / sd.L ** 2
+    shallow = _shallow_depth(SHALLOW_C0, n, sd.L)
     verified = count == 1 and box.contains(z) and -shallow <= z.imag < 0.0
     return Resonance(
         band=edge.band_index, n=n, lambda_n=float(sd.lambdas[g]),
@@ -465,7 +486,7 @@ def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
     UniquenessFailed.
     """
     check_step_inputs(edge, eps, n=n)
-    r, count = _sweep_one(sd, edge, n, eps)
+    r, count = _sweep_one(sd, edge, n, *_box_for(sd, edge, n, eps))
     if not r.winding_verified:
         detail = f"resonance n={n}: z = {r.z} failed the box membership checks"
         raise UniquenessFailed(n, count, detail if count == 1 else None)
@@ -484,32 +505,33 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     SHALLOW_C0 (n+1)/L^2.  Each verdict is recorded in winding_verified.
     """
     check_step_inputs(edge, eps, L=sd.L, C1=C1)
-    n_max = int(math.floor(eps * sd.L / C1))
-    members = sd.edge_members(edge)
-    if n_max + 1 >= len(members):
-        raise ValueError(
-            f"band {edge.band_index} holds {len(members)} eigenvalues; need "
-            f"{n_max + 2} for the requested sweep")
-
-    return [_sweep_one(sd, edge, n, eps)[0] for n in range(n_max + 1)]
+    # every box is built before any is certified, so a band too small for
+    # the sweep is refused before the numerics
+    boxes = [_box_for(sd, edge, n, eps)
+             for n in range(int(math.floor(eps * sd.L / C1)) + 1)]
+    return [_sweep_one(sd, edge, n, g, box)[0]
+            for n, (g, box) in enumerate(boxes)]
 
 
-def check_region_inputs(edge: EdgeData, eps: float, bs: BandStructure):
-    """Refuse, in order: a right edge, eps <= 0, a gap below the edge
-    narrower than eps and a rectangle reaching |E| >= 2; the one input check
-    of free_region_check, run before any section is built."""
+def check_region_inputs(edge: EdgeData, eps: float,
+                        bs: BandStructure) -> ResonanceBox:
+    """The rectangle [e0 - eps, e0] x [-eps^5, 0] of free_region_check.
+
+    Refuses, in order: a right edge, eps <= 0, a gap below the edge narrower
+    than eps and a rectangle reaching |E| >= 2; the one input check of
+    free_region_check, run before any section is built.
+    """
     if edge.side != "left":
         raise ValueError("free_region_check applies to left band edges")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if edge.band_index > 0:
-        prev_top = bs.bands[edge.band_index - 1][1]
-        if edge.e0 - eps < prev_top:
-            raise ValueError(
-                f"gap below the edge is narrower than eps = {eps}")
-    if max(abs(edge.e0 - eps), abs(edge.e0)) >= 2.0:
-        raise ValueError(f"rectangle [{edge.e0 - eps}, {edge.e0}] meets the "
+    box = ResonanceBox.between(edge.e0 - eps, edge.e0, eps)
+    if edge.band_index > 0 and box.x_lo < bs.bands[edge.band_index - 1][1]:
+        raise ValueError(f"gap below the edge is narrower than eps = {eps}")
+    if box.meets_cuts:
+        raise ValueError(f"rectangle [{box.x_lo}, {box.x_hi}] meets the "
                          "real axis outside (-2, 2)")
+    return box
 
 
 def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
@@ -519,14 +541,12 @@ def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,
     The inputs must pass check_region_inputs; an eigenvalue in the closed
     interval [e0 - eps, e0] raises EigenvalueInInterval.
     """
-    check_region_inputs(edge, eps, bs)
-    lo, hi = edge.e0 - eps, edge.e0
+    box = check_region_inputs(edge, eps, bs)
     lam = sd.lambdas
-    inside = lam[np.searchsorted(lam, lo, side="left"):
-                 np.searchsorted(lam, hi, side="right")]
+    inside = lam[np.searchsorted(lam, box.x_lo, side="left"):
+                 np.searchsorted(lam, box.x_hi, side="right")]
     if len(inside):
         raise EigenvalueInInterval(float(inside[0]))
-    box = ResonanceBox(x_lo=lo, x_hi=hi, depth=eps ** 5, n=0)
     return count_in_box(sd, box) == 0
 
 
@@ -544,24 +564,22 @@ def no_root_certificate(sd: SpectralData, edge: EdgeData, n: int, eps: float,
     bottom sum a_k/(dist_k^2 + top^2) with dist_k the distance of lambda_k
     from [x_lo, x_hi], inflated by the sum's rounding bound; and
     Im exp(-i theta) = Im z/2 + Re sqrt(1 - z^2/4) >= sqrt(1 - xm^2/4) -
-    bottom/2 with xm = max(|x_lo|, |x_hi|), since Re sqrt(w) >= sqrt(Re w).
+    bottom/2 with xm = box.reach, since Re sqrt(w) >= sqrt(Re w).
     The first value strictly below the second proves, for the computed
     eigenvalues and weights, that the resonance equation has no solution on
     the strip.  The inputs must pass check_step_inputs.
     """
     check_step_inputs(edge, eps, n=n)
-    top = C0 * (n + 1) / sd.L ** 2
-    bottom = eps ** 5
+    _, box = _box_for(sd, edge, n, eps)
+    top, bottom = _shallow_depth(C0, n, sd.L), box.depth
     if top >= bottom:
         raise EmptyRegion(
             f"C0*(n+1)/L^2 = {top:.3e} >= eps^5 = {bottom:.3e}; "
             "the strip between the shallow cell and the box floor is empty")
-    _, box = _box_for(sd, edge, n, depth=bottom)
-    xm = max(abs(box.x_lo), abs(box.x_hi))
-    if xm >= 2.0:
-        raise OnBranchCut(f"the strip reaches |Re z| = {xm} >= 2")
+    if box.meets_cuts:
+        raise OnBranchCut(f"the strip reaches |Re z| = {box.reach} >= 2")
     dist = np.maximum(0.0, np.maximum(box.x_lo - sd.lambdas,
                                       sd.lambdas - box.x_hi))
     im_s = bottom * float(np.sum(sd.weights_end / (dist ** 2 + top ** 2)))
     im_s *= 1.0 + 4.0 * (sd.L + 1) * math.ulp(1.0)
-    return im_s, math.sqrt(1.0 - xm ** 2 / 4.0) - bottom / 2.0
+    return im_s, math.sqrt(1.0 - box.reach ** 2 / 4.0) - bottom / 2.0

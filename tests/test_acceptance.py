@@ -133,9 +133,9 @@ def test_criterion_08_width_scaling_in_l(cache):
 
 
 def test_criterion_09_eigenvalue_and_weight_laws(cache):
-    report = analysis.scaling_report(cache.sd(1000), None, cache.edge,
+    checks = analysis.scaling_report(cache.sd(1000), None, cache.edge,
                                      eps=EPS, bs=cache.bs)
-    by_name = {c.name: c for c in report.checks}
+    by_name = {c.name: c for c in checks}
     offs = by_name["eigenvalue-offsets"].fit
     wts = by_name["boundary-weights"].fit
     spc = by_name["eigenvalue-spacings"].fit
@@ -149,13 +149,13 @@ def test_criterion_09_eigenvalue_and_weight_laws(cache):
 
 
 def test_criterion_10_seed_formula(cache):
-    acc400 = analysis.seed_accuracy(cache.sweep(400), 400)
-    acc800 = analysis.seed_accuracy(cache.sweep(800), 800)
-    assert acc800.max_ratio <= 4.0 * acc400.max_ratio
+    acc400 = analysis.seed_accuracy(cache.sweep(400), 400).max()
+    acc800 = analysis.seed_accuracy(cache.sweep(800), 800).max()
+    assert acc800 <= 4.0 * acc400
     res1000 = cache.sweep(1000)
     assert all(abs(r.z - r.seed) < abs(r.z.imag) for r in res1000)
-    _report(10, f"seed-error ratio {acc400.max_ratio:.1f} at L=400 vs "
-                f"{acc800.max_ratio:.1f} at L=800 (<= 4x); seed error below "
+    _report(10, f"seed-error ratio {acc400:.1f} at L=400 vs "
+                f"{acc800:.1f} at L=800 (<= 4x); seed error below "
                 "|Im z| for every n at L=1000")
 
 

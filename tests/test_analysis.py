@@ -12,7 +12,7 @@ from edgewatch.resonance import Resonance, ResonanceBox
 
 def _fake_resonance(n, im, L=1000, j=0, alpha=2.0 + 1.0j):
     lam = -1.0 + (n + 1) ** 2 / L ** 2
-    box = ResonanceBox(x_lo=lam - 1e-3, x_hi=lam + 1e-3, depth=1e-3, n=n)
+    box = ResonanceBox(x_lo=lam - 1e-3, x_hi=lam + 1e-3, depth=1e-3)
     z = complex(lam, -im)
     return Resonance(band=0, n=n, lambda_n=lam, a_n=1e-6, alpha_n=alpha,
                      seed=z + 1e-12, z=z, residual=1e-12, box=box,
@@ -76,40 +76,40 @@ def test_l_scaling_guards():
 
 def test_seed_accuracy_rows():
     res = [_fake_resonance(n, 1e-7 * (n + 1) ** 2) for n in range(3, 8)]
-    acc = analysis.seed_accuracy(res, 1000)
-    assert np.all(acc.ratio > 0)
-    assert np.all(np.isfinite(acc.ratio))
-    assert acc.max_ratio == pytest.approx(acc.ratio.max())
+    ratio = analysis.seed_accuracy(res, 1000)
+    assert ratio.shape == (len(res),)
+    assert np.all(ratio > 0)
+    assert np.all(np.isfinite(ratio))
     with pytest.raises(TooFewPoints):
         analysis.seed_accuracy([], 1000)
 
 
 def test_scaling_report_generic(bs03, sd400, sweep400, edge_m1_j0):
-    report = analysis.scaling_report(sd400, sweep400, edge_m1_j0, eps=0.2,
+    checks = analysis.scaling_report(sd400, sweep400, edge_m1_j0, eps=0.2,
                                      bs=bs03)
-    names = [c.name for c in report.checks]
+    names = [c.name for c in checks]
     assert names == ["eigenvalue-offsets", "boundary-weights",
                      "eigenvalue-spacings", "resonance-widths"]
-    by_name = {c.name: c for c in report.checks}
+    by_name = {c.name: c for c in checks}
     assert by_name["eigenvalue-offsets"].expected_slope == 2.0
     assert by_name["resonance-widths"].expected_slope == 2.0
-    assert not report.non_generic
+    # a generic edge expects the weight law, not the flat signature
+    assert by_name["boundary-weights"].expected_slope == 2.0
+    assert by_name["boundary-weights"].note == ""
     # determinism
-    report2 = analysis.scaling_report(sd400, sweep400, edge_m1_j0, eps=0.2,
-                                      bs=bs03)
-    assert report.checks == report2.checks
+    assert checks == analysis.scaling_report(sd400, sweep400, edge_m1_j0,
+                                             eps=0.2, bs=bs03)
 
 
 def test_scaling_report_without_resonances(sd400, edge_m1_j0, bs03):
-    report = analysis.scaling_report(sd400, None, edge_m1_j0, eps=0.2, bs=bs03)
-    assert "resonance-widths" not in [c.name for c in report.checks]
+    checks = analysis.scaling_report(sd400, None, edge_m1_j0, eps=0.2, bs=bs03)
+    assert "resonance-widths" not in [c.name for c in checks]
 
 
 def test_scaling_report_non_generic_signature(V03, bs03, sd400):
     edge0 = ew.classify_edge(V03, bs03, 0.0, 0)
-    report = analysis.scaling_report(sd400, None, edge0, eps=0.2, bs=bs03)
-    assert report.non_generic
-    wcheck = {c.name: c for c in report.checks}["boundary-weights"]
+    checks = analysis.scaling_report(sd400, None, edge0, eps=0.2, bs=bs03)
+    wcheck = {c.name: c for c in checks}["boundary-weights"]
     assert wcheck.expected_slope == 0.0
     assert "non-generic signature" in wcheck.note
     assert abs(wcheck.fit.slope) <= 0.3
@@ -118,13 +118,13 @@ def test_scaling_report_non_generic_signature(V03, bs03, sd400):
 def test_report_serialization_round_trip(capsys, sd400, sweep400, edge_m1_j0,
                                          bs03):
     # `edgewatch scaling --format json` carries every fit value exactly
-    report = analysis.scaling_report(sd400, sweep400, edge_m1_j0, eps=0.2,
+    checks = analysis.scaling_report(sd400, sweep400, edge_m1_j0, eps=0.2,
                                      bs=bs03)
     assert main(["scaling", "--potential", "0,3", "--L", "400", "--edge",
                  "-1", "--format", "json"]) == 0
     back = json.loads(capsys.readouterr().out)
-    assert [cb["name"] for cb in back] == [c.name for c in report.checks]
-    for c, cb in zip(report.checks, back):
+    assert [cb["name"] for cb in back] == [c.name for c in checks]
+    for c, cb in zip(checks, back):
         assert cb["slope"] == c.fit.slope          # exact round trip
         assert cb["intercept"] == c.fit.intercept
         assert cb["r_squared"] == c.fit.r_squared

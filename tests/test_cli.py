@@ -1,5 +1,8 @@
 import inspect
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +98,24 @@ def test_resonances_reference_run(capsys):
         assert len(cells) == 11
         float(cells[6])  # seed_im parses as a plain decimal
         assert float(cells[8]) < 0  # z_im strictly negative
+
+
+def test_resonances_verdicts_print_as_booleans(capsys):
+    # boxes 13 and 14 of this sweep count one resonance each but Newton
+    # lands outside them: their verdict is false in both formats
+    argv = ["resonances", "--potential=-0.68,1.15,-0.79", "--L", "48",
+            "--edge=-0.7722858372732013", "--eps", "0.3", "--c1", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    verdicts = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    assert len(verdicts) == 15
+    assert set(verdicts) <= {"true", "false"}
+    assert verdicts[13:] == ["false", "false"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    rows = json.loads(out)
+    assert [r["winding_verified"] for r in rows] == [
+        v == "true" for v in verdicts]
 
 
 def test_free_region_exit_zero(capsys):
@@ -202,6 +223,29 @@ def test_resonances_output_deterministic(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_commands_parse_and_run_in_ci():
+    # each line of the README's command block is a valid command line, and
+    # CI runs it through the installed console script
+    readme = (ROOT / "README.md").read_text()
+    block = next(b for b in re.findall(r"^```\n(.*?)^```", readme,
+                                       re.M | re.S)
+                 if b.startswith("edgewatch "))
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("- name: Installed console script\n", 1)[1]
+    step_lines = {line.strip() for line in step.split("- name:", 1)[0]
+                  .splitlines()}
+    lines = block.splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "edgewatch"
+        cli.build_parser().parse_args(argv[1:])
+        assert line in step_lines, line
 
 
 VERIFY_ROWS = ["product-unimodular", "trace-k-independence",

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -49,7 +50,7 @@ def _edge_argv(draw):
 
 def _assert_clean_exit(argv):
     # any input ends in an exit code, never a traceback, and a refused run
-    # prints nothing to stdout
+    # prints nothing to stdout; returns the exit code and stdout
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -61,6 +62,7 @@ def _assert_clean_exit(argv):
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
         assert out.getvalue() == ""
+    return code, out.getvalue()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -94,8 +96,12 @@ def test_random_potential_fuzz(values, spectrum_L, edge_L, c1, edge_pick):
     edges = [e for e in edges if abs(e.energy) < 2.0] or edges
     if edges:
         edge = f"--edge={edges[edge_pick % len(edges)].energy!r}"
-        argvs += [["resonances", potential, edge, f"--L={edge_L}",
-                   f"--c1={c1!r}"],
+        sweep = ["resonances", potential, edge, f"--L={edge_L}",
+                 f"--c1={c1!r}"]
+        argvs += [sweep, sweep + ["--format=json"],
                   ["free-region", potential, edge, f"--L={edge_L}"]]
     for argv in argvs:
-        _assert_clean_exit(argv)
+        code, out = _assert_clean_exit(argv)
+        # a finished sweep's JSON table parses, whatever its verdicts
+        if "--format=json" in argv and code in (0, 1):
+            json.loads(out)

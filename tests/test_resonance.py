@@ -1,5 +1,5 @@
 import cmath
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -315,12 +315,12 @@ def test_count_in_box_guards(sd400):
     lam0 = float(sd400.lambdas[0])
     with pytest.raises(EdgeTooCloseToEigenvalue):
         rz.count_in_box(sd400, rz.ResonanceBox(x_lo=lam0, x_hi=lam0 + 0.1,
-                                               depth=0.1, n=0))
+                                               depth=0.1))
     # at this depth no contour sample lands on the cut itself, and without
     # the guard the count would silently come out 0
     with pytest.raises(OnBranchCut):
         rz.count_in_box(sd400, rz.ResonanceBox(x_lo=1.5, x_hi=2.5,
-                                               depth=0.05, n=0))
+                                               depth=0.05))
     # strictly above the axis there are no zeros and no poles
     f = lambda z: rz._f_contour(sd400, z)
     assert rz.winding_number(f, (-1.001, -0.9, 0.01, 0.02)) == 0
@@ -328,14 +328,14 @@ def test_count_in_box_guards(sd400):
 
 def test_count_in_box_eigenvalue_free_interval(sd400):
     # a shallow box below an eigenvalue-free stretch of the axis holds nothing
-    box = rz.ResonanceBox(x_lo=1.0, x_hi=2.0 - 1e-3, depth=1e-6, n=0)
+    box = rz.ResonanceBox(x_lo=1.0, x_hi=2.0 - 1e-3, depth=1e-6)
     assert rz.count_in_box(sd400, box) == 0
 
 
 def test_count_in_box_single_resonance(sd400, edge_m1_j0):
     from edgewatch.resonance import _box_for
     for n in (0, 1, 2):
-        _, box = _box_for(sd400, edge_m1_j0, n, depth=0.2 ** 5)
+        _, box = _box_for(sd400, edge_m1_j0, n, 0.2)
         assert rz.count_in_box(sd400, box) == 1
 
 
@@ -356,6 +356,28 @@ def test_sweep_band_edge(sweep400):
     assert np.all(np.diff(ims) > 0)
     # the continuation has at most L poles, so any disjoint family is bounded
     assert len(sweep400) <= 400
+
+
+def test_sweep_boxes_and_verdicts_are_python_scalars():
+    # boxes 13 and 14 of this sweep count one resonance each but Newton
+    # lands outside them; a box of numpy bounds made those verdicts
+    # numpy.bool_, which printed as False and broke --format json
+    V = ew.PeriodicPotential.from_values([-0.68, 1.15, -0.79])
+    bs = ew.band_structure(V)
+    sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V, 48)), bs)
+    e0 = min((ep.energy for ep in bs.edge_points),
+             key=lambda e: abs(e + 0.7722858372732013))
+    res = ew.sweep_band_edge(sd, ew.classify_edge(V, bs, e0, sd.j),
+                             eps=0.3, C1=1.0)
+    assert len(res) == 15
+    assert all(type(r.winding_verified) is bool for r in res)
+    assert [r.winding_verified for r in res[13:]] == [False, False]
+    assert [f.name for f in fields(rz.ResonanceBox)] == ["x_lo", "x_hi",
+                                                         "depth"]
+    for r in res:
+        assert all(type(v) is float
+                   for v in (r.box.x_lo, r.box.x_hi, r.box.depth))
+        assert r.box.depth == 0.3 ** 5
 
 
 def test_sweep_im_formula_bound(sweep400):
@@ -388,7 +410,7 @@ def test_sweep_rejects_non_generic(V03, bs03, sd400):
         rz.locate_resonance(sd400, edge0, 1)
 
 
-def test_sweep_parameter_validation(sd400, edge_m1_j0):
+def test_sweep_parameter_validation(monkeypatch, sd400, edge_m1_j0):
     with pytest.raises(ValueError):
         ew.sweep_band_edge(sd400, edge_m1_j0, eps=0.5)
     # a single step takes the sweep's eps range
@@ -401,6 +423,13 @@ def test_sweep_parameter_validation(sd400, edge_m1_j0):
     for C1 in (0.0, -1.0):
         with pytest.raises(ValueError, match="C1 must be positive"):
             rz.check_step_inputs(edge_m1_j0, 0.2, L=400, C1=C1)
+    # every box of a sweep is built, and the band size checked by _box_for,
+    # before any resonance is refined
+    def refine(*args, **kwargs):
+        raise AssertionError("refined before the band size was checked")
+    monkeypatch.setattr(rz, "newton_refine", refine)
+    with pytest.raises(ValueError, match="inside the band"):
+        ew.sweep_band_edge(sd400, edge_m1_j0, eps=0.2, C1=0.01)
 
 
 def test_resonance_index_out_of_range(sd400, edge_m1_j0):
@@ -474,6 +503,12 @@ def test_sweep_period_one_potential():
 
 def test_free_region(sd400, edge_m1_j0, bs03):
     assert rz.free_region_check(sd400, edge_m1_j0, 0.2, bs03) is True
+    # check_region_inputs returns the rectangle [e0 - eps, e0] x [-eps^5, 0]
+    # that free_region_check counts in and the CLI prints
+    box = rz.check_region_inputs(edge_m1_j0, 0.2, bs03)
+    assert (box.x_lo, box.x_hi, box.depth) == (edge_m1_j0.e0 - 0.2,
+                                               edge_m1_j0.e0, 0.2 ** 5)
+    assert all(type(v) is float for v in (box.x_lo, box.x_hi, box.depth))
 
 
 def test_free_region_rejects_right_edge(V03, bs03, sd400):
@@ -515,7 +550,7 @@ def test_im_s_grid_certificate(sd400, edge_m1_j0):
         assert im_s < im_phase
         # the closed-form bounds hold at every point of a lattice on the
         # strip, which runs from the box floor up to the shallow cell
-        _, box = rz._box_for(sd400, edge_m1_j0, n, depth=eps ** 5)
+        _, box = rz._box_for(sd400, edge_m1_j0, n, eps)
         top = 10.0 * (n + 1) / sd400.L ** 2
         pts = [complex(x, y) for x in np.linspace(box.x_lo, box.x_hi, 30)
                for y in np.linspace(-eps ** 5, -top, 30)]
