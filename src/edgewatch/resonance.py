@@ -27,6 +27,7 @@ from .errors import (
     NonGenericEdge,
     OnBranchCut,
     PoleHit,
+    SpectralError,
     UniquenessFailed,
 )
 from .floquet import BandStructure, EdgeData
@@ -102,16 +103,34 @@ def _nearest_distance(lambdas: np.ndarray, x) -> np.ndarray:
                       np.abs(lambdas.take(i, mode="clip") - x))
 
 
+def _pole_error(sd: SpectralData, z: complex) -> PoleHit:
+    """The PoleHit of a point z within _POLE_TOL*scale of an eigenvalue."""
+    k = int(np.argmin(np.abs(sd.lambdas - z)))  # ties: lower index
+    return PoleHit(f"E = {z} is within {_POLE_TOL:g}*scale of "
+                   f"eigenvalue {sd.lambdas[k]} (k = {k})")
+
+
+def _pole_hits(sd: SpectralData, z: np.ndarray) -> np.ndarray:
+    """Whether each point of a complex array lies within _POLE_TOL*scale of
+    an eigenvalue: the contour's pole guard."""
+    return (np.hypot(_nearest_distance(sd.lambdas, z.real), z.imag)
+            < _POLE_TOL * sd.scale)
+
+
 def _pole_guard(sd: SpectralData, z):
-    """Refuse any z within _POLE_TOL*scale of an eigenvalue (PoleHit)."""
-    z = np.asarray(z, dtype=complex)
-    hit = (np.hypot(_nearest_distance(sd.lambdas, z.real), z.imag)
-           < _POLE_TOL * sd.scale)
-    if hit.any():
-        z_hit = complex(z.flat[np.argmax(hit)])
-        k = int(np.argmin(np.abs(sd.lambdas - z_hit)))  # ties: lower index
-        raise PoleHit(f"E = {z_hit} is within {_POLE_TOL:g}*scale of "
-                      f"eigenvalue {sd.lambdas[k]} (k = {k})")
+    """Refuse one point z within _POLE_TOL*scale of an eigenvalue (PoleHit).
+
+    The scalar path of _pole_hits through the same binary search, for the
+    one point of every Newton evaluation; abs(complex) and np.hypot are the
+    same C hypot, so both paths take the same decisions.
+    """
+    z = complex(z)
+    lam = sd.lambdas
+    i = int(lam.searchsorted(z.real))
+    d = min(abs(float(lam[max(i - 1, 0)]) - z.real),
+            abs(float(lam[min(i, len(lam) - 1)]) - z.real))
+    if abs(complex(d, z.imag)) < _POLE_TOL * sd.scale:
+        raise _pole_error(sd, z)
 
 
 def _terms(sd: SpectralData, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -123,36 +142,6 @@ def _terms(sd: SpectralData, z: complex) -> tuple[np.ndarray, np.ndarray]:
     _pole_guard(sd, z)
     diffs = sd.lambdas - z
     return diffs, sd.weights_end / diffs
-
-
-_CHUNK = 1 << 14  # (points x eigenvalues) entries per temporary: 128 KB
-
-
-def _f_contour(sd: SpectralData, z: np.ndarray) -> np.ndarray:
-    """f at every point of a 1-D complex array, in real arithmetic.
-
-    With d = eigenvalue - Re z and y = Im z, S_L = sum w (d + iy)/(d^2 + y^2):
-    q = w/(d^2 + y^2), Re S_L = sum q d, Im S_L = y sum q, evaluated over
-    blocks of whole rows of at most _CHUNK entries.  The contour counterpart
-    of _terms, behind the same pole guard; the points must lie off the cuts
-    |E| >= 2 of the real axis, which count_in_box checks.
-    """
-    z = np.asarray(z, dtype=complex)
-    _pole_guard(sd, z)
-    lam, w = sd.lambdas, sd.weights_end
-    x, y = z.real, z.imag
-    out = np.empty(len(z), dtype=complex)
-    rows = max(1, _CHUNK // len(lam))
-    for s in range(0, len(z), rows):
-        ys = y[s:s + rows]
-        d = lam - x[s:s + rows, None]
-        q = d * d
-        q += (ys * ys)[:, None]
-        np.divide(w, q, out=q)
-        out.imag[s:s + rows] = ys * np.sum(q, axis=1)
-        d *= q
-        out.real[s:s + rows] = np.sum(d, axis=1)
-    return out + np.exp(1j * np.arccos(z / 2.0))
 
 
 def s_l(sd: SpectralData, E) -> complex:
@@ -271,6 +260,85 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack((a, b), axis=1).ravel()
 
 
+def _windings(func, rects) -> list:
+    """Winding numbers of func along many rectangle boundaries at once.
+
+    func(z, b) returns the values at the points z of rectangles b (integer
+    indices into rects) and a dict {b: error} of the rectangles whose
+    evaluation failed.  One adaptive loop serves every rectangle: each
+    level evaluates all open segments of all rectangles in one call, and
+    each rectangle's phase total is accumulated separately.  A failure is
+    returned in place of its rectangle's winding number and stops only that
+    rectangle; the points of a rectangle stay contiguous and in its own
+    order, so each failure and its message are those of the rectangle
+    traced alone.
+    """
+    rects = np.asarray(rects, dtype=float).reshape(-1, 4)
+    B = len(rects)
+    x_lo, x_hi, y_lo, y_hi = rects.T
+    corners = np.stack([x_lo + 1j * y_lo, x_hi + 1j * y_lo, x_hi + 1j * y_hi,
+                        x_lo + 1j * y_hi, x_lo + 1j * y_lo], axis=1)
+    ts = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE + 1)[:-1]
+    sides = (corners[:, 1:] - corners[:, :-1])[:, :, None]
+    z1 = (corners[:, :-1, None] + sides * ts).reshape(B, 4 * _SAMPLES_PER_EDGE)
+    box = np.repeat(np.arange(B), z1.shape[1])
+    failed = {}
+
+    def values(z, b):
+        w, errors = func(z, b)
+        failed.update(errors)
+        w = np.broadcast_to(np.asarray(w, dtype=complex), z.shape)
+        bad = np.flatnonzero((w == 0) | ~np.isfinite(w))
+        for k, i in zip(*np.unique(b[bad], return_index=True)):
+            failed.setdefault(int(k), AdaptiveDepthExceeded(
+                "boundary value vanished or blew up at "
+                f"{complex(z[bad[i]])}"))
+        return w
+
+    w1 = values(z1.ravel(), box).reshape(z1.shape)
+    z2, w2 = np.roll(z1, -1, axis=1).ravel(), np.roll(w1, -1, axis=1).ravel()
+    z1, w1 = z1.ravel(), w1.ravel()
+    total = np.zeros(B)
+    depth = 0
+    while True:
+        if failed:
+            live = np.ones(B, dtype=bool)
+            live[list(failed)] = False
+            keep = live[box]
+            z1, w1, z2, w2, box = (v[keep] for v in (z1, w1, z2, w2, box))
+        dphi = np.angle(w2 / w1)
+        ok = np.abs(dphi) < math.pi / 2.0
+        total += np.bincount(box[ok], weights=dphi[ok], minlength=B)
+        bad = np.flatnonzero(~ok)
+        if not bad.size:
+            break
+        if depth >= _MAX_DEPTH:
+            for k, i in zip(*np.unique(box[bad], return_index=True)):
+                i = bad[i]
+                failed[int(k)] = AdaptiveDepthExceeded(
+                    f"phase step {dphi[i]:.3f} at depth {depth} near "
+                    f"{complex(z1[i])}")
+            break
+        z1, w1, z2, w2, box = z1[bad], w1[bad], z2[bad], w2[bad], box[bad]
+        zm = 0.5 * (z1 + z2)
+        wm = values(zm, box)
+        z1, z2 = _interleave(z1, zm), _interleave(zm, z2)
+        w1, w2 = _interleave(w1, wm), _interleave(wm, w2)
+        box = _interleave(box, box)
+        depth += 1
+    out = []
+    for k, t in enumerate(total.tolist()):
+        w = t / (2.0 * math.pi)
+        if k in failed:
+            out.append(failed[k])
+        elif abs(w - round(w)) > 1e-6:
+            out.append(AdaptiveDepthExceeded(
+                f"accumulated phase {t:.6f} is not a multiple of 2*pi"))
+        else:
+            out.append(int(round(w)))
+    return out
+
+
 def winding_number(func, rect) -> int:
     """Winding number of func along a rectangle boundary, positively oriented.
 
@@ -280,51 +348,109 @@ def winding_number(func, rect) -> int:
     every segment whose increment is not below pi/2, up to _MAX_DEPTH
     levels.  Returns zeros minus poles enclosed; a vanishing or non-finite
     value, or failure to track the phase, raises AdaptiveDepthExceeded
-    rather than quietly returning a miscount.
+    rather than quietly returning a miscount.  The one-rectangle call of
+    the loop that count_in_box and sweep_band_edge run on many.
     """
     x_lo, x_hi, y_lo, y_hi = (float(v) for v in rect)
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError(f"degenerate rectangle {rect}")
-    corners = np.array([complex(x_lo, y_lo), complex(x_hi, y_lo),
-                        complex(x_hi, y_hi), complex(x_lo, y_hi),
-                        complex(x_lo, y_lo)])
+    (w,) = _windings(lambda z, b: (func(z), {}), [(x_lo, x_hi, y_lo, y_hi)])
+    if isinstance(w, Exception):
+        raise w
+    return w
 
-    def values(z):
-        w = np.broadcast_to(np.asarray(func(z), dtype=complex), z.shape)
-        bad = np.flatnonzero((w == 0) | ~np.isfinite(w))
-        if bad.size:
-            raise AdaptiveDepthExceeded(
-                f"boundary value vanished or blew up at {complex(z[bad[0]])}")
-        return w
 
-    ts = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE + 1)[:-1]
-    z1 = (corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * ts).ravel()
-    w1 = values(z1)
-    z2, w2 = np.roll(z1, -1), np.roll(w1, -1)
-    total = 0.0
-    depth = 0
-    while True:
-        dphi = np.angle(w2 / w1)
-        ok = np.abs(dphi) < math.pi / 2.0
-        total += float(np.sum(dphi[ok]))
-        bad = np.flatnonzero(~ok)
-        if not bad.size:
-            break
-        if depth >= _MAX_DEPTH:
-            i = bad[0]
-            raise AdaptiveDepthExceeded(f"phase step {dphi[i]:.3f} at depth "
-                                        f"{depth} near {complex(z1[i])}")
-        z1, w1, z2, w2 = z1[bad], w1[bad], z2[bad], w2[bad]
-        zm = 0.5 * (z1 + z2)
-        wm = values(zm)
-        z1, z2 = _interleave(z1, zm), _interleave(zm, z2)
-        w1, w2 = _interleave(w1, wm), _interleave(wm, w2)
-        depth += 1
-    w = total / (2.0 * math.pi)
-    if abs(w - round(w)) > 1e-6:
-        raise AdaptiveDepthExceeded(
-            f"accumulated phase {total:.6f} is not a multiple of 2*pi")
-    return int(round(w))
+_CHUNK = 1 << 13  # entries of a (points or boxes) x eigenvalues temporary
+_RHO = 0.125  # far eigenvalues lie beyond r/_RHO of a contour's centre
+_MOMENTS = 19  # J: far tail below _RHO**J/(1 - _RHO) sum |w/(lambda - c)|
+
+
+class _FarField:
+    """f on the contours of a group of rectangles.
+
+    Rectangle b has centre c on the axis and radius r = hypot(half-width,
+    max |Im|), so each of its points z has |z - c| <= r.  Its near set, the
+    eigenvalues within r/_RHO of c, is summed exactly in real arithmetic:
+    with d = eigenvalue - Re z and y = Im z, q = w/(d^2 + y^2) and
+    S = sum q d + i y sum q.  Every other eigenvalue enters through the
+    real moments M_j = sum_far w/(lambda - c)^(j+1), j < _MOMENTS,
+    evaluated by Horner in z - c; the truncation error is below
+    _RHO**_MOMENTS/(1 - _RHO) sum_far |w/(lambda - c)|.  The phase term is
+    added as exp(i arccos(z/2)); the points must lie off the cuts |E| >= 2
+    of the real axis, which count_in_box checks.  Points within
+    _POLE_TOL*scale of an eigenvalue fail their rectangle with PoleHit.
+    Every temporary holds at most _CHUNK entries.
+    """
+
+    def __init__(self, sd: SpectralData, rects):
+        self.sd = sd
+        rects = np.asarray(rects, dtype=float).reshape(-1, 4)
+        x_lo, x_hi, y_lo, y_hi = rects.T
+        self.centre = 0.5 * (x_lo + x_hi)
+        reach = np.hypot(0.5 * (x_hi - x_lo),
+                         np.maximum(np.abs(y_lo), np.abs(y_hi))) / _RHO
+        lam, w = sd.lambdas, sd.weights_end
+        self.lo = np.searchsorted(lam, self.centre - reach, side="left")
+        self.hi = np.searchsorted(lam, self.centre + reach, side="right")
+        self.moments = np.empty((_MOMENTS, len(rects)))  # M_j of box b: [j, b]
+        rows = max(1, _CHUNK // len(lam))
+        for s in range(0, len(rects), rows):
+            u = lam - self.centre[s:s + rows, None]
+            for row, lo, hi in zip(u, self.lo[s:], self.hi[s:]):
+                row[lo:hi] = np.inf  # the near set has no moments
+            np.divide(1.0, u, out=u)
+            v = w * u
+            for j in range(_MOMENTS):
+                self.moments[j, s:s + rows] = np.sum(v, axis=1)
+                v *= u
+
+    def __call__(self, z: np.ndarray, b: np.ndarray):
+        """f at points z of rectangles b, and the PoleHit of each rectangle
+        with a point at a pole, whose points are skipped (NaN)."""
+        errors, out = {}, np.full(len(z), np.nan, dtype=complex)
+        hit = _pole_hits(self.sd, z)
+        keep = slice(None)
+        if hit.any():
+            for k, i in zip(*np.unique(b[hit], return_index=True)):
+                errors[int(k)] = _pole_error(self.sd, complex(z[hit][i]))
+            keep = ~np.isin(b, list(errors))
+        out[keep] = self._f(z[keep], b[keep])
+        return out, errors
+
+    def _f(self, z: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """f at points z of rectangles b, every point off the poles."""
+        lam, w = self.sd.lambdas, self.sd.weights_end
+        x, y = z.real, z.imag
+        lo, size = self.lo[b], (self.hi - self.lo)[b]
+        out = np.empty(len(z), dtype=complex)
+        s = 0
+        while s < len(z):
+            # the widest near set of the block sets its width K
+            rows = max(1, _CHUNK // max(1, int(size[s])))
+            K = max(1, int(size[s:s + rows].max()))
+            e = s + max(1, _CHUNK // K)
+            col = np.arange(K)
+            idx = lo[s:e, None] + col
+            d = lam.take(idx, mode="clip")
+            q = w.take(idx, mode="clip")
+            # padding beyond the near set: weight 0 at a real eigenvalue,
+            # which no point reaches, so d^2 + y^2 > 0
+            q[col >= size[s:e, None]] = 0.0
+            d -= x[s:e, None]
+            ys = y[s:e]
+            r = d * d
+            r += (ys * ys)[:, None]
+            q /= r
+            out.imag[s:e] = ys * np.sum(q, axis=1)
+            d *= q
+            out.real[s:e] = np.sum(d, axis=1)
+            s = e
+        t = z - self.centre[b]
+        far = self.moments[-1].take(b).astype(complex)
+        for m in self.moments[-2::-1]:
+            far *= t
+            far += m.take(b)
+        return out + far + np.exp(1j * np.arccos(z / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -392,30 +518,61 @@ def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
     inside the real interval are added back to the winding number.  Both
     vertical edges cross the axis: each must lie 1e-10*scale clear of every
     eigenvalue (EdgeTooCloseToEigenvalue) and off the cuts |E| >= 2 (OnBranchCut).
-    The contour is evaluated by _f_contour, one real-arithmetic array pass
-    per subdivision level in chunks of _CHUNK entries; the edge guard and
-    the pole guard both go through the binary search of _nearest_distance.
+    The contour is evaluated by _FarField: the eigenvalues near the box
+    exactly, the far ones through a few real Taylor moments.  The one-box
+    call of _count_boxes, which sweep_band_edge runs on all its boxes.
     """
-    lam = sd.lambdas
-    inside = lam[np.searchsorted(lam, box.x_lo, side="right"):
-                 np.searchsorted(lam, box.x_hi, side="left")]
-    P = len(inside)
-    if P:
-        delta = 0.1 * float(np.min(np.minimum(inside - box.x_lo,
-                                              box.x_hi - inside)))
-    else:
-        delta = 0.1 * (box.x_hi - box.x_lo)
-    guard = 1e-10 * sd.scale
-    dist = _nearest_distance(lam, [box.x_lo, box.x_hi])
-    for x, d in zip((box.x_lo, box.x_hi), dist.tolist()):
-        if d < guard:
-            raise EdgeTooCloseToEigenvalue(
-                f"vertical edge x = {x} is {d:.3e} from an eigenvalue")
-    if box.meets_cuts:
-        raise OnBranchCut(f"box [{box.x_lo}, {box.x_hi}] meets the real axis "
-                          "outside (-2, 2)")
-    return winding_number(lambda z: _f_contour(sd, z),
-                          (box.x_lo, box.x_hi, -box.depth, delta)) + P
+    (count,) = _count_boxes(sd, [box])
+    if isinstance(count, Exception):
+        raise count
+    return count
+
+
+_GROUP = 2048 // (4 * _SAMPLES_PER_EDGE)  # boxes per winding loop
+
+
+def _count_boxes(sd: SpectralData, boxes) -> list:
+    """count_in_box of each box, groups of _GROUP boxes per winding loop.
+
+    A failing box (either guard, PoleHit, AdaptiveDepthExceeded) has its
+    error in place of its count and does not stop the others.
+    """
+    lam, guard, out = sd.lambdas, 1e-10 * sd.scale, []
+    for s in range(0, len(boxes), _GROUP):
+        group = boxes[s:s + _GROUP]
+        x_lo = np.array([box.x_lo for box in group])
+        x_hi = np.array([box.x_hi for box in group])
+        first = np.searchsorted(lam, x_lo, side="right")
+        stop = np.searchsorted(lam, x_hi, side="left")
+        # the eigenvalues inside are sorted: the first and the last come
+        # closest to the vertical edges
+        delta = 0.1 * np.where(
+            stop > first,
+            np.minimum(lam.take(first, mode="clip") - x_lo,
+                       x_hi - lam.take(stop - 1, mode="clip")),
+            x_hi - x_lo)
+        dist = _nearest_distance(lam, np.stack([x_lo, x_hi], axis=1))
+        counts, rects = [], []
+        for box, d, P, top in zip(group, dist.tolist(),
+                                  (stop - first).tolist(), delta.tolist()):
+            too_close = [(x, dx) for x, dx in zip((box.x_lo, box.x_hi), d)
+                         if dx < guard]
+            if too_close:
+                x, dx = too_close[0]
+                counts.append(EdgeTooCloseToEigenvalue(
+                    f"vertical edge x = {x} is {dx:.3e} from an eigenvalue"))
+            elif box.meets_cuts:
+                counts.append(OnBranchCut(
+                    f"box [{box.x_lo}, {box.x_hi}] meets the real axis "
+                    "outside (-2, 2)"))
+            else:
+                counts.append(P)
+                rects.append((box.x_lo, box.x_hi, -box.depth, top))
+        windings = iter(_windings(_FarField(sd, rects), rects))
+        for c in counts:
+            w = c if isinstance(c, Exception) else next(windings)
+            out.append(w if isinstance(w, Exception) else w + c)
+    return out
 
 
 def _box_for(sd: SpectralData, edge: EdgeData, n: int,
@@ -440,12 +597,15 @@ def _shallow_depth(C0: float, n: int, L: int) -> float:
     return C0 * (n + 1) / L ** 2
 
 
-def _sweep_one(sd, edge, n, g, box) -> tuple[Resonance, int]:
-    """The resonance of box n (global index g) with its verdict, and the
-    box's count."""
+def _refine(sd: SpectralData, g: int) -> tuple:
+    """alpha, seed, z, residual and Newton steps of global index g."""
     alpha, seed = _alpha_and_seed(sd, g)
-    z, residual, iters = newton_refine(sd, seed)
-    count = count_in_box(sd, box)
+    return (alpha, seed, *newton_refine(sd, seed))
+
+
+def _resonance(sd, edge, n, g, box, refined, count) -> Resonance:
+    """The resonance of box n (global index g) with its verdict."""
+    alpha, seed, z, residual, iters = refined
     shallow = _shallow_depth(SHALLOW_C0, n, sd.L)
     verified = count == 1 and box.contains(z) and -shallow <= z.imag < 0.0
     return Resonance(
@@ -453,7 +613,7 @@ def _sweep_one(sd, edge, n, g, box) -> tuple[Resonance, int]:
         a_n=float(sd.weights_end[g]), alpha_n=alpha, seed=seed, z=z,
         residual=residual, box=box, winding_verified=verified,
         newton_iters=iters,
-    ), count
+    )
 
 
 def check_step_inputs(edge: EdgeData, eps: float, *, L: int | None = None,
@@ -486,7 +646,10 @@ def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
     UniquenessFailed.
     """
     check_step_inputs(edge, eps, n=n)
-    r, count = _sweep_one(sd, edge, n, *_box_for(sd, edge, n, eps))
+    g, box = _box_for(sd, edge, n, eps)
+    refined = _refine(sd, g)
+    count = count_in_box(sd, box)
+    r = _resonance(sd, edge, n, g, box, refined, count)
     if not r.winding_verified:
         detail = f"resonance n={n}: z = {r.z} failed the box membership checks"
         raise UniquenessFailed(n, count, detail if count == 1 else None)
@@ -503,14 +666,33 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     NEWTON_TOL, at most NEWTON_MAX_ITER steps), and verify that the box holds
     exactly one resonance lying within the shallower cell of depth
     SHALLOW_C0 (n+1)/L^2.  Each verdict is recorded in winding_verified.
+
+    Every box is refined first, then all are counted together by
+    _count_boxes, in groups of _GROUP boxes per winding loop.  A failure
+    raises as if the boxes ran one by one, seed, Newton and count each:
+    the first failing box's error, in that stage order.
     """
     check_step_inputs(edge, eps, L=sd.L, C1=C1)
     # every box is built before any is certified, so a band too small for
     # the sweep is refused before the numerics
     boxes = [_box_for(sd, edge, n, eps)
              for n in range(int(math.floor(eps * sd.L / C1)) + 1)]
-    return [_sweep_one(sd, edge, n, g, box)[0]
-            for n, (g, box) in enumerate(boxes)]
+    refined, failure = [], None
+    for g, _ in boxes:
+        try:
+            refined.append(_refine(sd, g))
+        except (SpectralError, ValueError) as exc:
+            failure = exc  # raised after the counts of the boxes before it
+            break
+    counts = _count_boxes(sd, [box for _, box in boxes[:len(refined)]])
+    for count in counts:
+        if isinstance(count, Exception):
+            raise count
+    if failure is not None:
+        raise failure
+    return [_resonance(sd, edge, n, g, box, step, count)
+            for n, ((g, box), step, count) in enumerate(zip(boxes, refined,
+                                                            counts))]
 
 
 def check_region_inputs(edge: EdgeData, eps: float,

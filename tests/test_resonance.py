@@ -261,52 +261,183 @@ def test_winding_subdivides_near_each_side(kind):
         rz.winding_number(lambda z: z - on_side, rect)
 
 
-def test_contour_evaluator_matches_f(monkeypatch, sd400, sweep400):
+def _right_edge_1000():
+    """Section and edge of the right edge 0.5 of (1, -2, 0.5), L = 1000."""
     V = ew.PeriodicPotential.from_values([1.0, -2.0, 0.5])
     bs = ew.band_structure(V)
-    sd1000 = ew.band_enumerate(ew.eigensystem(ew.assemble(V, 1000)), bs)
+    sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V, 1000)), bs)
     edge = ew.classify_edge(V, bs, 0.5, 1)
     assert edge.side == "right"
-    right = ew.sweep_band_edge(sd1000, edge)
-    evaluate = rz._f_contour
+    return sd, edge
+
+
+@pytest.fixture(scope="module")
+def right1000():
+    sd, edge = _right_edge_1000()
+    return sd, ew.sweep_band_edge(sd, edge)
+
+
+def _assert_matches_f(sd, evaluator, z, b):
+    # the far-field contour value of f against the point kernel, within
+    # 1e-13 of sum |w/(lambda - z)| (+1 for the phase term)
+    got, errors = evaluator(z, b)
+    assert errors == {}
+    for zk, fk in zip(z, got):
+        ref = rz.f_and_fprime(sd, zk)[0]
+        scale = float(np.sum(np.abs(sd.weights_end / (sd.lambdas - zk))))
+        assert abs(fk - ref) <= 1e-13 * (scale + 1.0), (zk, fk, ref)
+
+
+def test_contour_evaluator_matches_f(monkeypatch, sd400, sweep400, right1000,
+                                     V03, bs03, edge_m1_j0):
+    sd4000 = ew.band_enumerate(ew.eigensystem(ew.assemble(V03, 4000)), bs03)
+    evaluate = rz._FarField.__call__
     calls = []
-    monkeypatch.setattr(rz, "_f_contour",
-                        lambda sd, z: calls.append(z) or evaluate(sd, z))
-    for sd, results in ((sd400, sweep400), (sd1000, right)):
-        for r in results:
-            calls.clear()
-            assert rz.count_in_box(sd, r.box) == 1
-            z = calls[0]  # the 64 initial samples, which settle every box
-            assert len(calls) == 1 and z.shape == (64,)
-            got = evaluate(sd, z)
-            for zk, fk in zip(z, got):
-                ref = rz.f_and_fprime(sd, zk)[0]
-                scale = float(np.sum(np.abs(sd.weights_end / (sd.lambdas - zk))))
-                assert abs(fk - ref) <= 1e-13 * (scale + 1.0), (zk, fk, ref)
+    monkeypatch.setattr(rz._FarField, "__call__",
+                        lambda ff, z, b: calls.append((ff, z, b))
+                        or evaluate(ff, z, b))
+    cases = [(sd, r.box, 1) for sd, results in ((sd400, sweep400), right1000)
+             for r in results]
+    cases += [(sd4000, rz._box_for(sd4000, edge_m1_j0, n, 0.2)[1], 1)
+              for n in (0, 80)]
+    # the free-region rectangle, whose near set (136 of the 401
+    # eigenvalues) is the largest of these contours
+    cases.append((sd400, rz.check_region_inputs(edge_m1_j0, 0.2, bs03), 0))
+    for sd, box, count in cases:
+        calls.clear()
+        assert rz.count_in_box(sd, box) == count
+        ff, z, b = calls[0]  # the 64 initial samples, which settle every box
+        assert len(calls) == 1 and z.shape == (64,)
+        _assert_matches_f(sd, ff, z, b)
+    assert (ff.hi - ff.lo).tolist() == [136]
+
+
+def test_contour_evaluator_at_the_near_radius(sd400):
+    # a rectangle whose near set is the whole spectrum has no far moments
+    rect = (-0.9, -0.1, -0.2, 0.5)
+    ff = rz._FarField(sd400, [rect])
+    assert (ff.lo[0], ff.hi[0]) == (0, len(sd400.lambdas))
+    assert not ff.moments.any()
+    z = np.array([-0.9 - 0.2j, -0.1 - 0.2j, -0.1 + 0.5j, -0.9 + 0.5j,
+                  -0.5 - 0.2j, -0.1 + 0.1j, -0.5 + 0.5j, -0.9 - 0.1j])
+    _assert_matches_f(sd400, ff, z, np.zeros(len(z), dtype=int))
+    # an eigenvalue exactly r/rho from the centre is in the near set and the
+    # next float beyond it is far; both keep the bound, also at the corners,
+    # where |z - c| = r
+    rect = (-0.1, 0.1, -0.01, 0.05)
+    reach = float(np.hypot(0.1, 0.05)) / rz._RHO
+    z = np.array([-0.1 - 0.01j, 0.1 - 0.01j, 0.1 + 0.05j, -0.1 + 0.05j,
+                  0.0 - 0.01j, 0.1 + 0.0j, 0.0 + 0.05j])
+    for lam_edge, near in ((reach, True), (np.nextafter(reach, 1.0), False)):
+        lambdas = np.array([-1.5, -0.9, -0.3, -0.05, 0.02, 0.3, lam_edge, 1.5])
+        sd = SpectralData(L=7, j=0, lambdas=lambdas,
+                          weights_end=np.linspace(0.01, 0.08, 8),
+                          weights_start=np.ones(8))
+        ff = rz._FarField(sd, [rect])
+        assert (ff.lo[0] <= 6 < ff.hi[0]) == near
+        _assert_matches_f(sd, ff, z, np.zeros(len(z), dtype=int))
+
+
+def test_batched_counts_equal_single_box_counts(monkeypatch, sd400,
+                                                edge_m1_j0):
+    # every box counts the same in its sweep's winding loop as through
+    # count_in_box alone, also when the boxes run in groups of 4
+    count_boxes = rz._count_boxes
+    swept = []
+    monkeypatch.setattr(rz, "_count_boxes", lambda sd, boxes: swept.append(
+        (boxes, count_boxes(sd, boxes))) or swept[-1][1])
+    for sd, edge in ((sd400, edge_m1_j0), _right_edge_1000()):
+        swept.clear()
+        results = ew.sweep_band_edge(sd, edge)
+        boxes, counts = swept[0]
+        assert len(swept) == 1 and boxes == [r.box for r in results]
+        assert counts == [rz.count_in_box(sd, box) for box in boxes]
+        assert counts == [1] * len(results)
+        with monkeypatch.context() as m:
+            m.setattr(rz, "_GROUP", 4)
+            assert count_boxes(sd, boxes) == counts
+
+
+def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
+                                            sweep400):
+    # box k's values are NaN: its count fails alone, and the sweep raises
+    # its error, with the message of count_in_box, after the Newton steps
+    # of boxes 0..k
+    k = 5
+    box_k = sweep400[k].box
+    evaluate = rz._FarField.__call__
+
+    def nan_on_box_k(ff, z, b):
+        w, errors = evaluate(ff, z, b)
+        on_k = ff.centre[b] == 0.5 * (box_k.x_lo + box_k.x_hi)
+        return np.where(on_k, np.nan, w), errors
+
+    monkeypatch.setattr(rz._FarField, "__call__", nan_on_box_k)
+    refine = rz.newton_refine
+    seeds = []
+    monkeypatch.setattr(rz, "newton_refine", lambda sd, seed: seeds.append(
+        seed) or refine(sd, seed))
+    message = ("boundary value vanished or blew up at "
+               f"{complex(box_k.x_lo, -box_k.depth)}")
+    counts = rz._count_boxes(sd400, [r.box for r in sweep400])
+    assert counts[:k] + counts[k + 1:] == [1] * (len(sweep400) - 1)
+    assert isinstance(counts[k], AdaptiveDepthExceeded)
+    assert str(counts[k]) == message
+    with pytest.raises(AdaptiveDepthExceeded) as exc:
+        rz.count_in_box(sd400, box_k)
+    assert str(exc.value) == message
+    with pytest.raises(AdaptiveDepthExceeded) as exc:
+        ew.sweep_band_edge(sd400, edge_m1_j0)
+    assert str(exc.value) == message
+    assert seeds[:k + 1] == [r.seed for r in sweep400[:k + 1]]
+
+    # a NoConvergence raises in box order too: before box k's count from
+    # box 2, after it from box 7
+    for j, expected in ((2, NoConvergence), (7, AdaptiveDepthExceeded)):
+        def fail_box_j(sd, seed, j=j):
+            if seed == sweep400[j].seed:
+                raise NoConvergence(seed, 1.0, 0)
+            return refine(sd, seed)
+
+        monkeypatch.setattr(rz, "newton_refine", fail_box_j)
+        with pytest.raises(expected):
+            ew.sweep_band_edge(sd400, edge_m1_j0)
 
 
 def test_pole_guard_shared_by_point_and_contour(sd400):
+    # the scalar guard of the point kernel and the array guard of the
+    # contour take the same decisions at 0.5x and 2x the tolerance
     tol = rz._POLE_TOL * sd400.scale
     k = 137
     lam = float(sd400.lambdas[k])
+    rect = (lam - 0.01, lam + 0.01, -0.01, 0.01)
+    ff = rz._FarField(sd400, [rect])
     for offset in (0.5 * tol, -0.5 * tol, -0.5j * tol):
         z = lam + offset
-        with pytest.raises(PoleHit, match=f"k = {k}\\)"):
-            rz._terms(sd400, z)
-        with pytest.raises(PoleHit, match=f"k = {k}\\)"):
-            rz._f_contour(sd400, np.array([0.1 - 0.1j, z]))
+        for guarded in (lambda: rz._pole_guard(sd400, z),
+                        lambda: rz._terms(sd400, z),
+                        lambda: rz.f_and_fprime(sd400, z)):
+            with pytest.raises(PoleHit, match=f"k = {k}\\)"):
+                guarded()
+        w, errors = ff(np.array([lam - 0.01j, z]), np.zeros(2, dtype=int))
+        assert isinstance(errors[0], PoleHit)
+        assert f"k = {k})" in str(errors[0])
+        assert str(errors[0]) == str(rz._pole_error(sd400, complex(z)))
     for offset in (2.0 * tol, -2.0 * tol, -2.0j * tol):
         z = lam + offset
+        rz._pole_guard(sd400, z)
         assert np.all(np.isfinite(rz._terms(sd400, z)[1]))
-        assert np.all(np.isfinite(rz._f_contour(sd400, np.array([z]))))
+        w, errors = ff(np.array([z]), np.zeros(1, dtype=int))
+        assert errors == {} and np.all(np.isfinite(w))
     # equidistant eigenvalues: PoleHit names the lower index
     lambdas = np.array([-1.0, 0.0, 1e-14, 1.0])
     pair = SpectralData(L=3, j=0, lambdas=lambdas, weights_end=np.ones(4),
                         weights_start=np.ones(4))
-    for guarded in (lambda z: rz._terms(pair, z),
-                    lambda z: rz._f_contour(pair, np.array([z]))):
-        with pytest.raises(PoleHit, match=r"k = 1\)"):
-            guarded(0.5e-14 + 0j)
+    with pytest.raises(PoleHit, match=r"k = 1\)"):
+        rz._pole_guard(pair, 0.5e-14 + 0j)
+    _, errors = rz._FarField(pair, [(-0.5, 0.5, -0.1, 0.1)])(
+        np.array([0.5e-14 + 0j]), np.zeros(1, dtype=int))
+    assert "k = 1)" in str(errors[0])
     assert rz._nearest_distance(lambdas, [-3.0, 0.75, 3.0]).tolist() == [
         2.0, 0.25, 2.0]
 
@@ -322,8 +453,8 @@ def test_count_in_box_guards(sd400):
         rz.count_in_box(sd400, rz.ResonanceBox(x_lo=1.5, x_hi=2.5,
                                                depth=0.05))
     # strictly above the axis there are no zeros and no poles
-    f = lambda z: rz._f_contour(sd400, z)
-    assert rz.winding_number(f, (-1.001, -0.9, 0.01, 0.02)) == 0
+    rect = (-1.001, -0.9, 0.01, 0.02)
+    assert rz._windings(rz._FarField(sd400, [rect]), [rect]) == [0]
 
 
 def test_count_in_box_eigenvalue_free_interval(sd400):
