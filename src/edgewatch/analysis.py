@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, MixedResidues, TooFewPoints
+from .errors import DegenerateData, TooFewPoints
 from .floquet import BandStructure, EdgeClassification, EdgeData
 from .resonance import Resonance
 from .spectrum import SpectralData, weight_profile
@@ -22,6 +22,7 @@ __all__ = [
     "ScalingCheck",
     "fit_power_law",
     "scaling_report",
+    "check_l_lengths",
     "l_scaling",
     "seed_accuracy",
 ]
@@ -31,6 +32,7 @@ SLOPE_TOLERANCE = 0.3
 # tracks: a fixed index n (width ~ L^-3) and n = floor(FRAC * L) (~ L^-1)
 L_SCALING_SLOPES = {"fixed": (-3.0, SLOPE_TOLERANCE),
                     "proportional": (-1.0, 0.4)}
+L_SCALING_MIN_LENGTHS = 3
 FIT_EXCLUDE_LOWEST = 3  # indices n in {0, 1, 2} stay out of log-log fits
 
 
@@ -45,14 +47,15 @@ class PowerLawFit:
 def fit_power_law(points, min_points: int = 4) -> PowerLawFit:
     """Least squares on (log x, log y) for positive data; needs >= 4 points.
 
-    The L-scaling track lowers min_points to 3, its own documented minimum.
+    The one owner of every fit's minimum (a NaN coordinate is not positive);
+    the L-scaling tracks lower min_points to L_SCALING_MIN_LENGTHS.
     """
-    pts = np.asarray(list(points), dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be pairs (x, y)")
     if len(pts) < min_points:
         raise TooFewPoints(f"need at least {min_points} points, got {len(pts)}")
-    if np.any(pts <= 0):
+    if not np.all(pts > 0):
         raise ValueError("all coordinates must be positive")
     lx = np.log(pts[:, 0])
     ly = np.log(pts[:, 1])
@@ -109,10 +112,6 @@ def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
     k1 = profile.k[keep] + 1.0
     offs = np.abs(profile.offsets[keep])
     wts = profile.weights_end[keep]
-    if keep.sum() < 4:
-        raise TooFewPoints(
-            f"only {int(keep.sum())} profile rows after excluding the lowest "
-            f"{FIT_EXCLUDE_LOWEST} indices")
 
     checks = [
         _check("eigenvalue-offsets", np.column_stack([k1, offs]), 2.0),
@@ -135,31 +134,41 @@ def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,
             np.column_stack([ks[keep_s] + 1.0, spacings[keep_s]]), 1.0))
 
     if resonances is not None:
-        rs = [r for r in resonances if r.n >= FIT_EXCLUDE_LOWEST]
-        if len(rs) < 4:
-            raise TooFewPoints(f"only {len(rs)} resonances beyond index "
-                               f"{FIT_EXCLUDE_LOWEST - 1}")
-        pts = np.array([[r.n + 1.0, abs(r.z.imag)] for r in rs])
+        pts = np.array([[r.n + 1.0, abs(r.z.imag)] for r in resonances
+                        if r.n >= FIT_EXCLUDE_LOWEST]).reshape(-1, 2)
         checks.append(_check("resonance-widths", pts, 2.0))
 
     return tuple(checks)
 
 
+def check_l_lengths(pairs: list[tuple[int, int]]) -> int:
+    """Refuse (L, j = L mod p) pairs with fewer than L_SCALING_MIN_LENGTHS
+    lengths, a repeated length or two residues j; return the residue.  The
+    one owner of these rules, run by l_scaling and before any section."""
+    lengths = [L for L, _ in pairs]
+    if len(lengths) < L_SCALING_MIN_LENGTHS:
+        raise ValueError(f"l-scaling needs at least {L_SCALING_MIN_LENGTHS} "
+                         f"lengths, got {len(lengths)}")
+    if len(set(lengths)) < len(lengths):
+        raise ValueError(f"the length list {lengths} repeats a length")
+    residues = sorted({j for _, j in pairs})
+    if len(residues) > 1:
+        raise ValueError(f"the length list {lengths} mixes residues L mod p: "
+                         f"{residues}")
+    return residues[0]
+
+
 def l_scaling(samples, track: str) -> ScalingCheck:
     """Fit |Im z| against L over a fixed-residue family of section lengths.
 
-    `samples` holds (L, j, Resonance) triples; all residues j must agree, and
-    on the "fixed" track all local indices n as well ("proportional" lets n
-    grow with L).  The expected slope and its pass band are
-    L_SCALING_SLOPES[track].
+    `samples` holds (L, j, Resonance) triples, whose (L, j) must pass
+    check_l_lengths; on the "fixed" track all local indices n must agree
+    ("proportional" lets n grow with L).  The expected slope and its pass
+    band are L_SCALING_SLOPES[track].
     """
     expected, band = L_SCALING_SLOPES[track]
     samples = list(samples)
-    if len(samples) < 3:
-        raise TooFewPoints(f"need at least 3 lengths, got {len(samples)}")
-    js = {j for _, j, _ in samples}
-    if len(js) > 1:
-        raise MixedResidues(f"samples mix residues {sorted(js)}")
+    check_l_lengths([(L, j) for L, j, _ in samples])
     if track == "fixed":
         ns = {r.n for _, _, r in samples}
         if len(ns) > 1:
@@ -167,7 +176,8 @@ def l_scaling(samples, track: str) -> ScalingCheck:
     pts = np.array([[float(L), abs(r.z.imag)] for L, _, r in samples])
     order = np.argsort(pts[:, 0])
     return ScalingCheck(name=track,
-                        fit=fit_power_law(pts[order], min_points=3),
+                        fit=fit_power_law(pts[order],
+                                          min_points=L_SCALING_MIN_LENGTHS),
                         expected_slope=expected, tolerance=band)
 
 

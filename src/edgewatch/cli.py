@@ -64,29 +64,23 @@ def _load_potential(args) -> PeriodicPotential:
                 and isinstance(data.get("values"), list)):
             raise UsageError(f"--potential-file must hold {shape}")
         try:
-            period = int(data["period"])
-            values = tuple(float(v) for v in data["values"])
+            return PeriodicPotential(period=data["period"],
+                                     values=data["values"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"--potential-file must hold {shape}: {exc}") \
                 from None
-        if isinstance(data["period"], float) and data["period"] != period:
-            raise UsageError(f"--potential-file must hold {shape}: period "
-                             f"{data['period']} is not an integer")
-        return PeriodicPotential(period=period, values=values)
     if args.potential is None:
         raise UsageError("one of --potential or --potential-file is required")
     try:
-        values = [float(tok) for tok in args.potential.split(",") if tok != ""]
+        return PeriodicPotential.from_values(
+            tok for tok in args.potential.split(",") if tok != "")
     except ValueError as exc:
         raise UsageError(f"bad --potential value: {exc}") from None
-    if not values:
-        raise UsageError("--potential needs at least one value")
-    return PeriodicPotential.from_values(values)
 
 
 def _match_edge(bs, value: float) -> float:
-    best = min(bs.edge_points, key=lambda ep: abs(ep.energy - value))
-    if abs(best.energy - value) > EDGE_MATCH_TOL:
+    best = bs.nearest_edge(value)
+    if not abs(best.energy - value) <= EDGE_MATCH_TOL:
         raise UsageError(
             f"--edge {value} does not match any computed edge within "
             f"{EDGE_MATCH_TOL:g}; edges are "
@@ -104,13 +98,6 @@ def _section(V, bs, L: int):
     return spectrum.band_enumerate(sd, bs)
 
 
-def _edge_inputs(args):
-    """Potential, bands and matched edge energy of an edge command."""
-    V = _load_potential(args)
-    bs = floquet.band_structure(V)
-    return V, bs, _match_edge(bs, args.edge)
-
-
 def _check_section_length(L: int):
     if L < 10:
         raise UsageError(f"resonance commands need L >= 10, got {L}")
@@ -123,8 +110,10 @@ def _edge_setup(args):
     is built, so input checks on it cost no eigensolve.
     """
     _check_section_length(args.L)
-    V, bs, e0 = _edge_inputs(args)
-    return V, bs, floquet.classify_edge(V, bs, e0, args.L % V.period)
+    V = _load_potential(args)
+    bs = floquet.band_structure(V)
+    return V, bs, floquet.classify_edge(V, bs, _match_edge(bs, args.edge),
+                                        args.L % V.period)
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +227,14 @@ def _cmd_l_scaling(args):
         lengths = [int(tok) for tok in args.L_list.split(",") if tok]
     except ValueError as exc:
         raise UsageError(f"bad --L-list: {exc}") from None
-    if len(lengths) < 3:
-        raise UsageError("--L-list needs at least 3 lengths")
-    V, bs, e0 = _edge_inputs(args)
-    # the fits need distinct lengths of one residue class L mod p
+    V = _load_potential(args)
+    j = analysis.check_l_lengths([(L, L % V.period) for L in lengths])
     _check_section_length(min(lengths))
-    if len(set(lengths)) < len(lengths):
-        raise UsageError(f"--L-list repeats a length: {args.L_list}")
-    residues = sorted({L % V.period for L in lengths})
-    if len(residues) > 1:
-        raise UsageError(f"--L-list mixes residues L mod {V.period}: "
-                         f"{residues}")
     if args.proportional is not None and not 0.0 <= args.proportional < 1.0:
         raise UsageError(f"--proportional must be in [0, 1), got "
                          f"{args.proportional}")
-    edge = floquet.classify_edge(V, bs, e0, residues[0])
+    bs = floquet.band_structure(V)
+    edge = floquet.classify_edge(V, bs, _match_edge(bs, args.edge), j)
     resonance.check_step_inputs(edge, args.eps, n=args.n)
     fixed, prop = [], []
     for L in lengths:

@@ -101,7 +101,3 @@ class EmptyRegion(SpectralError):
 
 class DegenerateData(SpectralError):
     """Fit input is degenerate (e.g. all abscissae equal)."""
-
-
-class MixedResidues(SpectralError):
-    """A fixed-residue family mixes different values of L mod p."""

@@ -142,6 +142,11 @@ class BandStructure:
     def discriminant_derivative_at(self, E):
         return npoly.polyval(E, npoly.polyder(self.discriminant_coeffs))
 
+    def nearest_edge(self, E: float) -> EdgePoint:
+        """The recorded edge nearest to E (not the first within a tolerance,
+        which can miss a narrow band's right edge); callers test their own."""
+        return min(self.edge_points, key=lambda ep: abs(ep.energy - E))
+
     def locate(self, E: float):
         """Index of the band containing E (within 1e-12), else None."""
         atol = 1e-12 * max(1.0, abs(E))
@@ -467,10 +472,8 @@ def classify_edge(V: PeriodicPotential, bs: BandStructure, e0: float,
     """
     if not 0 <= j <= V.period - 1:
         raise ValueError(f"j must be in [0, {V.period - 1}], got {j}")
-    # the nearest edge point, not the first one within the tolerance: a band
-    # narrower than the tolerance would otherwise lose its right edge
-    match = min(bs.edge_points, key=lambda ep: abs(ep.energy - e0))
-    if abs(match.energy - e0) > 1e-9 * max(1.0, abs(e0)):
+    match = bs.nearest_edge(e0)
+    if not abs(match.energy - e0) <= 1e-9 * max(1.0, abs(e0)):
         raise NotAnEdge(f"{e0} is not within 1e-9 of a recorded band edge")
     E0 = match.energy
 

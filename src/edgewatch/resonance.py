@@ -618,12 +618,12 @@ def _resonance(sd, edge, n, g, box, refined, count) -> Resonance:
 
 def check_step_inputs(edge: EdgeData, eps: float, *, L: int | None = None,
                       C1: float | None = None, n: int | None = None):
-    """Refuse, in order: C1 <= 0, an edge outside (-2, 2), a non-generic
-    edge, an eps outside (0, 0.3], a sweep's L*eps/C1 < 3 and a step's n < 0;
-    the one input check of every box builder, run before any section."""
-    if C1 is not None and C1 <= 0:
+    """Refuse, in order, NaN failing each: C1 <= 0, an edge outside (-2, 2),
+    a non-generic edge, an eps outside (0, 0.3], a sweep's L*eps/C1 < 3 and a
+    step's n < 0; the one input check of every box builder, run first."""
+    if C1 is not None and not C1 > 0:
         raise ValueError(f"C1 must be positive, got {C1}")
-    if abs(edge.e0) >= 2.0:
+    if not abs(edge.e0) < 2.0:
         raise ValueError(f"edge {edge.e0} lies outside (-2, 2); resonances "
                          "are located only at edges inside it")
     if not edge.is_generic:
@@ -632,7 +632,7 @@ def check_step_inputs(edge: EdgeData, eps: float, *, L: int | None = None,
             "located only at generic edges")
     if not 0.0 < eps <= 0.3:
         raise ValueError(f"eps must be in (0, 0.3], got {eps}")
-    if C1 is not None and L * eps / C1 < 3:
+    if C1 is not None and not L * eps / C1 >= 3:
         raise ValueError(f"L*eps/C1 = {L * eps / C1:.2f} < 3; increase L")
     if n is not None and n < 0:
         raise ValueError(f"resonance index n must be >= 0, got {n}")
@@ -699,13 +699,13 @@ def check_region_inputs(edge: EdgeData, eps: float,
                         bs: BandStructure) -> ResonanceBox:
     """The rectangle [e0 - eps, e0] x [-eps^5, 0] of free_region_check.
 
-    Refuses, in order: a right edge, eps <= 0, a gap below the edge narrower
-    than eps and a rectangle reaching |E| >= 2; the one input check of
-    free_region_check, run before any section is built.
+    Refuses, in order: a right edge, eps <= 0 or NaN, a gap below the edge
+    narrower than eps and a rectangle reaching |E| >= 2; the one input check
+    of free_region_check, run before any section is built.
     """
     if edge.side != "left":
         raise ValueError("free_region_check applies to left band edges")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     box = ResonanceBox.between(edge.e0 - eps, edge.e0, eps)
     if edge.band_index > 0 and box.x_lo < bs.bands[edge.band_index - 1][1]:

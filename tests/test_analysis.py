@@ -6,7 +6,7 @@ import pytest
 import edgewatch as ew
 from edgewatch import analysis
 from edgewatch.cli import main
-from edgewatch.errors import DegenerateData, MixedResidues, TooFewPoints
+from edgewatch.errors import DegenerateData, TooFewPoints
 from edgewatch.resonance import Resonance, ResonanceBox
 
 
@@ -40,8 +40,10 @@ def test_fit_errors():
         analysis.fit_power_law([(1, 1), (2, 4), (3, 9)])
     with pytest.raises(DegenerateData):
         analysis.fit_power_law([(2, 1), (2, 2), (2, 3), (2, 4)])
-    with pytest.raises(ValueError):
-        analysis.fit_power_law([(1, 1), (2, -4), (3, 9), (4, 16)])
+    # a NaN coordinate is not positive either, and never reaches np.log
+    for bad in (-4.0, float("nan")):
+        with pytest.raises(ValueError, match="must be positive"):
+            analysis.fit_power_law([(1, 1), (2, bad), (3, 9), (4, 16)])
 
 
 def test_l_scaling_exact_cube():
@@ -58,10 +60,15 @@ def test_l_scaling_exact_cube():
 def test_l_scaling_guards():
     samples = [(L, L % 2, _fake_resonance(3, 1.0 / L ** 3, L=L))
                for L in (250, 501, 1000)]
-    with pytest.raises(MixedResidues):
+    # the length rules are check_l_lengths', the CLI's refusals of --L-list
+    with pytest.raises(ValueError, match="mixes residues"):
         analysis.l_scaling(samples, "fixed")
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ValueError, match="at least 3 lengths, got 2"):
         analysis.l_scaling(samples[:2], "fixed")
+    repeated = [(L, 0, _fake_resonance(3, 1.0 / L ** 3, L=L))
+                for L in (250, 250, 500)]
+    with pytest.raises(ValueError, match="repeats a length"):
+        analysis.l_scaling(repeated, "fixed")
     # the track decides whether n may vary: only the proportional one lets
     # it grow with L, and its band around -1 rejects a slope of -3
     mixed_n = [(L, 0, _fake_resonance(n, 1.0 / L ** 3, L=L))
@@ -104,6 +111,14 @@ def test_scaling_report_generic(bs03, sd400, sweep400, edge_m1_j0):
 def test_scaling_report_without_resonances(sd400, edge_m1_j0, bs03):
     checks = analysis.scaling_report(sd400, None, edge_m1_j0, eps=0.2, bs=bs03)
     assert "resonance-widths" not in [c.name for c in checks]
+
+
+def test_scaling_report_too_few_widths(sd400, sweep400, edge_m1_j0, bs03):
+    # fit_power_law owns every fit's minimum: two widths beyond index 2, or
+    # none at all, are too few for the width fit
+    for rs in (sweep400[:5], []):
+        with pytest.raises(TooFewPoints, match="need at least 4 points"):
+            analysis.scaling_report(sd400, rs, edge_m1_j0, eps=0.2, bs=bs03)
 
 
 def test_scaling_report_non_generic_signature(V03, bs03, sd400):

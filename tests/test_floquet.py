@@ -38,6 +38,19 @@ def test_product_matrix_rejects_bad_k():
         ew.monodromy(V, 0.0, 2)
 
 
+def test_potential_owns_its_input_rules():
+    # an integral float period is the integer, so the periodic extension
+    # can index its cell; any other period that is no integer >= 1 is refused
+    V = ew.PeriodicPotential(period=2.0, values=(0, 3))
+    assert type(V.period) is int and V.period == 2
+    assert V.sampled(3) == [0.0, 3.0, 0.0]
+    for period in (2.7, float("inf"), None, "2", 0):
+        with pytest.raises(ValueError, match="period must be an integer"):
+            ew.PeriodicPotential(period=period, values=(0, 3))
+    with pytest.raises(ValueError, match="at least one value"):
+        ew.PeriodicPotential.from_values([])
+
+
 def test_monodromy_symbolic():
     # T_1 T_0 for V = (0, 3): ((E^2-3E-1, 3-E), (E, -1))
     V = ew.PeriodicPotential.from_values([0.0, 3.0])
@@ -250,8 +263,11 @@ def test_classify_edge_non_generic_cases(V03, bs03):
 
 
 def test_classify_edge_errors_and_consistency(V03, bs03):
-    with pytest.raises(NotAnEdge):
-        ew.classify_edge(V03, bs03, -0.5, 0)
+    # a NaN energy fails the tolerance test against its nearest edge
+    assert bs03.nearest_edge(-0.6).energy == -1.0
+    for e0 in (-0.5, float("nan")):
+        with pytest.raises(NotAnEdge):
+            ew.classify_edge(V03, bs03, e0, 0)
     with pytest.raises(ValueError):
         ew.classify_edge(V03, bs03, -1.0, 2)
     ed = ew.classify_edge(V03, bs03, -1.0, 0)

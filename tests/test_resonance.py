@@ -550,10 +550,12 @@ def test_sweep_parameter_validation(monkeypatch, sd400, edge_m1_j0):
             rz.locate_resonance(sd400, edge_m1_j0, 1, eps=eps)
     with pytest.raises(ValueError):
         ew.sweep_band_edge(sd400, edge_m1_j0, eps=0.05, C1=10.0)
-    # a non-positive C1 is refused before L*eps/C1 is formed
-    for C1 in (0.0, -1.0):
+    # a non-positive or NaN C1 is refused before L*eps/C1 is formed
+    for C1 in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="C1 must be positive"):
             rz.check_step_inputs(edge_m1_j0, 0.2, L=400, C1=C1)
+    with pytest.raises(ValueError, match="C1 must be positive"):
+        ew.sweep_band_edge(sd400, edge_m1_j0, 0.2, C1=float("nan"))
     # every box of a sweep is built, and the band size checked by _box_for,
     # before any resonance is refined
     def refine(*args, **kwargs):
@@ -649,9 +651,10 @@ def test_free_region_rejects_right_edge(V03, bs03, sd400):
 
 
 def test_free_region_refuses_bad_inputs(V03, bs03, sd400):
-    # check_region_inputs also refuses a non-positive eps, a gap below the
-    # edge narrower than eps and a rectangle reaching |E| >= 2
+    # check_region_inputs also refuses a non-positive or NaN eps, a gap
+    # below the edge narrower than eps and a rectangle reaching |E| >= 2
     for e0, eps, msg in ((-1.0, -0.1, "eps must be positive"),
+                         (-1.0, float("nan"), "eps must be positive"),
                          (3.0, 5.0, "gap below the edge is narrower"),
                          (3.0, 0.2, r"meets the real axis outside \(-2, 2\)")):
         edge = ew.classify_edge(V03, bs03, e0, 0)
