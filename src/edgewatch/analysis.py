@@ -90,9 +90,12 @@ class ScalingCheck:
 
 
 def _check(name, pts, expected, note=""):
-    return ScalingCheck(name=name, fit=fit_power_law(pts),
-                        expected_slope=expected, tolerance=SLOPE_TOLERANCE,
-                        note=note)
+    try:
+        fit = fit_power_law(pts)
+    except TooFewPoints as exc:
+        raise TooFewPoints(f"{name}: {exc}") from None
+    return ScalingCheck(name=name, fit=fit, expected_slope=expected,
+                        tolerance=SLOPE_TOLERANCE, note=note)
 
 
 def scaling_report(sd: SpectralData, resonances: list[Resonance] | None,

@@ -11,7 +11,8 @@ from typing import Iterable, Sequence
 @dataclass(frozen=True)
 class PeriodicPotential:
     """A real potential of period ``p`` given by its values on one cell; the
-    one owner of its input rules (an integral float period becomes an int)."""
+    one owner of its input rules (an integral float period becomes an int,
+    a bool is refused)."""
 
     period: int
     values: tuple[float, ...]
@@ -23,7 +24,8 @@ class PeriodicPotential:
         period = self.period
         if isinstance(period, float) and period.is_integer():
             period = int(period)
-        if not (isinstance(period, numbers.Integral) and period >= 1):
+        if not (isinstance(period, numbers.Integral)
+                and not isinstance(period, bool) and period >= 1):
             raise ValueError(
                 f"period must be an integer >= 1, got {self.period!r}")
         if len(vals) != period:

@@ -4,9 +4,11 @@ The truncated operator is an (L+1) x (L+1) symmetric tridiagonal matrix with
 unit off-diagonals.  Only the boundary components of the eigenvectors are
 retained: the pair (eigenvalue, squared last component) fully determines the
 resonances downstream, and the squared first component feeds the edge
-classification cross-checks.  Both come from one twisted factorisation of
-H - lambda per eigenvalue (Dhillon & Parlett, LAA 387, 2004), vectorised
-over a slice of eigenvalues at a time.
+classification cross-checks.  Past the tridiagonal QR eigenvalues, one
+recurrence gives both: the twisted factorisation of H - lambda per
+eigenvalue (Dhillon & Parlett, LAA 387, 2004), vectorised over a slice of
+eigenvalues at a time, whose Rayleigh quotient corrects each eigenvalue
+and whose vector at the corrected eigenvalue gives the weights.
 """
 
 from __future__ import annotations
@@ -45,12 +47,11 @@ __all__ = [
 # eigenvalue's, and against a high-precision oracle the worst weight error
 # grows from 9e-13 at L=400 to 8e-11 at L=4000
 L_SOFT_CAP = 4000
-# relative to max(1, spectral radius): the Newton polish clips each correction
-# to ten times this, and band_enumerate snaps an eigenvalue within this (times
-# sd.scale) of a band edge onto the edge.  For sd.scale <= 5 that radius is at
-# most half the 1e-12 gap eigensystem guarantees, so a snap cannot reorder
-# eigenvalues; near-edge eigenvalues of a section are ~1/L^2 apart, so only a
-# true edge eigenvalue lies that close to an edge.
+# band_enumerate snaps an eigenvalue within this (times sd.scale) of a band
+# edge onto the edge.  For sd.scale <= 5 that radius is at most half the
+# 1e-12 gap eigensystem guarantees, so a snap cannot reorder eigenvalues;
+# near-edge eigenvalues of a section are ~1/L^2 apart, so only a true edge
+# eigenvalue lies that close to an edge.
 EIGENVALUE_TOL = 1e-13
 # band-membership slack of band_enumerate (times max(1, |lambda|)) and the
 # band-edge margin of quantization_residuals
@@ -83,9 +84,6 @@ class TridiagonalOperator:
     @property
     def L(self) -> int:
         return len(self.diag) - 1
-
-    def spectral_radius_bound(self) -> float:
-        return 2.0 + float(np.max(np.abs(self.diag)))
 
 
 @dataclass(frozen=True)
@@ -140,34 +138,6 @@ def assemble(V: PeriodicPotential, L: int) -> TridiagonalOperator:
     return TridiagonalOperator(diag=diag, period=V.period)
 
 
-def _newton_polish(diag: np.ndarray, lam: np.ndarray, abs_tol: float) -> np.ndarray:
-    """Two Newton passes on the characteristic recurrence, all shifts at once.
-
-    The recurrence is rescaled every step so the correction p/p' stays
-    representable for sections of any length.
-    """
-    n = len(diag)
-    out = lam.copy()
-    for _ in range(2):
-        p_prev = np.ones_like(out)
-        p_cur = diag[0] - out
-        d_prev = np.zeros_like(out)
-        d_cur = -np.ones_like(out)
-        for i in range(1, n):
-            a = diag[i] - out
-            p_new = a * p_cur - p_prev
-            d_new = a * d_cur - p_cur - d_prev
-            m = np.maximum(np.maximum(np.abs(p_new), np.abs(d_new)), 1.0)
-            p_prev, p_cur = p_cur / m, p_new / m
-            d_prev, d_cur = d_cur / m, d_new / m
-        safe = np.abs(d_cur) > 1e-300
-        corr = np.zeros_like(out)
-        corr[safe] = p_cur[safe] / d_cur[safe]
-        corr = np.clip(corr, -10.0 * abs_tol, 10.0 * abs_tol)
-        out = out - corr
-    return out
-
-
 def _pivots_backward(v, x, lo, hi, d_lo, widths, bufs, u, visit):
     """Call visit(i, D+_i) for i = hi-1 down to lo, given D+_lo.
 
@@ -200,7 +170,8 @@ def _pivots_backward(v, x, lo, hi, d_lo, widths, bufs, u, visit):
 
 
 def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
-    """Boundary weights and residuals of the twisted vectors at shifts x.
+    """Boundary weights, residuals and Rayleigh quotients of the twisted
+    vectors at shifts x.
 
     For each shift, with a_i = v_i - x, the forward pivots are
     D+_i = a_i - 1/D+_{i-1} and the backward pivots D-_i = a_i - 1/D-_{i+1};
@@ -210,8 +181,9 @@ def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
     rho_i = z_0^2 / sum_{k<=i} z_k^2 going forward, Q_i and sigma_i their
     mirror images going backward.  With N = R_r + Q_r - 1 = ||z||^2 at the
     twist r = argmin |gamma_i| (the lowest such site), the weights are
-    rho_r R_r / N and sigma_r Q_r / N and the relative residual is
-    |gamma_r| / sqrt(N).
+    rho_r R_r / N and sigma_r Q_r / N, the relative residual is
+    |gamma_r| / sqrt(N) and the Rayleigh quotient z^T H z / N is
+    x + gamma_r / N (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
 
     The backward pass meets the forward pivots site by site through
     _pivots_backward, whose checkpoints (block widths `widths`) keep the
@@ -228,8 +200,7 @@ def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
     sig = np.ones(m)
     best = np.full(m, np.inf)
     r = np.zeros(m, dtype=np.intp)
-    Q_r = np.full(m, np.nan)
-    sig_r = np.full(m, np.nan)
+    g_r, Q_r, sig_r = np.full((3, m), np.nan)
     better = np.empty(m, dtype=bool)
 
     def visit(i, g):
@@ -243,11 +214,12 @@ def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
             np.multiply(sig, y, out=sig)
             np.divide(sig, Q, out=sig)
         g -= un
-        np.abs(g, out=g)
-        np.less_equal(g, best, out=better)
-        np.fmin(g, best, out=best)
+        np.abs(g, out=y)
+        np.less_equal(y, best, out=better)
+        np.fmin(y, best, out=best)
         hit = np.flatnonzero(better)
         r[hit] = i
+        g_r[hit] = g[hit]
         Q_r[hit] = Q[hit]
         sig_r[hit] = sig[hit]
 
@@ -283,7 +255,8 @@ def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
     rho_r[order] = rho
 
     norm = R_r + Q_r - 1.0
-    return sig_r * Q_r / norm, rho_r * R_r / norm, best / np.sqrt(norm)
+    return (sig_r * Q_r / norm, rho_r * R_r / norm, best / np.sqrt(norm),
+            x + g_r / norm)
 
 
 def _twisted_stored(v: np.ndarray, x: np.ndarray):
@@ -322,15 +295,16 @@ def _twisted_stored(v: np.ndarray, x: np.ndarray):
             y = Q * un * un
             Q = 1.0 + y
             sig = sig * y / Q
-        g = np.abs(d[i] - un)
-        key = g + _TWIST_TIE * (R[i] + Q)
+        g = d[i] - un
+        key = np.abs(g) + _TWIST_TIE * (R[i] + Q)
         better = key <= best
         best = np.where(better, key, best)
         for mine, now in ((g_r, g), (R_r, R[i]), (rho_r, rho[i]), (Q_r, Q),
                           (sig_r, sig)):
             np.copyto(mine, now, where=better)
     norm = R_r + Q_r - 1.0
-    return sig_r * Q_r / norm, rho_r * R_r / norm, g_r / np.sqrt(norm)
+    return (sig_r * Q_r / norm, rho_r * R_r / norm, np.abs(g_r) / np.sqrt(norm),
+            x + g_r / norm)
 
 
 def _checkpoint_widths(n: int) -> tuple[list, int]:
@@ -354,18 +328,19 @@ def _checkpoint_widths(n: int) -> tuple[list, int]:
 
 
 def _boundary_weights(diag: np.ndarray, lam: np.ndarray):
-    """(weights_end, weights_start) of the eigenvectors at eigenvalues lam.
+    """(weights_end, weights_start, rayleigh) of the twisted vectors at lam.
 
     Shifts whose weights overflow under _twisted_slice are redone by
     _twisted_stored.  Raises ConvergenceFailure at the first eigenvalue
     whose twisted vector misses WEIGHT_RESIDUAL_TOL or whose weights are
-    not finite.
+    not finite.  The certificate also bounds each Rayleigh correction:
+    |gamma_r| / N <= |gamma_r| / sqrt(N) <= WEIGHT_RESIDUAL_TOL.
     """
     n = len(diag)
     widths, lane_bytes = _checkpoint_widths(n)
     slices = -(-len(lam) * lane_bytes // WEIGHT_WORKSPACE_BYTES)
     width = -(-len(lam) // slices)
-    out = np.empty((3, len(lam)))
+    out = np.empty((4, len(lam)))
     with np.errstate(all="ignore"):
         for lo in range(0, len(lam), width):
             out[:, lo:lo + width] = _twisted_slice(diag, lam[lo:lo + width],
@@ -375,42 +350,43 @@ def _boundary_weights(diag: np.ndarray, lam: np.ndarray):
         for lo in range(0, len(redo), width):
             idx = redo[lo:lo + width]
             out[:, idx] = _twisted_stored(diag, lam[idx])
-    w_end, w_start, resid = out
+    w_end, w_start, resid, rayleigh = out
     ok = (resid <= WEIGHT_RESIDUAL_TOL) & np.isfinite(w_end) & np.isfinite(w_start)
     if not ok.all():
         k = int(np.argmin(ok))
         raise ConvergenceFailure(k, float(resid[k]))
-    return w_end, w_start
+    return w_end, w_start, rayleigh
 
 
 def eigensystem(H: TridiagonalOperator) -> SpectralData:
     """All eigenvalues and eigenvector boundary weights of the section.
 
-    Eigenvalues come from the tridiagonal QR algorithm followed by a Newton
-    polish on the characteristic recurrence (band_enumerate later snaps edge
-    eigenvalues onto the band edge).  Boundary weights come from one twisted
-    factorisation per eigenvalue, vectorised over slices of the spectrum;
-    the twisted vector's relative residual is its certificate, and one
-    above WEIGHT_RESIDUAL_TOL raises ConvergenceFailure.  The result is a
-    function of H alone.
+    Past the tridiagonal QR algorithm, one recurrence serves both: the
+    twisted factorisation of H - x, vectorised over slices of the spectrum.
+    A first pass at the QR eigenvalues corrects each to its twisted
+    vector's Rayleigh quotient (band_enumerate later snaps edge eigenvalues
+    onto the band edge).  A second pass at the corrected eigenvalues gives
+    the boundary weights, and its own quotients are not applied.  The
+    twisted vector's relative residual is the certificate of each pass,
+    and one above WEIGHT_RESIDUAL_TOL raises ConvergenceFailure.  The
+    result is a function of H alone.
     """
     L = H.L
     if L > L_SOFT_CAP:
         warnings.warn(
             f"L = {L} exceeds the supported working-precision cap {L_SOFT_CAP}; "
             "near-edge weights may lose relative accuracy", stacklevel=2)
-    abs_tol = EIGENVALUE_TOL * max(1.0, H.spectral_radius_bound())
 
     lam = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
                            lapack_driver="stev")
-    lam = np.sort(_newton_polish(H.diag, lam, abs_tol))
+    lam = np.sort(_boundary_weights(H.diag, lam)[2])
     gaps = np.diff(lam)
     if np.any(gaps < 1e-12):
         k = int(np.argmin(gaps))
         raise ConvergenceFailure(k, float(gaps[k]),
                                  f"near-degenerate eigenvalue pair at index {k}")
 
-    w_end, w_start = _boundary_weights(H.diag, lam)
+    w_end, w_start, _ = _boundary_weights(H.diag, lam)
     return SpectralData(L=L, j=L % H.period, lambdas=lam,
                         weights_end=w_end, weights_start=w_start)
 

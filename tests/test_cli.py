@@ -276,6 +276,15 @@ def test_scaling_command(capsys):
     assert any(line.startswith("resonance-widths,") for line in lines)
 
 
+def test_scaling_names_the_fit_with_too_few_points(capsys):
+    # at L = 150 the sweep keeps a single width beyond the excluded indices
+    code, out, err = run_cli(capsys, "scaling", "--potential", "0,3",
+                             "--L", "150", "--edge", "-1")
+    assert code == 3
+    assert out == ""
+    assert "TooFewPoints: resonance-widths: need at least 4 points, got 1" in err
+
+
 def test_l_scaling_command(capsys):
     code, out, _ = run_cli(capsys, "l-scaling", "--potential", "0,3",
                            "--edge", "-1", "--L-list", "100,200,400",
@@ -305,6 +314,7 @@ def test_potential_file(tmp_path, capsys):
                  {"period": None, "values": [0, 3]},
                  {"period": 2.7, "values": [0, 3]},
                  {"period": float("inf"), "values": [0, 3]},
+                 {"period": True, "values": [1.5]},
                  {"period": 2, "values": [None, 3]}):
         bad.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "bands", "--potential-file",

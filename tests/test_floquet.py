@@ -40,11 +40,12 @@ def test_product_matrix_rejects_bad_k():
 
 def test_potential_owns_its_input_rules():
     # an integral float period is the integer, so the periodic extension
-    # can index its cell; any other period that is no integer >= 1 is refused
+    # can index its cell; any other period that is no integer >= 1 (a bool
+    # included) is refused
     V = ew.PeriodicPotential(period=2.0, values=(0, 3))
     assert type(V.period) is int and V.period == 2
     assert V.sampled(3) == [0.0, 3.0, 0.0]
-    for period in (2.7, float("inf"), None, "2", 0):
+    for period in (2.7, float("inf"), None, "2", 0, True):
         with pytest.raises(ValueError, match="period must be an integer"):
             ew.PeriodicPotential(period=period, values=(0, 3))
     with pytest.raises(ValueError, match="at least one value"):

@@ -54,14 +54,37 @@ def _bisection_sections():
         yield rng.uniform(-2, 2, int(rng.integers(1, 6))), 400
 
 
+def _newton_polish(diag, lam, abs_tol):
+    """Two Newton passes on the characteristic recurrence, all shifts at once,
+    each correction clipped to 10 * abs_tol; rescaled every step so p/p'
+    stays representable for sections of any length."""
+    out = lam.copy()
+    for _ in range(2):
+        p_prev, p_cur = np.ones_like(out), diag[0] - out
+        d_prev, d_cur = np.zeros_like(out), -np.ones_like(out)
+        for v in diag[1:]:
+            a = v - out
+            p_new = a * p_cur - p_prev
+            d_new = a * d_cur - p_cur - d_prev
+            m = np.maximum(np.maximum(np.abs(p_new), np.abs(d_new)), 1.0)
+            p_prev, p_cur = p_cur / m, p_new / m
+            d_prev, d_cur = d_cur / m, d_new / m
+        safe = np.abs(d_cur) > 1e-300
+        corr = np.zeros_like(out)
+        corr[safe] = p_cur[safe] / d_cur[safe]
+        out = out - np.clip(corr, -10.0 * abs_tol, 10.0 * abs_tol)
+    return out
+
+
 def test_eigenvalues_match_bisection():
-    # Sturm bisection (LAPACK stebz) with the same polish is the reference
+    # Sturm bisection (LAPACK stebz) with its own Newton polish is the
+    # reference
     for values, L in _bisection_sections():
         H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
-        abs_tol = spectrum.EIGENVALUE_TOL * max(1.0, H.spectral_radius_bound())
+        abs_tol = 1e-13 * (2.0 + np.max(np.abs(H.diag)))
         ref = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
                                lapack_driver="stebz", tol=abs_tol)
-        ref = np.sort(spectrum._newton_polish(H.diag, ref, abs_tol))
+        ref = np.sort(_newton_polish(H.diag, ref, abs_tol))
         lam = ew.eigensystem(H).lambdas
         assert len(lam) == L + 1
         eps = np.finfo(float).eps
@@ -80,8 +103,9 @@ def test_eigensystem_deterministic_given_seed():
 
 
 def _oracle_weights(diag, lam, dps):
-    """(weight_end, weight_start) at dps digits: Newton on the characteristic
-    polynomial from lam, then the eigenvector by the forward recurrence."""
+    """(root, weight_end, weight_start) at dps digits: Newton on the
+    characteristic polynomial from lam, then the eigenvector by the forward
+    recurrence."""
     with mpmath.workdps(dps):
         v = [mpmath.mpf(float(t)) for t in diag]
         x = mpmath.mpf(float(lam))
@@ -97,22 +121,28 @@ def _oracle_weights(diag, lam, dps):
         for i in range(1, len(v) - 1):
             phi.append((x - v[i]) * phi[i] - phi[i - 1])
         norm = mpmath.fsum(f * f for f in phi)
-        return phi[-1] ** 2 / norm, phi[0] ** 2 / norm
+        return x, phi[-1] ** 2 / norm, phi[0] ** 2 / norm
 
 
-def _assert_weights_match(sd, diag, indices, dps):
+def _assert_weights_match(diag, lam, w_end, w_start, indices, dps):
+    """Hold the weights at `indices` to the oracle; return its roots."""
+    roots = []
     for k in indices:
-        for ref, got in zip(_oracle_weights(diag, sd.lambdas[k], dps),
-                            (sd.weights_end[k], sd.weights_start[k])):
+        root, *refs = _oracle_weights(diag, lam[k], dps)
+        for ref, got in zip(refs, (w_end[k], w_start[k])):
             if ref >= mpmath.mpf("1e-250"):
                 assert abs(got - float(ref)) <= 1e-11 * float(ref), (k, ref, got)
             else:
                 assert abs(got) <= 1e-300, (k, ref, got)
+        roots.append(root)
+    return roots
 
 
 def test_weights_match_mpmath_oracle():
     # the gap states, localised at one end, have weights down to 1e-105 at
-    # the other; the near-edge weights feed every resonance seed
+    # the other; the near-edge weights feed every resonance seed, and their
+    # eigenvalues are within eps of the exact ones
+    eps = np.finfo(float).eps
     for values, L, dps in (([0.0, 3.0], 400, 200), ([1.0, -2.0, 0.5], 301, 200)):
         V = ew.PeriodicPotential.from_values(values)
         bs = ew.band_structure(V)
@@ -121,17 +151,29 @@ def test_weights_match_mpmath_oracle():
         picked = set(np.flatnonzero(sd.band_of < 0).tolist())
         for ep in bs.edge_points:
             picked.update(np.argsort(np.abs(sd.lambdas - ep.energy))[:4].tolist())
-        _assert_weights_match(sd, H.diag, sorted(picked), dps)
+        picked = sorted(picked)
+        roots = _assert_weights_match(H.diag, sd.lambdas, sd.weights_end,
+                                      sd.weights_start, picked, dps)
+        for k, root in zip(picked, roots):
+            lam = sd.lambdas[k]
+            assert abs(lam - root) <= eps * max(1.0, abs(lam)), (k, lam, root)
 
 
 def test_weights_at_exact_floating_point_eigenvalues():
-    # at these gap states the pivot recurrences meet their eigenvalue exactly
-    # (a zero pivot every period), so |gamma| vanishes at most sites and the
-    # smallest |gamma| alone would twist where the norms overflow
-    for values, L, k in (([0.0, 1.0, 3.0], 300, 100), ([1.0, 3.0, 0.0], 301, 100)):
+    # at these gap states the pivot recurrences meet their shift exactly (a
+    # zero pivot every period), so |gamma| vanishes at most sites and the
+    # smallest |gamma| alone twists where the norms overflow: only the
+    # _twisted_stored fallback gives finite weights
+    for values, L, x in (([0.0, 1.0, 3.0], 300, -0.3027756377319946),
+                         ([1.0, 3.0, 0.0], 301, 0.585786437626905)):
         H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
-        sd = ew.eigensystem(H)
-        _assert_weights_match(sd, H.diag, [k], 200)
+        lam = np.array([x])
+        widths, _ = spectrum._checkpoint_widths(L + 1)
+        with np.errstate(all="ignore"):
+            alone = spectrum._twisted_slice(H.diag, lam, widths)[:2]
+        assert not np.isfinite(alone).all()
+        w_end, w_start, _ = spectrum._boundary_weights(H.diag, lam)
+        _assert_weights_match(H.diag, lam, w_end, w_start, [0], 200)
 
 
 def test_weight_certificate_refuses_a_shifted_spectrum():
