@@ -27,7 +27,6 @@ from .errors import (
     NonGenericEdge,
     OnBranchCut,
     PoleHit,
-    SpectralError,
     UniquenessFailed,
 )
 from .floquet import BandStructure, EdgeData
@@ -260,18 +259,19 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack((a, b), axis=1).ravel()
 
 
-def _windings(func, rects) -> list:
+def _windings(func, rects) -> list[int]:
     """Winding numbers of func along many rectangle boundaries at once.
 
     func(z, b) returns the values at the points z of rectangles b (integer
-    indices into rects) and a dict {b: error} of the rectangles whose
-    evaluation failed.  One adaptive loop serves every rectangle: each
+    indices into rects).  One adaptive loop serves every rectangle: each
     level evaluates all open segments of all rectangles in one call, and
-    each rectangle's phase total is accumulated separately.  A failure is
-    returned in place of its rectangle's winding number and stops only that
-    rectangle; the points of a rectangle stay contiguous and in its own
-    order, so each failure and its message are those of the rectangle
-    traced alone.
+    each rectangle's phase total is accumulated separately.  The first
+    failure raises: an error of func, a vanishing or non-finite value, the
+    depth limit or a phase total that is not a multiple of 2*pi
+    (AdaptiveDepthExceeded), so among failing rectangles the one met at the
+    earliest level.  The points of a rectangle stay contiguous and in its
+    own order, so a rectangle's failure and its message are those of the
+    rectangle traced alone.
     """
     rects = np.asarray(rects, dtype=float).reshape(-1, 4)
     B = len(rects)
@@ -282,17 +282,13 @@ def _windings(func, rects) -> list:
     sides = (corners[:, 1:] - corners[:, :-1])[:, :, None]
     z1 = (corners[:, :-1, None] + sides * ts).reshape(B, 4 * _SAMPLES_PER_EDGE)
     box = np.repeat(np.arange(B), z1.shape[1])
-    failed = {}
 
     def values(z, b):
-        w, errors = func(z, b)
-        failed.update(errors)
-        w = np.broadcast_to(np.asarray(w, dtype=complex), z.shape)
+        w = np.broadcast_to(np.asarray(func(z, b), dtype=complex), z.shape)
         bad = np.flatnonzero((w == 0) | ~np.isfinite(w))
-        for k, i in zip(*np.unique(b[bad], return_index=True)):
-            failed.setdefault(int(k), AdaptiveDepthExceeded(
-                "boundary value vanished or blew up at "
-                f"{complex(z[bad[i]])}"))
+        if bad.size:
+            raise AdaptiveDepthExceeded(
+                f"boundary value vanished or blew up at {complex(z[bad[0]])}")
         return w
 
     w1 = values(z1.ravel(), box).reshape(z1.shape)
@@ -301,11 +297,6 @@ def _windings(func, rects) -> list:
     total = np.zeros(B)
     depth = 0
     while True:
-        if failed:
-            live = np.ones(B, dtype=bool)
-            live[list(failed)] = False
-            keep = live[box]
-            z1, w1, z2, w2, box = (v[keep] for v in (z1, w1, z2, w2, box))
         dphi = np.angle(w2 / w1)
         ok = np.abs(dphi) < math.pi / 2.0
         total += np.bincount(box[ok], weights=dphi[ok], minlength=B)
@@ -313,12 +304,10 @@ def _windings(func, rects) -> list:
         if not bad.size:
             break
         if depth >= _MAX_DEPTH:
-            for k, i in zip(*np.unique(box[bad], return_index=True)):
-                i = bad[i]
-                failed[int(k)] = AdaptiveDepthExceeded(
-                    f"phase step {dphi[i]:.3f} at depth {depth} near "
-                    f"{complex(z1[i])}")
-            break
+            i = bad[0]
+            raise AdaptiveDepthExceeded(
+                f"phase step {dphi[i]:.3f} at depth {depth} near "
+                f"{complex(z1[i])}")
         z1, w1, z2, w2, box = z1[bad], w1[bad], z2[bad], w2[bad], box[bad]
         zm = 0.5 * (z1 + z2)
         wm = values(zm, box)
@@ -327,15 +316,12 @@ def _windings(func, rects) -> list:
         box = _interleave(box, box)
         depth += 1
     out = []
-    for k, t in enumerate(total.tolist()):
+    for t in total.tolist():
         w = t / (2.0 * math.pi)
-        if k in failed:
-            out.append(failed[k])
-        elif abs(w - round(w)) > 1e-6:
-            out.append(AdaptiveDepthExceeded(
-                f"accumulated phase {t:.6f} is not a multiple of 2*pi"))
-        else:
-            out.append(int(round(w)))
+        if abs(w - round(w)) > 1e-6:
+            raise AdaptiveDepthExceeded(
+                f"accumulated phase {t:.6f} is not a multiple of 2*pi")
+        out.append(int(round(w)))
     return out
 
 
@@ -354,10 +340,7 @@ def winding_number(func, rect) -> int:
     x_lo, x_hi, y_lo, y_hi = (float(v) for v in rect)
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError(f"degenerate rectangle {rect}")
-    (w,) = _windings(lambda z, b: (func(z), {}), [(x_lo, x_hi, y_lo, y_hi)])
-    if isinstance(w, Exception):
-        raise w
-    return w
+    return _windings(lambda z, b: func(z), [(x_lo, x_hi, y_lo, y_hi)])[0]
 
 
 _CHUNK = 1 << 13  # entries of a (points or boxes) x eigenvalues temporary
@@ -377,8 +360,8 @@ class _FarField:
     evaluated by Horner in z - c; the truncation error is below
     _RHO**_MOMENTS/(1 - _RHO) sum_far |w/(lambda - c)|.  The phase term is
     added as exp(i arccos(z/2)); the points must lie off the cuts |E| >= 2
-    of the real axis, which count_in_box checks.  Points within
-    _POLE_TOL*scale of an eigenvalue fail their rectangle with PoleHit.
+    of the real axis, which _check_box checks.  Points within
+    _POLE_TOL*scale of an eigenvalue raise PoleHit.
     Every temporary holds at most _CHUNK entries.
     """
 
@@ -404,21 +387,12 @@ class _FarField:
                 self.moments[j, s:s + rows] = np.sum(v, axis=1)
                 v *= u
 
-    def __call__(self, z: np.ndarray, b: np.ndarray):
-        """f at points z of rectangles b, and the PoleHit of each rectangle
-        with a point at a pole, whose points are skipped (NaN)."""
-        errors, out = {}, np.full(len(z), np.nan, dtype=complex)
-        hit = _pole_hits(self.sd, z)
-        keep = slice(None)
-        if hit.any():
-            for k, i in zip(*np.unique(b[hit], return_index=True)):
-                errors[int(k)] = _pole_error(self.sd, complex(z[hit][i]))
-            keep = ~np.isin(b, list(errors))
-        out[keep] = self._f(z[keep], b[keep])
-        return out, errors
-
-    def _f(self, z: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """f at points z of rectangles b, every point off the poles."""
+    def __call__(self, z: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """f at points z of rectangles b; the first point at a pole raises
+        its PoleHit."""
+        hit = np.flatnonzero(_pole_hits(self.sd, z))
+        if hit.size:
+            raise _pole_error(self.sd, complex(z[hit[0]]))
         lam, w = self.sd.lambdas, self.sd.weights_end
         x, y = z.real, z.imag
         lo, size = self.lo[b], (self.hi - self.lo)[b]
@@ -516,28 +490,36 @@ def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
     Im = +delta, a tenth of the closest approach of an enclosed eigenvalue to
     a vertical edge (clearing the real poles), and the eigenvalues strictly
     inside the real interval are added back to the winding number.  Both
-    vertical edges cross the axis: each must lie 1e-10*scale clear of every
-    eigenvalue (EdgeTooCloseToEigenvalue) and off the cuts |E| >= 2 (OnBranchCut).
-    The contour is evaluated by _FarField: the eigenvalues near the box
-    exactly, the far ones through a few real Taylor moments.  The one-box
-    call of _count_boxes, which sweep_band_edge runs on all its boxes.
+    vertical edges cross the axis, so _check_box runs first.  The contour
+    is evaluated by _FarField: the eigenvalues near the box exactly, the
+    far ones through a few real Taylor moments.  The one-box call of
+    _count_boxes, which sweep_band_edge runs on all its boxes.
     """
-    (count,) = _count_boxes(sd, [box])
-    if isinstance(count, Exception):
-        raise count
-    return count
+    _check_box(sd, box)
+    return _count_boxes(sd, [box])[0]
+
+
+def _check_box(sd: SpectralData, box: ResonanceBox):
+    """Refuse a box whose vertical edges cross the axis within 1e-10*scale
+    of an eigenvalue (EdgeTooCloseToEigenvalue) or on the cuts |E| >= 2
+    (OnBranchCut): the guards of every counted box."""
+    dist = _nearest_distance(sd.lambdas, [box.x_lo, box.x_hi]).tolist()
+    for x, dx in zip((box.x_lo, box.x_hi), dist):
+        if dx < 1e-10 * sd.scale:
+            raise EdgeTooCloseToEigenvalue(
+                f"vertical edge x = {x} is {dx:.3e} from an eigenvalue")
+    if box.meets_cuts:
+        raise OnBranchCut(f"box [{box.x_lo}, {box.x_hi}] meets the real axis "
+                          "outside (-2, 2)")
 
 
 _GROUP = 2048 // (4 * _SAMPLES_PER_EDGE)  # boxes per winding loop
 
 
-def _count_boxes(sd: SpectralData, boxes) -> list:
-    """count_in_box of each box, groups of _GROUP boxes per winding loop.
-
-    A failing box (either guard, PoleHit, AdaptiveDepthExceeded) has its
-    error in place of its count and does not stop the others.
-    """
-    lam, guard, out = sd.lambdas, 1e-10 * sd.scale, []
+def _count_boxes(sd: SpectralData, boxes) -> list[int]:
+    """count_in_box of each box that passed _check_box, groups of _GROUP
+    boxes per winding loop; the first failure raises (see _windings)."""
+    lam, out = sd.lambdas, []
     for s in range(0, len(boxes), _GROUP):
         group = boxes[s:s + _GROUP]
         x_lo = np.array([box.x_lo for box in group])
@@ -551,27 +533,10 @@ def _count_boxes(sd: SpectralData, boxes) -> list:
             np.minimum(lam.take(first, mode="clip") - x_lo,
                        x_hi - lam.take(stop - 1, mode="clip")),
             x_hi - x_lo)
-        dist = _nearest_distance(lam, np.stack([x_lo, x_hi], axis=1))
-        counts, rects = [], []
-        for box, d, P, top in zip(group, dist.tolist(),
-                                  (stop - first).tolist(), delta.tolist()):
-            too_close = [(x, dx) for x, dx in zip((box.x_lo, box.x_hi), d)
-                         if dx < guard]
-            if too_close:
-                x, dx = too_close[0]
-                counts.append(EdgeTooCloseToEigenvalue(
-                    f"vertical edge x = {x} is {dx:.3e} from an eigenvalue"))
-            elif box.meets_cuts:
-                counts.append(OnBranchCut(
-                    f"box [{box.x_lo}, {box.x_hi}] meets the real axis "
-                    "outside (-2, 2)"))
-            else:
-                counts.append(P)
-                rects.append((box.x_lo, box.x_hi, -box.depth, top))
-        windings = iter(_windings(_FarField(sd, rects), rects))
-        for c in counts:
-            w = c if isinstance(c, Exception) else next(windings)
-            out.append(w if isinstance(w, Exception) else w + c)
+        rects = [(box.x_lo, box.x_hi, -box.depth, top)
+                 for box, top in zip(group, delta.tolist())]
+        windings = _windings(_FarField(sd, rects), rects)
+        out += [w + P for w, P in zip(windings, (stop - first).tolist())]
     return out
 
 
@@ -667,29 +632,23 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     exactly one resonance lying within the shallower cell of depth
     SHALLOW_C0 (n+1)/L^2.  Each verdict is recorded in winding_verified.
 
-    Every box is refined first, then all are counted together by
-    _count_boxes, in groups of _GROUP boxes per winding loop.  A failure
-    raises as if the boxes ran one by one, seed, Newton and count each:
-    the first failing box's error, in that stage order.
+    Each box in turn is refined and passes _check_box; then all are
+    counted together by _count_boxes, in groups of _GROUP boxes per
+    winding loop.  The first failure raises: a seed, Newton or guard error
+    in box order, else, after every box's Newton steps and guards, the
+    first contour failure met (see _windings): in the earliest group, at
+    its earliest subdivision level.
     """
     check_step_inputs(edge, eps, L=sd.L, C1=C1)
     # every box is built before any is certified, so a band too small for
     # the sweep is refused before the numerics
     boxes = [_box_for(sd, edge, n, eps)
              for n in range(int(math.floor(eps * sd.L / C1)) + 1)]
-    refined, failure = [], None
-    for g, _ in boxes:
-        try:
-            refined.append(_refine(sd, g))
-        except (SpectralError, ValueError) as exc:
-            failure = exc  # raised after the counts of the boxes before it
-            break
-    counts = _count_boxes(sd, [box for _, box in boxes[:len(refined)]])
-    for count in counts:
-        if isinstance(count, Exception):
-            raise count
-    if failure is not None:
-        raise failure
+    refined = []
+    for g, box in boxes:
+        refined.append(_refine(sd, g))
+        _check_box(sd, box)
+    counts = _count_boxes(sd, [box for _, box in boxes])
     return [_resonance(sd, edge, n, g, box, step, count)
             for n, ((g, box), step, count) in enumerate(zip(boxes, refined,
                                                             counts))]

@@ -200,13 +200,19 @@ def test_run_config_invariants(capsys):
 def test_numerical_error_exit_code(capsys):
     # sweeping a non-generic edge is a numerical error, exit 3; so is a
     # potential whose polynomial scale overflows, where the root residual
-    # check would compare against inf and certify nothing
+    # check would compare against inf and certify nothing; and so is a
+    # sweep reaching the cut, refused by the guard of the first box that
+    # meets it, before a later box's seed lies on the cut itself
     for argv, name in (
             (["resonances", "--potential", "0,3", "--L", "200", "--edge",
               "0"], "NonGenericEdge"),
             (["bands", "--potential", "1e200,0"], "RootFindingFailure"),
             (["edges", "--potential", "1e200,0", "--j", "0"],
-             "RootFindingFailure")):
+             "RootFindingFailure"),
+            (["resonances", "--potential=1.09,0.13", "--L", "355",
+              "--edge=1.09", "--eps", "0.3", "--c1", "1"],
+             "OnBranchCut: box [1.9906556834945743, 2.0031949468486685] "
+             "meets the real axis outside (-2, 2)")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""

@@ -104,8 +104,14 @@ def test_eigensystem_deterministic_given_seed():
 
 def _oracle_weights(diag, lam, dps):
     """(root, weight_end, weight_start) at dps digits: Newton on the
-    characteristic polynomial from lam, then the eigenvector by the forward
-    recurrence."""
+    characteristic polynomial from lam, then each end's weight 1/|phi|^2 of
+    the eigenvector phi recurred from that end with phi = 1 there.
+
+    A recurrence amplifies the root's error by up to e^(kappa L) towards the
+    far end, so a single vector can lose every digit of a gap state's weight
+    there; recurred from each end, that error enters only the far sites of
+    the norm, where it stays below 10^-dps e^(kappa L).
+    """
     with mpmath.workdps(dps):
         v = [mpmath.mpf(float(t)) for t in diag]
         x = mpmath.mpf(float(lam))
@@ -117,11 +123,13 @@ def _oracle_weights(diag, lam, dps):
             x -= step
             if abs(step) <= mpmath.mpf(10) ** (10 - dps):
                 break
-        phi = [mpmath.mpf(1), x - v[0]]
-        for i in range(1, len(v) - 1):
-            phi.append((x - v[i]) * phi[i] - phi[i - 1])
-        norm = mpmath.fsum(f * f for f in phi)
-        return x, phi[-1] ** 2 / norm, phi[0] ** 2 / norm
+        weights = []
+        for u in (v[::-1], v):
+            phi = [mpmath.mpf(1), x - u[0]]
+            for i in range(1, len(u) - 1):
+                phi.append((x - u[i]) * phi[i] - phi[i - 1])
+            weights.append(1 / mpmath.fsum(f * f for f in phi))
+        return (x, *weights)
 
 
 def _assert_weights_match(diag, lam, w_end, w_start, indices, dps):
@@ -140,17 +148,20 @@ def _assert_weights_match(diag, lam, w_end, w_start, indices, dps):
 
 def test_weights_match_mpmath_oracle():
     # the gap states, localised at one end, have weights down to 1e-105 at
-    # the other; the near-edge weights feed every resonance seed, and their
-    # eigenvalues are within eps of the exact ones
+    # the other (2e-347 at L = 1000); the near-edge weights feed every
+    # resonance seed, and their eigenvalues are within eps of the exact ones
+    # (at L = 1000 those of deep-sweep's edge 0.5)
     eps = np.finfo(float).eps
-    for values, L, dps in (([0.0, 3.0], 400, 200), ([1.0, -2.0, 0.5], 301, 200)):
+    for values, L, dps, edges in (([0.0, 3.0], 400, 200, None),
+                                  ([1.0, -2.0, 0.5], 301, 200, None),
+                                  ([1.0, -2.0, 0.5], 1000, 200, [0.5])):
         V = ew.PeriodicPotential.from_values(values)
         bs = ew.band_structure(V)
         H = ew.assemble(V, L)
         sd = ew.band_enumerate(ew.eigensystem(H), bs)
         picked = set(np.flatnonzero(sd.band_of < 0).tolist())
-        for ep in bs.edge_points:
-            picked.update(np.argsort(np.abs(sd.lambdas - ep.energy))[:4].tolist())
+        for e0 in edges or [ep.energy for ep in bs.edge_points]:
+            picked.update(np.argsort(np.abs(sd.lambdas - e0))[:4].tolist())
         picked = sorted(picked)
         roots = _assert_weights_match(H.diag, sd.lambdas, sd.weights_end,
                                       sd.weights_start, picked, dps)
