@@ -360,7 +360,7 @@ class _FarField:
     evaluated by Horner in z - c; the truncation error is below
     _RHO**_MOMENTS/(1 - _RHO) sum_far |w/(lambda - c)|.  The phase term is
     added as exp(i arccos(z/2)); the points must lie off the cuts |E| >= 2
-    of the real axis, which _check_box checks.  Points within
+    of the real axis, which the guards of _count_boxes check.  Points within
     _POLE_TOL*scale of an eigenvalue raise PoleHit.
     Every temporary holds at most _CHUNK entries.
     """
@@ -490,36 +490,39 @@ def count_in_box(sd: SpectralData, box: ResonanceBox) -> int:
     Im = +delta, a tenth of the closest approach of an enclosed eigenvalue to
     a vertical edge (clearing the real poles), and the eigenvalues strictly
     inside the real interval are added back to the winding number.  Both
-    vertical edges cross the axis, so _check_box runs first.  The contour
-    is evaluated by _FarField: the eigenvalues near the box exactly, the
-    far ones through a few real Taylor moments.  The one-box call of
-    _count_boxes, which sweep_band_edge runs on all its boxes.
+    vertical edges cross the axis, so the guards of _count_boxes run first.
+    The contour is evaluated by _FarField: the eigenvalues near the box
+    exactly, the far ones through a few real Taylor moments.  The one-box
+    call of _count_boxes, which sweep_band_edge runs on all its boxes, so a
+    box raises the same error alone as in its sweep.
     """
-    _check_box(sd, box)
     return _count_boxes(sd, [box])[0]
-
-
-def _check_box(sd: SpectralData, box: ResonanceBox):
-    """Refuse a box whose vertical edges cross the axis within 1e-10*scale
-    of an eigenvalue (EdgeTooCloseToEigenvalue) or on the cuts |E| >= 2
-    (OnBranchCut): the guards of every counted box."""
-    dist = _nearest_distance(sd.lambdas, [box.x_lo, box.x_hi]).tolist()
-    for x, dx in zip((box.x_lo, box.x_hi), dist):
-        if dx < 1e-10 * sd.scale:
-            raise EdgeTooCloseToEigenvalue(
-                f"vertical edge x = {x} is {dx:.3e} from an eigenvalue")
-    if box.meets_cuts:
-        raise OnBranchCut(f"box [{box.x_lo}, {box.x_hi}] meets the real axis "
-                          "outside (-2, 2)")
 
 
 _GROUP = 2048 // (4 * _SAMPLES_PER_EDGE)  # boxes per winding loop
 
 
 def _count_boxes(sd: SpectralData, boxes) -> list[int]:
-    """count_in_box of each box that passed _check_box, groups of _GROUP
-    boxes per winding loop; the first failure raises (see _windings)."""
+    """count_in_box of each box, in two stages that each raise their first
+    failure in box order.
+
+    First the guards of every box, in one nearest-eigenvalue search: a
+    vertical edge crossing the axis within 1e-10*scale of an eigenvalue
+    (EdgeTooCloseToEigenvalue, x_lo before x_hi) or a box on the cuts
+    |E| >= 2 (OnBranchCut).  Then the contours, _GROUP boxes per winding
+    loop; the first contour failure met raises (see _windings): in the
+    earliest group, at its earliest subdivision level.
+    """
     lam, out = sd.lambdas, []
+    dist = _nearest_distance(lam, [(box.x_lo, box.x_hi) for box in boxes])
+    for box, d in zip(boxes, dist.tolist()):
+        for x, dx in zip((box.x_lo, box.x_hi), d):
+            if dx < 1e-10 * sd.scale:
+                raise EdgeTooCloseToEigenvalue(
+                    f"vertical edge x = {x} is {dx:.3e} from an eigenvalue")
+        if box.meets_cuts:
+            raise OnBranchCut(f"box [{box.x_lo}, {box.x_hi}] meets the real "
+                              "axis outside (-2, 2)")
     for s in range(0, len(boxes), _GROUP):
         group = boxes[s:s + _GROUP]
         x_lo = np.array([box.x_lo for box in group])
@@ -562,15 +565,11 @@ def _shallow_depth(C0: float, n: int, L: int) -> float:
     return C0 * (n + 1) / L ** 2
 
 
-def _refine(sd: SpectralData, g: int) -> tuple:
-    """alpha, seed, z, residual and Newton steps of global index g."""
+def _resonance(sd, edge, n, g, box, count) -> Resonance:
+    """The resonance of box n (global index g): its seed refined by Newton,
+    and its verdict from the box's count."""
     alpha, seed = _alpha_and_seed(sd, g)
-    return (alpha, seed, *newton_refine(sd, seed))
-
-
-def _resonance(sd, edge, n, g, box, refined, count) -> Resonance:
-    """The resonance of box n (global index g) with its verdict."""
-    alpha, seed, z, residual, iters = refined
+    z, residual, iters = newton_refine(sd, seed)
     shallow = _shallow_depth(SHALLOW_C0, n, sd.L)
     verified = count == 1 and box.contains(z) and -shallow <= z.imag < 0.0
     return Resonance(
@@ -607,14 +606,14 @@ def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
                      eps: float = 0.2) -> Resonance:
     """Locate and certify the resonance of eigenvalue n: one sweep_band_edge step.
 
-    The inputs must pass check_step_inputs; a failed certificate raises
+    As in the sweep, the box is counted before its seed is refined.  The
+    inputs must pass check_step_inputs; a failed certificate raises
     UniquenessFailed.
     """
     check_step_inputs(edge, eps, n=n)
     g, box = _box_for(sd, edge, n, eps)
-    refined = _refine(sd, g)
     count = count_in_box(sd, box)
-    r = _resonance(sd, edge, n, g, box, refined, count)
+    r = _resonance(sd, edge, n, g, box, count)
     if not r.winding_verified:
         detail = f"resonance n={n}: z = {r.z} failed the box membership checks"
         raise UniquenessFailed(n, count, detail if count == 1 else None)
@@ -632,26 +631,19 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     exactly one resonance lying within the shallower cell of depth
     SHALLOW_C0 (n+1)/L^2.  Each verdict is recorded in winding_verified.
 
-    Each box in turn is refined and passes _check_box; then all are
-    counted together by _count_boxes, in groups of _GROUP boxes per
-    winding loop.  The first failure raises: a seed, Newton or guard error
-    in box order, else, after every box's Newton steps and guards, the
-    first contour failure met (see _windings): in the earliest group, at
-    its earliest subdivision level.
+    Three stages, each in box order, each raising its first failure:
+    every box is built (so a band too small for the sweep is refused
+    before the numerics), every box is counted by _count_boxes (all the
+    guards, then the contours), and every box's seed is refined.  So a
+    guard or contour error of any box is raised ahead of a seed or Newton
+    error of any box.
     """
     check_step_inputs(edge, eps, L=sd.L, C1=C1)
-    # every box is built before any is certified, so a band too small for
-    # the sweep is refused before the numerics
     boxes = [_box_for(sd, edge, n, eps)
              for n in range(int(math.floor(eps * sd.L / C1)) + 1)]
-    refined = []
-    for g, box in boxes:
-        refined.append(_refine(sd, g))
-        _check_box(sd, box)
     counts = _count_boxes(sd, [box for _, box in boxes])
-    return [_resonance(sd, edge, n, g, box, step, count)
-            for n, ((g, box), step, count) in enumerate(zip(boxes, refined,
-                                                            counts))]
+    return [_resonance(sd, edge, n, g, box, count)
+            for n, ((g, box), count) in enumerate(zip(boxes, counts))]
 
 
 def check_region_inputs(edge: EdgeData, eps: float,

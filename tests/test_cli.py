@@ -202,7 +202,9 @@ def test_numerical_error_exit_code(capsys):
     # potential whose polynomial scale overflows, where the root residual
     # check would compare against inf and certify nothing; and so is a
     # sweep reaching the cut, refused by the guard of the first box that
-    # meets it, before a later box's seed lies on the cut itself
+    # meets it, since every box is counted before any seed is refined: also
+    # where that box's own eigenvalue lies past 2, so its seed would lie on
+    # the cut
     for argv, name in (
             (["resonances", "--potential", "0,3", "--L", "200", "--edge",
               "0"], "NonGenericEdge"),
@@ -212,6 +214,10 @@ def test_numerical_error_exit_code(capsys):
             (["resonances", "--potential=1.09,0.13", "--L", "355",
               "--edge=1.09", "--eps", "0.3", "--c1", "1"],
              "OnBranchCut: box [1.9906556834945743, 2.0031949468486685] "
+             "meets the real axis outside (-2, 2)"),
+            (["resonances", "--potential=0.07,1.62", "--L", "272",
+              "--edge=1.62", "--eps", "0.3", "--c1", "1"],
+             "OnBranchCut: box [1.9985837138932023, 2.0139801752131508] "
              "meets the real axis outside (-2, 2)")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3

@@ -359,8 +359,23 @@ def test_batched_counts_equal_single_box_counts(monkeypatch, sd400,
 
 def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
                                             sweep400):
+    # a NoConvergence of box 2 or box 7 raises after the counts
+    refine = rz.newton_refine
+
+    def fail_box(j):
+        def refine_or_fail(sd, seed):
+            if seed == sweep400[j].seed:
+                raise NoConvergence(seed, 1.0, 0)
+            return refine(sd, seed)
+        return refine_or_fail
+
+    for j in (2, 7):
+        monkeypatch.setattr(rz, "newton_refine", fail_box(j))
+        with pytest.raises(NoConvergence):
+            ew.sweep_band_edge(sd400, edge_m1_j0)
+
     # box k's values are NaN: its count raises, and so does the sweep, with
-    # the message of count_in_box, after the Newton steps of every box
+    # the message of count_in_box, before any seed is refined
     k = 5
     box_k = sweep400[k].box
     evaluate = rz._FarField.__call__
@@ -370,7 +385,6 @@ def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
         return np.where(on_k, np.nan, evaluate(ff, z, b))
 
     monkeypatch.setattr(rz._FarField, "__call__", nan_on_box_k)
-    refine = rz.newton_refine
     seeds = []
     monkeypatch.setattr(rz, "newton_refine", lambda sd, seed: seeds.append(
         seed) or refine(sd, seed))
@@ -382,18 +396,13 @@ def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
     with pytest.raises(AdaptiveDepthExceeded) as exc:
         ew.sweep_band_edge(sd400, edge_m1_j0)
     assert str(exc.value) == message
-    assert seeds == [r.seed for r in sweep400]
+    assert seeds == []
 
-    # a NoConvergence raises before any count, from box 2 or box 7 alike
-    for j in (2, 7):
-        def fail_box_j(sd, seed, j=j):
-            if seed == sweep400[j].seed:
-                raise NoConvergence(seed, 1.0, 0)
-            return refine(sd, seed)
-
-        monkeypatch.setattr(rz, "newton_refine", fail_box_j)
-        with pytest.raises(NoConvergence):
-            ew.sweep_band_edge(sd400, edge_m1_j0)
+    # with box 2's NoConvergence as well, box 5's contour error raises first
+    monkeypatch.setattr(rz, "newton_refine", fail_box(2))
+    with pytest.raises(AdaptiveDepthExceeded) as exc:
+        ew.sweep_band_edge(sd400, edge_m1_j0)
+    assert str(exc.value) == message
 
 
 def test_pole_guard_shared_by_point_and_contour(sd400):
@@ -444,6 +453,16 @@ def test_count_in_box_guards(sd400):
     with pytest.raises(OnBranchCut):
         rz.count_in_box(sd400, rz.ResonanceBox(x_lo=1.5, x_hi=2.5,
                                                depth=0.05))
+    # the guards of many boxes run in one pass and raise the first failing
+    # box's error, before any contour
+    close = rz.ResonanceBox(lam0, lam0 + 0.1, 1e-4)
+    cut = rz.ResonanceBox(1.5, 2.5, 1e-4)
+    good = rz.ResonanceBox(-0.999, -0.99, 1e-4)
+    with pytest.raises(EdgeTooCloseToEigenvalue,
+                       match=r"x = -0\.9999511422988462 is"):
+        rz._count_boxes(sd400, [good, close, cut])
+    with pytest.raises(OnBranchCut, match=r"box \[1\.5, 2\.5\]"):
+        rz._count_boxes(sd400, [good, cut, close])
     # strictly above the axis there are no zeros and no poles
     rect = (-1.001, -0.9, 0.01, 0.02)
     assert rz._windings(rz._FarField(sd400, [rect]), [rect]) == [0]
