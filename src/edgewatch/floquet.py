@@ -157,59 +157,60 @@ class BandStructure:
 
 
 def _polish_real_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    der = npoly.polyder(coeffs)
-    r = roots.copy()
-    best = r.copy()
-    best_f = np.abs(npoly.polyval(r, coeffs))
-    for _ in range(60):
-        f = npoly.polyval(r, coeffs)
-        fp = npoly.polyval(r, der)
-        fp = np.where(np.abs(fp) < 1e-300, 1e-300, fp)
-        step = f / fp
-        r = r - step
-        fr = np.abs(npoly.polyval(r, coeffs))
-        imp = fr < best_f
-        best[imp] = r[imp]
-        best_f[imp] = fr[imp]
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(r))):
-            break
+    # Newton from a double root can overflow or divide by ~0; the best-|f|
+    # tracking skips every non-finite iterate, so the warnings carry nothing
+    with np.errstate(all="ignore"):
+        der = npoly.polyder(coeffs)
+        r = roots.copy()
+        best = r.copy()
+        best_f = np.abs(npoly.polyval(r, coeffs))
+        for _ in range(60):
+            f = npoly.polyval(r, coeffs)
+            fp = npoly.polyval(r, der)
+            fp = np.where(np.abs(fp) < 1e-300, 1e-300, fp)
+            step = f / fp
+            r = r - step
+            fr = np.abs(npoly.polyval(r, coeffs))
+            imp = fr < best_f
+            best[imp] = r[imp]
+            best_f[imp] = fr[imp]
+            if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(r))):
+                break
     return best
-
-
-def _cluster(roots: np.ndarray) -> list[float]:
-    if roots.size == 0:
-        return []
-    rs = np.sort(roots)
-    groups = [[rs[0]]]
-    for x in rs[1:]:
-        if x - groups[-1][-1] <= 1e-6 * (1.0 + abs(x)):
-            groups[-1].append(x)
-        else:
-            groups.append([x])
-    return [float(np.mean(g)) for g in groups]
 
 
 def band_structure(V: PeriodicPotential) -> BandStructure:
     """Decompose the spectrum {|discriminant| <= 2} into bands.
 
-    Edges are the real roots of discriminant -+ 2 where the monodromy is not
-    diagonal; roots with vanishing derivative and diagonal monodromy are
-    closed gaps interior to a band.
+    The p roots of discriminant - 2 (periodic eigenvalues) and the p roots
+    of discriminant + 2 (antiperiodic ones) are sorted separately; band k
+    runs between the k-th root of each list.  The gap between bands k and
+    k+1 is closed when its edges lie within 1e-6 of each other and, at
+    their mean, the discriminant's derivative and the monodromy's
+    off-diagonal entries vanish; a closed gap merges the two bands and its
+    mean becomes a closed-gap point.  Overlapping bands, or a gap of no
+    width that is not closed, mean a root was lost and are refused.
     """
     coeffs = discriminant_coeffs(V)
     p = V.period
     Mp = _partial_product_polys(V)[p]
     der = npoly.polyder(coeffs)
 
-    candidates: list[float] = []
+    def is_closed(r: float) -> bool:
+        # each scale first: a finite scale bounds the value it belongs to
+        d_scale = _abs_polyval(np.abs(der), r)
+        dval = abs(npoly.polyval(r, der))
+        off_scale = max(_abs_polyval(Mp[0][1], r), _abs_polyval(Mp[1][0], r))
+        off_hi = abs(float(npoly.polyval(r, Mp[0][1])))
+        off_lo = abs(float(npoly.polyval(r, Mp[1][0])))
+        return bool(dval <= 1e-8 * d_scale
+                    and max(off_hi, off_lo) <= 1e-8 * off_scale)
+
+    roots = []
     for shift in (2.0, -2.0):
         c = coeffs.copy()
         c[0] -= shift
-        raw = np.roots(c[::-1])
-        real = raw[np.abs(raw.imag) <= 1e-6 * (1.0 + np.abs(raw.real))].real
-        if real.size == 0:
-            continue
-        polished = _polish_real_roots(c, real)
+        polished = _polish_real_roots(c, np.roots(c[::-1]).real)
         scale = np.array([_abs_polyval(np.abs(c), r) for r in polished])
         resid = np.abs(npoly.polyval(polished, c))
         bad = ~(resid <= 1e-12 * scale)  # a NaN residual fails too
@@ -217,54 +218,32 @@ def band_structure(V: PeriodicPotential) -> BandStructure:
             raise RootFindingFailure(
                 f"root polish residual {resid[bad].max():.3e} at "
                 f"{polished[bad][0]:.17g} exceeds tolerance")
-        candidates.extend(_cluster(polished))
+        roots.append(np.sort(polished))
 
-    edges: list[float] = []
-    gaps: list[float] = []
-    for r in sorted(candidates):
-        # each scale first: a finite scale bounds the value it belongs to
-        d_scale = _abs_polyval(np.abs(der), r)
-        dval = abs(npoly.polyval(r, der))
-        off_scale = max(_abs_polyval(Mp[0][1], r), _abs_polyval(Mp[1][0], r))
-        off_hi = abs(float(npoly.polyval(r, Mp[0][1])))
-        off_lo = abs(float(npoly.polyval(r, Mp[1][0])))
-        if dval <= 1e-8 * d_scale and max(off_hi, off_lo) <= 1e-8 * off_scale:
-            gaps.append(r)
-        else:
-            edges.append(r)
-
-    if len(edges) % 2 != 0 or not edges:
-        raise RootFindingFailure(
-            f"could not pair {len(edges)} band edges for potential {V.values}")
-
-    bands = [(edges[i], edges[i + 1]) for i in range(0, len(edges), 2)]
-    # sanity: |discriminant| <= 2 inside bands, > 2 inside open gaps
-    for lo, hi in bands:
-        mid = 0.5 * (lo + hi)
-        if abs(npoly.polyval(mid, coeffs)) > 2.0 + 1e-9:
-            raise RootFindingFailure(f"band midpoint {mid} is outside the spectrum")
-    for (_, hi), (lo2, _) in zip(bands[:-1], bands[1:]):
-        mid = 0.5 * (hi + lo2)
-        if abs(npoly.polyval(mid, coeffs)) <= 2.0 - 1e-9:
-            raise RootFindingFailure(f"gap midpoint {mid} is inside the spectrum")
-
-    cg_points = []
-    for lo, hi in bands:
-        cg_points.append(tuple(g for g in gaps if lo < g < hi))
-    stray = [g for g in gaps if not any(lo < g < hi for lo, hi in bands)]
-    if stray:
-        raise RootFindingFailure(f"closed-gap point {stray[0]} not interior to any band")
+    lows, highs = np.minimum(*roots), np.maximum(*roots)
+    bands: list[tuple[float, float]] = []
+    cg_points: list[tuple[float, ...]] = []
+    bases: list[int] = []  # index k of each band's lowest constituent
+    for k in range(p):
+        lo, hi = float(lows[k]), float(highs[k])
+        if k:
+            prev = float(highs[k - 1])
+            mid = float(np.mean([prev, lo]))
+            if lo - prev <= 1e-6 * (1.0 + abs(lo)) and is_closed(mid):
+                bands[-1] = (bands[-1][0], hi)
+                cg_points[-1] += (mid,)
+                continue
+            if lo < prev:
+                raise RootFindingFailure(
+                    f"bands overlap: {prev:.17g} > {lo:.17g}")
+            if lo == prev:
+                raise RootFindingFailure(
+                    f"gap at {lo:.17g} has no width and is not closed")
+        bands.append((lo, hi))
+        cg_points.append(())
+        bases.append(k)
     counts = tuple(len(c) for c in cg_points)
 
-    if sum(1 + c for c in counts) != p:
-        raise RootFindingFailure(
-            f"band bookkeeping mismatch: sum(1+c_i) = {sum(1 + c for c in counts)} != p = {p}")
-
-    bases = []
-    acc = 0
-    for c in counts:
-        bases.append(acc)
-        acc += 1 + c
     seg_down = []
     for (lo, hi), gs in zip(bands, cg_points):
         brk = (lo,) + gs
@@ -276,7 +255,7 @@ def band_structure(V: PeriodicPotential) -> BandStructure:
         edge_pts.append(EdgePoint(hi, i, "right"))
 
     return BandStructure(
-        bands=tuple((float(lo), float(hi)) for lo, hi in bands),
+        bands=tuple(bands),
         closed_gap_counts=counts,
         closed_gap_points=tuple(cg_points),
         discriminant_coeffs=coeffs,

@@ -60,16 +60,19 @@ def test_edges_classification_column(capsys):
 
 
 def test_edges_narrow_bands_keep_both_edges(capsys):
-    # band 0 is 4e-10 wide, narrower than classify_edge's 1e-9 match
-    # tolerance; each edge must resolve to itself, not to the first edge
-    # point within the tolerance
-    code, out, _ = run_cli(capsys, "edges", "--potential", "0,1e5,1e5",
-                           "--j", "0")
-    assert code == 0
-    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-    assert [(r[1], r[2]) for r in rows] == [
-        (str(b), side) for b in range(3) for side in ("left", "right")]
-    assert len({r[0] for r in rows}) == 6
+    # band 0 of (0, 1e5, 1e5) is 4e-10 wide, narrower than classify_edge's
+    # 1e-9 match tolerance; each edge must resolve to itself, not to the
+    # first edge point within the tolerance.  The gap of (0, 1e-7) is 1e-7
+    # wide and stays open, so both of its edges are listed
+    for potential, n_bands in (("0,1e5,1e5", 3), ("0,1e-7", 2)):
+        code, out, _ = run_cli(capsys, "edges", "--potential", potential,
+                               "--j", "0")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [(r[1], r[2]) for r in rows] == [
+            (str(b), side) for b in range(n_bands)
+            for side in ("left", "right")]
+        assert len({r[0] for r in rows}) == 2 * n_bands
 
 
 def test_resonances_small_run(capsys):

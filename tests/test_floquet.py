@@ -8,6 +8,7 @@ from edgewatch.errors import (
     EdgeSingularity,
     NotAnEdge,
     OutsideSpectrum,
+    RootFindingFailure,
 )
 from edgewatch.floquet import EdgeClassification
 from scipy.integrate import quad
@@ -155,6 +156,57 @@ def test_band_structure_all_gaps_closed():
     th = floquet._theta_band(bs, 0, grid)
     assert np.all(np.diff(th) >= -1e-12)
     assert np.max(np.abs(np.diff(th))) < 0.1 * np.pi / 3
+
+
+def _cell_eigenvalues(values):
+    # periodic and antiperiodic eigenvalues of one cell: diag(v), unit
+    # couplings and the corner couplings +1 or -1
+    p = len(values)
+    eigs = []
+    for corner in (1.0, -1.0):
+        M = np.diag(np.asarray(values, dtype=float))
+        for i in range(p):
+            c = 1.0 if i + 1 < p else corner
+            M[i, (i + 1) % p] += c
+            M[(i + 1) % p, i] += c
+        eigs.append(np.linalg.eigvalsh(M))
+    return np.sort(np.concatenate(eigs))
+
+
+def test_band_structure_weak_and_strong_potentials():
+    # a gap far narrower than 1e-6 stays open: band k joins the k-th roots
+    # of D - 2 and D + 2, whatever the distance between neighbouring roots
+    a = 1e-7
+    bs = ew.band_structure(ew.PeriodicPotential.from_values([0.0, a]))
+    assert bs.closed_gap_counts == (0, 0)
+    r = np.sqrt(a * a + 16.0)
+    np.testing.assert_allclose(bs.bands, [((a - r) / 2, 0.0), (a, (a + r) / 2)],
+                               rtol=1e-15)
+
+    # a strong potential: every band edge is a cell eigenvalue
+    values = [-140.59595299005775, 452.97697920712926, -714.07010010958,
+              -549.1557363767246, -863.3316650248713, -818.9084792403639]
+    bs = ew.band_structure(ew.PeriodicPotential.from_values(values))
+    assert len(bs.bands) == 6
+    eigs = _cell_eigenvalues(values)
+    tol = 1e-7 * (1.0 + np.max(np.abs(eigs)))
+    for edge in np.ravel(bs.bands):
+        assert np.min(np.abs(eigs - edge)) <= tol
+
+
+def test_band_structure_constant_potentials_never_mispair():
+    # a constant potential written with period p is one band with p - 1
+    # closed gaps; a polish that lands off a double root must be refused,
+    # never turned into a different band table
+    for p in (3, 4, 5, 6):
+        for v in (-1.44, -0.61, 0.13, 1.39, 2.0):
+            try:
+                bs = ew.band_structure(ew.PeriodicPotential.from_values([v] * p))
+            except RootFindingFailure:
+                continue
+            np.testing.assert_allclose(bs.bands, [(v - 2.0, v + 2.0)],
+                                       atol=1e-9)
+            assert bs.closed_gap_counts == (p - 1,)
 
 
 def test_quasi_momentum_free_chain():

@@ -197,7 +197,9 @@ def test_weight_certificate_refuses_a_shifted_spectrum():
 
 def test_eigensystem_memory_stays_small():
     # the weights kernel keeps a few roots of L checkpointed pivots per
-    # eigenvalue; one slice of sqrt(L) checkpoints at L = 4000 needs ~4.6 MB
+    # eigenvalue; at L = 4000 two levels of sqrt(L) checkpoints would need
+    # ~4.6 MB, so it takes three (widths 256, 16, 1): 512 bytes per shift,
+    # ~2.05 MB in one slice
     H = ew.assemble(ew.PeriodicPotential.from_values([0.0, 3.0]), 4000)
     tracemalloc.start()
     try:
@@ -206,6 +208,21 @@ def test_eigensystem_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 3_000_000
+
+
+@pytest.mark.parametrize("values, L", [((0.0, 3.0), 400),
+                                       ((1.0, -2.0, 0.5), 301)])
+def test_eigensystem_sliced_weights_match_one_slice(monkeypatch, values, L):
+    # a small workspace splits the spectrum into slices (7 at (0, 3), L =
+    # 400, on three checkpoint levels; 5 at (1, -2, 0.5), L = 301); each
+    # shift's recurrence is independent, so the results are bit-identical
+    H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
+    whole = ew.eigensystem(H)
+    monkeypatch.setattr(spectrum, "WEIGHT_WORKSPACE_BYTES", 20_000)
+    sliced = ew.eigensystem(H)
+    for name in ("lambdas", "weights_end", "weights_start"):
+        np.testing.assert_array_equal(getattr(sliced, name),
+                                      getattr(whole, name))
 
 
 def test_eigensystem_warns_beyond_length_cap(V03):
