@@ -9,6 +9,13 @@ recurrence gives both: the twisted factorisation of H - lambda per
 eigenvalue (Dhillon & Parlett, LAA 387, 2004), vectorised over a slice of
 eigenvalues at a time, whose Rayleigh quotient corrects each eigenvalue
 and whose vector at the corrected eigenvalue gives the weights.
+
+The recurrence runs as a Python loop over the sites with one numpy call
+per operation over the slice's eigenvalues.  At the eigensolve's lengths a
+call's fixed cost (about 0.4-1 us on a 2-core Xeon) weighs as much as its
+arithmetic, so the site loops keep a call discipline that changes no
+rounding: array operands only, `out` passed by position, no temporaries,
+and one masked copy to record the twist (see _twisted_slice).
 """
 
 from __future__ import annotations
@@ -59,12 +66,18 @@ BAND_TOL = 1e-9
 # largest relative residual |gamma_r| / ||z|| of a twisted eigenvector
 WEIGHT_RESIDUAL_TOL = 1e-8
 # working memory of the boundary-weight kernel: per eigenvalue it keeps a
-# few roots of n checkpointed pivots and about sixteen vectors, and the
-# eigenvalues are processed in slices that fit this budget
+# few roots of n checkpointed pivots, a residue row per distinct diagonal
+# value and _WORKING_ROWS more, and the eigenvalues are processed in slices
+# that fit this budget
 WEIGHT_WORKSPACE_BYTES = 2_500_000
 # added to every pivot: it replaces an exact zero (E = 0 on (0,3) gives
 # v_0 - lambda = 0) and leaves any pivot larger than ~1e-104 unchanged
 _PIVOT_NUDGE = 1e-120
+# float rows per shift that _twisted_slice holds besides its checkpoints and
+# residue table, at its peak in _twist_record: three of scratch, the stacked
+# state and its record at the twist (five each), the two backward pivot
+# rows, the first forward pivot and the arrays of _PIVOT_NUDGE and 1.0
+_WORKING_ROWS = 18
 # weight of the twisted vector's squared norm in _twisted_stored's choice of
 # twist: it decides only between sites whose |gamma| agree to ~1e-300 or
 # whose norm is past ~1e280
@@ -138,35 +151,86 @@ def assemble(V: PeriodicPotential, L: int) -> TridiagonalOperator:
     return TridiagonalOperator(diag=diag, period=V.period)
 
 
-def _pivots_backward(v, x, lo, hi, d_lo, widths, bufs, u, visit):
+def _residue_rows(v: np.ndarray):
+    """(values, row): the distinct diagonal values, told apart by bit
+    pattern, and the index row[i] of v_i among them.
+
+    The residue table values[:, None] - x then holds each v_i - x once: a
+    section of period p needs at most p rows.
+    """
+    _, first, row = np.unique(v.view(np.int64), return_index=True,
+                              return_inverse=True)
+    return v[first], row.tolist()
+
+
+def _pivots_backward(a, lo, hi, d_lo, widths, bufs, u, d, nudge, visit):
     """Call visit(i, D+_i) for i = hi-1 down to lo, given D+_lo.
 
-    The forward pivots are recomputed from nested checkpoints: bufs[0]
-    keeps the pivot at every widths[0]-th site of [lo, hi), and each of
-    those blocks is swept the same way one level down.  At the last level
-    (width 1) bufs[0] holds every pivot of the block, and visit may
-    overwrite its row.  u is scratch.
+    The forward pivots are recomputed from nested checkpoints: the rows
+    bufs[0][j] keep the pivot at every widths[0]-th site of [lo, hi), and
+    each of those blocks is swept the same way one level down.  At the
+    last level (width 1) bufs[0] holds every pivot of the block.  a[i] is
+    the residue row v_i - x, u and d are scratch, and nudge holds
+    _PIVOT_NUDGE in every lane.
     """
     w, ck = widths[0], bufs[0]
-    ck[0] = d_lo
+    blocks = -(-(hi - lo) // w)
+    prev = d_lo
+    for i in range(lo + 1, lo + (blocks - 1) * w + 1):
+        dst = d if (i - lo) % w else ck[(i - lo) // w]
+        np.reciprocal(prev, u)
+        np.subtract(a[i], u, dst)
+        np.add(dst, nudge, dst)
+        prev = dst
     if w == 1:
-        for k in range(1, hi - lo):
-            np.divide(1.0, ck[k - 1], out=u)
-            np.subtract(v[lo + k] - x, u, out=ck[k])
-            ck[k] += _PIVOT_NUDGE
-        for i in range(hi - 1, lo - 1, -1):
-            visit(i, ck[i - lo])
+        for k in range(hi - lo - 1, 0, -1):
+            visit(lo + k, ck[k])
+        visit(lo, d_lo)
         return
-    d = d_lo.copy()
-    for i in range(lo + 1, hi):
-        np.divide(1.0, d, out=u)
-        np.subtract(v[i] - x, u, out=d)
-        d += _PIVOT_NUDGE
-        if (i - lo) % w == 0:
-            ck[(i - lo) // w] = d
-    for j in range((hi - lo - 1) // w, -1, -1):
-        _pivots_backward(v, x, lo + j * w, min(hi, lo + (j + 1) * w), ck[j],
-                         widths[1:], bufs[1:], u, visit)
+    for j in range(blocks - 1, -1, -1):
+        _pivots_backward(a, lo + j * w, min(hi, lo + (j + 1) * w),
+                         ck[j] if j else d_lo, widths[1:], bufs[1:], u, d,
+                         nudge, visit)
+
+
+def _twist_record(a, widths, nudge, one):
+    """The backward pass of _twisted_slice over the residue rows a[i]:
+    |gamma_r|, gamma_r, Q_r, sigma_r and r (as a float) at each shift's
+    twist, stacked."""
+    n, m = len(a), len(nudge)
+    u, d, y = np.empty((3, m))
+    better = np.empty(m, dtype=bool)
+    # the state at site i and its record at the twist, by rows: |gamma_i|,
+    # gamma_i, Q_i, sigma_i and i itself
+    now = np.ones((5, m))
+    mag, g, Q, sig, site = now
+    kept = np.full((5, m), np.nan)
+    kept[0] = np.inf
+    kept[4] = 0.0
+    best = kept[0]
+    un = np.zeros(m)   # 1/D-_{i+1}
+    dm = a[n - 1] + nudge
+
+    def visit(i, dp):
+        if i < n - 1:
+            np.reciprocal(dm, un)
+            np.subtract(a[i], un, dm)
+            np.add(dm, nudge, dm)
+            np.multiply(un, un, y)
+            np.multiply(y, Q, y)
+            np.add(y, one, Q)
+            np.multiply(sig, y, sig)
+            np.divide(sig, Q, sig)
+        np.subtract(dp, un, g)
+        np.absolute(g, mag)
+        np.less_equal(mag, best, better)
+        site.fill(i)
+        np.copyto(kept, now, where=better)
+
+    spans = [n, *widths]
+    bufs = [list(np.empty((-(-s // w), m))) for s, w in zip(spans, spans[1:])]
+    _pivots_backward(a, 0, n, a[0] + nudge, widths, bufs, u, d, nudge, visit)
+    return kept
 
 
 def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
@@ -184,75 +248,67 @@ def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
     rho_r R_r / N and sigma_r Q_r / N, the relative residual is
     |gamma_r| / sqrt(N) and the Rayleigh quotient z^T H z / N is
     x + gamma_r / N (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    Each operation is rounded in this order: a pivot is
+    (a_i - 1/D) + _PIVOT_NUDGE, the ratio step is y = (u*u)*R,
+    R' = y + 1, rho' = (rho*y)/R' with u the pivot's reciprocal (Q and
+    sigma alike), and N = (R_r + Q_r) - 1.
 
     The backward pass meets the forward pivots site by site through
     _pivots_backward, whose checkpoints (block widths `widths`) keep the
     memory per shift at a few roots of n; a last forward pass carries R
     and rho to each shift's twist.
+
+    Every site costs a fixed number of numpy calls whatever the slice's
+    width, about 0.4-1 us each on a 2-core Xeon, which at the eigensolve's
+    lengths is as much as their arithmetic.  So the site loops make the
+    fewest and cheapest calls that keep every rounding above: each v_i - x
+    is a row of a residue table, built once for the backward pass and once
+    in twist order for the last forward pass; every operand is an
+    array (a Python scalar operand costs 0.5-0.9 us more) and `out` is
+    passed by position (the keyword costs up to 0.5 us more); 1/D is
+    np.reciprocal, which rounds as the division does; the state at each
+    site and its record at the twist are stacked, so the twist is kept by
+    one masked copy; and the last forward pass takes its suffix views only
+    when the suffix changes.
     """
     n, m = len(v), len(x)
-    nudge = _PIVOT_NUDGE
-    u = np.empty(m)
-    y = np.empty(m)
-    dm = v[n - 1] - x + nudge
-    un = np.zeros(m)   # 1/D-_{i+1}
-    Q = np.ones(m)
-    sig = np.ones(m)
-    best = np.full(m, np.inf)
-    r = np.zeros(m, dtype=np.intp)
-    g_r, Q_r, sig_r = np.full((3, m), np.nan)
-    better = np.empty(m, dtype=bool)
-
-    def visit(i, g):
-        if i < n - 1:
-            np.divide(1.0, dm, out=un)
-            np.subtract(v[i] - x, un, out=dm)
-            np.add(dm, nudge, out=dm)
-            np.multiply(un, un, out=y)
-            np.multiply(y, Q, out=y)
-            np.add(y, 1.0, out=Q)
-            np.multiply(sig, y, out=sig)
-            np.divide(sig, Q, out=sig)
-        g -= un
-        np.abs(g, out=y)
-        np.less_equal(y, best, out=better)
-        np.fmin(y, best, out=best)
-        hit = np.flatnonzero(better)
-        r[hit] = i
-        g_r[hit] = g[hit]
-        Q_r[hit] = Q[hit]
-        sig_r[hit] = sig[hit]
-
-    spans = [n, *widths]
-    bufs = [np.empty((-(-a // b), m)) for a, b in zip(spans, spans[1:])]
-    _pivots_backward(v, x, 0, n, v[0] - x + nudge, widths, bufs, u, visit)
-    del bufs
+    values, row = _residue_rows(v)
+    table = values[:, None] - x
+    nudge = np.full(m, _PIVOT_NUDGE)
+    one = np.ones(m)
+    by_value = list(table)
+    best, g_r, Q_r, sig_r, r = _twist_record([by_value[k] for k in row],
+                                             widths, nudge, one)
+    del by_value, table
+    r = r.astype(np.intp)
 
     # with the shifts sorted by twist, those still short of their twist at
     # site i are a suffix of the slice
     order = np.argsort(r, kind="stable")
-    start = np.searchsorted(r[order], np.arange(n))
-    xs = x[order]
-    R = np.ones(m)
-    rho = np.ones(m)
-    d = v[0] - xs + nudge
+    start = np.searchsorted(r[order], np.arange(n)).tolist()
+    table = values[:, None] - x[order]
+    fwd = np.ones((5, m))   # D+_i, 1/D+_{i-1}, y, R_i, rho_i
+    np.add(table[row[0]], nudge, fwd[0])
+    s = -1
     for i in range(1, n):
-        s = start[i]
-        if s == m:
-            break
-        uu, yy, RR, rr, dd = u[s:], y[s:], R[s:], rho[s:], d[s:]
-        np.divide(1.0, dd, out=uu)
-        np.subtract(v[i] - xs[s:], uu, out=dd)
-        dd += nudge
-        np.multiply(uu, uu, out=yy)
-        yy *= RR
-        np.add(yy, 1.0, out=RR)
-        rr *= yy
-        rr /= RR
+        if start[i] != s:
+            s = start[i]
+            if s == m:
+                break
+            dd, uu, yy, RR, rr = fwd[:, s:]
+            tab, nud, on = table[:, s:], nudge[s:], one[s:]
+        np.reciprocal(dd, uu)
+        np.subtract(tab[row[i]], uu, dd)
+        np.add(dd, nud, dd)
+        np.multiply(uu, uu, yy)
+        np.multiply(yy, RR, yy)
+        np.add(yy, on, RR)
+        np.multiply(rr, yy, rr)
+        np.divide(rr, RR, rr)
     R_r = np.empty(m)
     rho_r = np.empty(m)
-    R_r[order] = R
-    rho_r[order] = rho
+    R_r[order] = fwd[3]
+    rho_r[order] = fwd[4]
 
     norm = R_r + Q_r - 1.0
     return (sig_r * Q_r / norm, rho_r * R_r / norm, best / np.sqrt(norm),
@@ -307,13 +363,19 @@ def _twisted_stored(v: np.ndarray, x: np.ndarray):
             x + g_r / norm)
 
 
-def _checkpoint_widths(n: int) -> tuple[list, int]:
-    """Block widths for _pivots_backward and the bytes it needs per shift.
+def _checkpoint_widths(v: np.ndarray) -> tuple[list, int]:
+    """Block widths for _pivots_backward on the diagonal v, and the bytes
+    _twisted_slice holds per shift.
 
     Two levels (blocks of ~sqrt(n) sites) when every shift fits one slice
     of WEIGHT_WORKSPACE_BYTES, else three (~n^(1/3) and ~n^(2/3)): one more
     recomputation of the forward pivots costs less than a second slice.
+    A shift's lane holds the checkpoint rows, one residue row per distinct
+    value of v and _WORKING_ROWS more, plus one byte of mask, so a long
+    period narrows the slices.
     """
+    n = len(v)
+    residues = len(_residue_rows(v)[0])
     for levels in (2, 3):
         c = 1
         while c ** levels < n:
@@ -321,7 +383,7 @@ def _checkpoint_widths(n: int) -> tuple[list, int]:
         widths = [c ** k for k in range(levels - 1, -1, -1)]
         spans = [n, *widths]
         rows = sum(-(-a // b) for a, b in zip(spans, spans[1:]))
-        lane_bytes = 8 * (rows + 16)   # and about sixteen working vectors
+        lane_bytes = 8 * (rows + residues + _WORKING_ROWS) + 1
         if n * lane_bytes <= WEIGHT_WORKSPACE_BYTES:
             break
     return widths, lane_bytes
@@ -337,7 +399,7 @@ def _boundary_weights(diag: np.ndarray, lam: np.ndarray):
     |gamma_r| / N <= |gamma_r| / sqrt(N) <= WEIGHT_RESIDUAL_TOL.
     """
     n = len(diag)
-    widths, lane_bytes = _checkpoint_widths(n)
+    widths, lane_bytes = _checkpoint_widths(diag)
     slices = -(-len(lam) * lane_bytes // WEIGHT_WORKSPACE_BYTES)
     width = -(-len(lam) // slices)
     out = np.empty((4, len(lam)))

@@ -179,7 +179,7 @@ def test_weights_at_exact_floating_point_eigenvalues():
                          ([1.0, 3.0, 0.0], 301, 0.585786437626905)):
         H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
         lam = np.array([x])
-        widths, _ = spectrum._checkpoint_widths(L + 1)
+        widths, _ = spectrum._checkpoint_widths(H.diag)
         with np.errstate(all="ignore"):
             alone = spectrum._twisted_slice(H.diag, lam, widths)[:2]
         assert not np.isfinite(alone).all()
@@ -195,11 +195,70 @@ def test_weight_certificate_refuses_a_shifted_spectrum():
         spectrum._boundary_weights(H.diag, lam + 1e-6)
 
 
+def _twisted_reference(v, x):
+    """_twisted_slice kept plain: every pivot and ratio stored at every site.
+
+    Each line is one floating-point operation in the order the kernel's
+    docstring states, so the kernel must match it bit for bit.
+    """
+    n, m = len(v), len(x)
+    nudge = spectrum._PIVOT_NUDGE
+    dp, R, rho = np.empty((3, n, m))
+    dp[0] = (v[0] - x) + nudge
+    R[0] = rho[0] = 1.0
+    for i in range(1, n):
+        u = 1.0 / dp[i - 1]
+        dp[i] = ((v[i] - x) - u) + nudge
+        y = (u * u) * R[i - 1]
+        R[i] = y + 1.0
+        rho[i] = (rho[i - 1] * y) / R[i]
+    dm, un, Q, sig = np.empty((4, n, m))
+    dm[n - 1] = (v[n - 1] - x) + nudge
+    un[n - 1] = 0.0
+    Q[n - 1] = sig[n - 1] = 1.0
+    for i in range(n - 2, -1, -1):
+        un[i] = 1.0 / dm[i + 1]
+        dm[i] = ((v[i] - x) - un[i]) + nudge
+        y = (un[i] * un[i]) * Q[i + 1]
+        Q[i] = y + 1.0
+        sig[i] = (sig[i + 1] * y) / Q[i]
+    g = dp - un
+    r = np.argmin(np.abs(g), axis=0)   # the lowest site on a tie
+    at = (lambda a: a[r, np.arange(m)])
+    norm = (at(R) + at(Q)) - 1.0
+    return ((at(sig) * at(Q)) / norm, (at(rho) * at(R)) / norm,
+            np.abs(at(g)) / np.sqrt(norm), x + at(g) / norm)
+
+
+@pytest.mark.parametrize("values, L, workspace", [((0.0, 3.0), 400, None),
+                                                  ((0.0, 3.0), 400, 20_000),
+                                                  ((1.0, -2.0, 0.5), 301, None)])
+def test_twisted_kernel_matches_plain_recurrences(monkeypatch, values, L,
+                                                  workspace):
+    # both passes of eigensystem: at the QR eigenvalues and at their
+    # Rayleigh quotients; the small workspace forces three checkpoint levels
+    if workspace is not None:
+        monkeypatch.setattr(spectrum, "WEIGHT_WORKSPACE_BYTES", workspace)
+    H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
+    widths, _ = spectrum._checkpoint_widths(H.diag)
+    assert len(widths) == (2 if workspace is None else 3)
+    x = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
+                         lapack_driver="stev")
+    for _ in range(2):
+        with np.errstate(all="ignore"):
+            got = spectrum._twisted_slice(H.diag, x, widths)
+            want = _twisted_reference(H.diag, x)
+        assert np.isfinite(want).all()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        x = np.sort(got[3])
+
+
 def test_eigensystem_memory_stays_small():
     # the weights kernel keeps a few roots of L checkpointed pivots per
     # eigenvalue; at L = 4000 two levels of sqrt(L) checkpoints would need
-    # ~4.6 MB, so it takes three (widths 256, 16, 1): 512 bytes per shift,
-    # ~2.05 MB in one slice
+    # ~4.7 MB, so it takes three (widths 256, 16, 1): 545 bytes per shift
+    # with the residue table and working rows, ~2.2 MB in one slice
     H = ew.assemble(ew.PeriodicPotential.from_values([0.0, 3.0]), 4000)
     tracemalloc.start()
     try:
@@ -210,15 +269,23 @@ def test_eigensystem_memory_stays_small():
     assert peak <= 3_000_000
 
 
-@pytest.mark.parametrize("values, L", [((0.0, 3.0), 400),
-                                       ((1.0, -2.0, 0.5), 301)])
+@pytest.mark.parametrize("values, L", [
+    ((0.0, 3.0), 400),
+    ((1.0, -2.0, 0.5), 301),
+    (tuple(np.random.default_rng(37).uniform(-0.5, 0.5, 37)), 300)])
 def test_eigensystem_sliced_weights_match_one_slice(monkeypatch, values, L):
-    # a small workspace splits the spectrum into slices (7 at (0, 3), L =
-    # 400, on three checkpoint levels; 5 at (1, -2, 0.5), L = 301); each
-    # shift's recurrence is independent, so the results are bit-identical
+    # a small workspace splits the spectrum into slices on three checkpoint
+    # levels (7 slices at (0, 3), L = 400; 6 at (1, -2, 0.5), L = 301; 10
+    # for the 37 residue rows of the long period, whose values stay within
+    # 0.5: at |v| ~ 2 its cell-localised states pair up closer than the 1e-12
+    # gap eigensystem requires); each shift's recurrence is independent, so
+    # the results are bit-identical
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
     whole = ew.eigensystem(H)
     monkeypatch.setattr(spectrum, "WEIGHT_WORKSPACE_BYTES", 20_000)
+    widths, lane_bytes = spectrum._checkpoint_widths(H.diag)
+    assert len(widths) == 3
+    assert (L + 1) * lane_bytes > 5 * 20_000
     sliced = ew.eigensystem(H)
     for name in ("lambdas", "weights_end", "weights_start"):
         np.testing.assert_array_equal(getattr(sliced, name),
