@@ -8,7 +8,6 @@ from .floquet import (
     band_structure,
     classify_edge,
     density_of_states,
-    discriminant_coeffs,
     h_j,
     h_values,
     monodromy,

@@ -10,7 +10,8 @@ class SpectralError(Exception):
 
 
 class RootFindingFailure(SpectralError):
-    """Polynomial root polishing did not reach the required residual."""
+    """The band table is refused: its bands overlap, or a transfer product
+    at a band edge could overflow."""
 
 
 class OutsideSpectrum(SpectralError):

@@ -46,7 +46,7 @@ def _unimodular_error(M):
 def check_product_unimodular(seed=1, draws=200):
     # the one-step factors have det 1 by construction; every partial product
     # k in [0, p] of a rotation of V (r = 0 is V itself, k = p the monodromy
-    # at base site r), read from the polynomial table, must keep it
+    # at base site r), formed by direct 2x2 products, must keep it
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):

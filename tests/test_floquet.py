@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from edgewatch.errors import (
     EdgeSingularity,
     NotAnEdge,
     OutsideSpectrum,
-    RootFindingFailure,
 )
 from edgewatch.floquet import EdgeClassification
 from scipy.integrate import quad
@@ -61,18 +63,6 @@ def test_monodromy_symbolic():
         np.testing.assert_allclose(ew.monodromy(V, E, 0), expected, atol=1e-12)
 
 
-def test_discriminant_values():
-    V0 = ew.PeriodicPotential.from_values([0.0])
-    bs0 = ew.band_structure(V0)
-    for E in (-2.0, 0.0, 1.5):
-        assert bs0.discriminant_at(E) == pytest.approx(E, abs=1e-14)
-    V = ew.PeriodicPotential.from_values([0.0, 3.0])
-    bs = ew.band_structure(V)
-    assert bs.discriminant_at(-1.0) == pytest.approx(2.0, abs=1e-12)
-    assert bs.discriminant_at(0.0) == pytest.approx(-2.0, abs=1e-12)
-    np.testing.assert_allclose(ew.discriminant_coeffs(V), [-2.0, -3.0, 1.0])
-
-
 def _step_product(values, E, start, count):
     """T_{start+count-1}(E)...T_start(E), one numpy step matrix at a time."""
     M = np.eye(2, dtype=complex)
@@ -82,9 +72,27 @@ def _step_product(values, E, start, count):
     return M
 
 
+def test_discriminant_values():
+    V0 = ew.PeriodicPotential.from_values([0.0])
+    bs0 = ew.band_structure(V0)
+    for E in (-2.0, 0.0, 1.5):
+        assert bs0.discriminant_at(E) == pytest.approx(E, abs=1e-14)
+    V = ew.PeriodicPotential.from_values([0.0, 3.0])
+    bs = ew.band_structure(V)
+    assert bs.discriminant_at(-1.0) == pytest.approx(2.0, abs=1e-12)
+    assert bs.discriminant_at(0.0) == pytest.approx(-2.0, abs=1e-12)
+    # vectorised over E, D = E^2 - 3E - 2, the trace of the step product
+    E = np.array([-2.5, -1.0, 0.3, 1.7, 4.0])
+    np.testing.assert_allclose(bs.discriminant_at(E), E * E - 3.0 * E - 2.0)
+    np.testing.assert_allclose(
+        bs.discriminant_at(E),
+        [np.trace(_step_product(V.values, e, 0, 2)).real for e in E])
+
+
 def test_discriminant_matches_coefficients():
-    # the polynomial table is the only engine for transfer products; an
-    # explicit product of step matrices is the independent reference
+    # direct transfer products are the only engine; an explicit product of
+    # step matrices is the independent reference, and D' is the sum over
+    # sites l of the trace with T_l replaced by its derivative diag(1, 0)
     rng = np.random.default_rng(4)
     for _ in range(40):
         p = int(rng.integers(1, 9))
@@ -96,7 +104,13 @@ def test_discriminant_matches_coefficients():
             scale = 1.0 + np.max(np.abs(ref))
             got = ew.product_matrix(V, E, k)
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale
-        disc = np.polynomial.polynomial.polyval(E, ew.discriminant_coeffs(V))
+        bs = ew.band_structure(V)
+        disc = bs.discriminant_at(E)
+        terms = [_step_product(values, E, l + 1, p - l - 1) @ np.diag([1.0, 0.0])
+                 @ _step_product(values, E, 0, l) for l in range(p)]
+        ref = sum(np.trace(t) for t in terms)
+        scale = 1.0 + sum(np.max(np.abs(t)) for t in terms)
+        assert abs(bs.discriminant_derivative_at(E) - ref) <= 1e-12 * scale
         for k in range(p):
             ref = _step_product(values, E, k, p)
             scale = 1.0 + np.max(np.abs(ref))
@@ -182,6 +196,11 @@ def test_band_structure_weak_and_strong_potentials():
     r = np.sqrt(a * a + 16.0)
     np.testing.assert_allclose(bs.bands, [((a - r) / 2, 0.0), (a, (a + r) / 2)],
                                rtol=1e-15)
+    # two gaps of ~8.7e-9, far narrower than 1e-6 and far wider than GAP_TOL
+    values = [4.8e-8, 4.6e-8, 6e-8]
+    bs = ew.band_structure(ew.PeriodicPotential.from_values(values))
+    assert bs.closed_gap_counts == (0, 0, 0)
+    assert len(bs.bands) == 3
 
     # a strong potential: every band edge is a cell eigenvalue
     values = [-140.59595299005775, 452.97697920712926, -714.07010010958,
@@ -196,17 +215,77 @@ def test_band_structure_weak_and_strong_potentials():
 
 def test_band_structure_constant_potentials_never_mispair():
     # a constant potential written with period p is one band with p - 1
-    # closed gaps; a polish that lands off a double root must be refused,
-    # never turned into a different band table
+    # closed gaps, each a double cell eigenvalue; none is refused
     for p in (3, 4, 5, 6):
         for v in (-1.44, -0.61, 0.13, 1.39, 2.0):
-            try:
-                bs = ew.band_structure(ew.PeriodicPotential.from_values([v] * p))
-            except RootFindingFailure:
-                continue
+            bs = ew.band_structure(ew.PeriodicPotential.from_values([v] * p))
             np.testing.assert_allclose(bs.bands, [(v - 2.0, v + 2.0)],
                                        atol=1e-9)
             assert bs.closed_gap_counts == (p - 1,)
+
+
+def _mp_cell_eigenvalues(values, dps):
+    # the cell eigenvalues of _cell_eigenvalues, periodic and antiperiodic
+    # lists apart, by a symmetric eigensolve in dps-digit arithmetic
+    p = len(values)
+    out = []
+    with mpmath.workdps(dps):
+        for corner in (1, -1):
+            H = mpmath.matrix(p, p)
+            for i, v in enumerate(values):
+                H[i, i] = mpmath.mpf(float(v))
+            for i in range(p):
+                c = 1 if i + 1 < p else corner
+                H[i, (i + 1) % p] += c
+                H[(i + 1) % p, i] += c
+            out.append(sorted(mpmath.eigsy(H, eigvals_only=True)))
+    return out
+
+
+def test_band_structure_long_periods():
+    # the discriminant's monomial coefficients reach ~1e9 at p = 37, where
+    # roots of D -+ 2 lost every edge; the cell eigenvalues keep them to
+    # roundoff at any period.  The oracle solves the same cell matrices in
+    # 40-digit arithmetic; a gap is closed when it is narrower than 1e-30.
+    for p, seeds in ((24, (0, 1)), (37, (0, 1)), (60, (0, 2))):
+        for s in seeds:
+            values = np.round(np.random.default_rng(1000 + s).uniform(-2, 2, p), 2)
+            bs = ew.band_structure(ew.PeriodicPotential.from_values(values))
+            per, anti = _mp_cell_eigenvalues(values, 40)
+            lows = [float(min(a, b)) for a, b in zip(per, anti)]
+            highs = [float(max(a, b)) for a, b in zip(per, anti)]
+            closed = [k for k in range(1, p)
+                      if abs(min(per[k], anti[k]) - max(per[k - 1], anti[k - 1]))
+                      < 1e-30]
+            assert sum(bs.closed_gap_counts) == len(closed)
+            want = list(zip(lows, highs))
+            for k in reversed(closed):
+                want[k - 1:k + 1] = [(want[k - 1][0], want[k][1])]
+            tol = 1e-13 * (1.0 + max(abs(lows[0]), abs(highs[-1])))
+            assert len(bs.bands) == len(want)
+            assert np.max(np.abs(np.array(bs.bands) - np.array(want))) <= tol
+
+
+def test_band_structure_edge_signs_from_the_band_index():
+    # every band here is narrower than ~1e-12 of its energy, so D at a float
+    # edge is noise (80 digits give D = -6362.85 at the lowest one); the sign
+    # of D at each edge follows from its index.  The oracle is which 50-digit
+    # cell eigenproblem owns the edge: periodic (D = +2) or antiperiodic.
+    values = [-15, -1452, -14, 2807, -201, 2648]
+    V = ew.PeriodicPotential.from_values(values)
+    bs = ew.band_structure(V)
+    per, anti = _mp_cell_eigenvalues(values, 50)
+    assert bs.closed_gap_counts == (0,) * 6
+    lower_periodic = [a < b for a, b in zip(per, anti)]
+    assert bs.segment_down == tuple((d,) for d in lower_periodic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # near-zero classifier values
+        for k, (lo, hi) in enumerate(bs.bands):
+            assert ew.classify_edge(V, bs, lo, 0).rho == \
+                (1.0 if lower_periodic[k] else -1.0)
+            if bs.nearest_edge(hi).side == "right":
+                assert ew.classify_edge(V, bs, hi, 0).rho == \
+                    (-1.0 if lower_periodic[k] else 1.0)
 
 
 def test_quasi_momentum_free_chain():
