@@ -132,7 +132,7 @@ def _cmd_edges(args):
     bs = floquet.band_structure(V)
     rows = []
     for ep in bs.edge_points:
-        ed = floquet.classify_edge(V, bs, ep.energy, args.j)
+        ed = floquet.classify_edge(V, bs, ep, args.j)
         rows.append({
             "energy": ed.e0, "band": ed.band_index, "side": ed.side,
             "j": ed.j, "a0_p_minus_1": ed.a0_p_minus_1, "a0_p": ed.a0_p,

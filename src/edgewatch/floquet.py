@@ -388,19 +388,27 @@ class EdgeData:
                                        EdgeClassification.GENERIC_B)
 
 
-def classify_edge(V: PeriodicPotential, bs: BandStructure, e0: float,
-                  j: int) -> EdgeData:
+def classify_edge(V: PeriodicPotential, bs: BandStructure,
+                  e0: float | EdgePoint, j: int) -> EdgeData:
     """Evaluate the edge polynomials at e0 and classify the edge.
 
-    The four classes are decided by which of the two polynomial values
-    a0_{p-1}(e0) and d_{j+1} (respectively a_{j+1}(e0)) vanish, with a
-    scale-aware zero tolerance; borderline magnitudes trigger a warning.
+    e0 is an energy, matched to the nearest recorded edge within 1e-9, or
+    a recorded EdgePoint itself, which keeps the side of a band narrower
+    than one ulp, whose two edges share one energy.  The four classes are
+    decided by which of the two polynomial values a0_{p-1}(e0) and d_{j+1}
+    (respectively a_{j+1}(e0)) vanish, with a scale-aware zero tolerance;
+    borderline magnitudes trigger a warning.
     """
     if not 0 <= j <= V.period - 1:
         raise ValueError(f"j must be in [0, {V.period - 1}], got {j}")
-    match = bs.nearest_edge(e0)
-    if not abs(match.energy - e0) <= 1e-9 * max(1.0, abs(e0)):
-        raise NotAnEdge(f"{e0} is not within 1e-9 of a recorded band edge")
+    if isinstance(e0, EdgePoint):
+        match = e0
+        if match not in bs.edge_points:
+            raise NotAnEdge(f"{match} is not a recorded band edge")
+    else:
+        match = bs.nearest_edge(e0)
+        if not abs(match.energy - e0) <= 1e-9 * max(1.0, abs(e0)):
+            raise NotAnEdge(f"{e0} is not within 1e-9 of a recorded band edge")
     E0 = match.energy
 
     Mp = product_matrix(V, E0, V.period)

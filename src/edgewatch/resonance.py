@@ -27,6 +27,7 @@ from .errors import (
     NonGenericEdge,
     OnBranchCut,
     PoleHit,
+    SpectralError,
     UniquenessFailed,
 )
 from .floquet import BandStructure, EdgeData
@@ -81,6 +82,7 @@ def theta_prime(E):
 
 
 _POLE_TOL = 1e-14  # closest approach to an eigenvalue, relative to scale
+_CHUNK = 1 << 13  # entries of a (points or boxes) x eigenvalues temporary
 
 # Fixed constants of the certificate: the shallow cell of resonance n has
 # depth SHALLOW_C0 (n+1)/L^2, and Newton stops at |f| <= NEWTON_TOL (or at
@@ -117,26 +119,19 @@ def _pole_hits(sd: SpectralData, z: np.ndarray) -> np.ndarray:
 
 
 def _pole_guard(sd: SpectralData, z):
-    """Refuse one point z within _POLE_TOL*scale of an eigenvalue (PoleHit).
-
-    The scalar path of _pole_hits through the same binary search, for the
-    one point of every Newton evaluation; abs(complex) and np.hypot are the
-    same C hypot, so both paths take the same decisions.
-    """
+    """Refuse one point z within _POLE_TOL*scale of an eigenvalue (PoleHit):
+    the one-point call of _pole_hits."""
     z = complex(z)
-    lam = sd.lambdas
-    i = int(lam.searchsorted(z.real))
-    d = min(abs(float(lam[max(i - 1, 0)]) - z.real),
-            abs(float(lam[min(i, len(lam) - 1)]) - z.real))
-    if abs(complex(d, z.imag)) < _POLE_TOL * sd.scale:
+    if _pole_hits(sd, np.array([z]))[0]:
         raise _pole_error(sd, z)
 
 
 def _terms(sd: SpectralData, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """diffs = eigenvalue - z and terms = weight/diffs, refusing z at a pole.
 
-    The pole-guarded evaluation of the terms of S_L at one point; S_L, f and
-    f' are numpy (pairwise) sums over what it returns.
+    The pole-guarded evaluation of the terms of S_L at one point; s_l and
+    its double-double oracle s_l_dd sum what it returns (f and f' come from
+    _f_rows).
     """
     _pole_guard(sd, z)
     diffs = sd.lambdas - z
@@ -154,13 +149,54 @@ def s_l_dd(sd: SpectralData, E) -> complex:
 
 
 def f_and_fprime(sd: SpectralData, E) -> tuple[complex, complex]:
-    """The resonance function f = S_L + exp(-i theta) and its derivative."""
+    """The resonance function f = S_L + exp(-i theta) and its derivative.
+
+    The one-point call of _f_rows; a point within _POLE_TOL*scale of an
+    eigenvalue raises PoleHit, a real point on the cuts OnBranchCut.
+    """
     z = complex(E)
-    diffs, terms = _terms(sd, z)
-    ph = cmath.exp(-1j * theta(z))
-    f = complex(np.sum(terms)) + ph
-    fp = complex(np.sum(terms / diffs)) - 1j * theta_prime(z) * ph
-    return f, fp
+    value = _f_rows(sd, [z])[0]
+    if value is None:
+        raise _pole_error(sd, z)
+    return value
+
+
+def _f_rows(sd: SpectralData, zs) -> list:
+    """f and f' at each point of zs: the pair (f, f'), or None at a point
+    within _POLE_TOL*scale of an eigenvalue (the guard of _pole_hits).
+
+    The exact point kernel of the seeds' Newton steps.  The terms
+    w/(lambda - z) of a point are one contiguous row, and so are the terms
+    w/(lambda - z)^2; numpy's sum along a row is the same pairwise sum as
+    over that row alone, so a point's values do not depend on the other
+    points of its block.  The rows run in blocks of at most _CHUNK entries.
+    The phase exp(-i theta) and its derivative are added per point in
+    cmath, where theta raises at a real point on the cuts.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    ok = np.flatnonzero(~_pole_hits(sd, zs))
+    points = zs[ok].tolist()
+    # the complex operands that the mixed real-complex arithmetic casts to
+    lam = sd.lambdas.astype(complex)
+    w = sd.weights_end.astype(complex)
+    rows = max(1, _CHUNK // len(lam))
+    diffs = np.empty((min(len(points), rows), len(lam)), dtype=complex)
+    terms = np.empty_like(diffs)
+    sums = []
+    for s in range(0, len(points), rows):
+        block = points[s:s + rows]
+        d, t = diffs[:len(block)], terms[:len(block)]
+        for row, z in zip(d, block):
+            np.subtract(lam, z, row)
+        np.divide(w, d, t)
+        s0 = np.add.reduce(t, 1)
+        np.divide(t, d, t)
+        sums += zip(s0.tolist(), np.add.reduce(t, 1).tolist())
+    out = [None] * len(zs)
+    for i, z, (s0, s1) in zip(ok.tolist(), points, sums):
+        ph = cmath.exp(-1j * theta(z))
+        out[i] = (s0 + ph, s1 - 1j * theta_prime(z) * ph)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +208,56 @@ def alpha_and_seed(sd: SpectralData, band: int, n: int) -> tuple[complex, comple
 
     alpha_n sums weight/(eigenvalue - lambda_n) over every *other* eigenvalue
     (outside-band ones included) and adds exp(-i theta(lambda_n)); the seed is
-    lambda_n + a_n/alpha_n, always strictly below the real axis.
+    lambda_n + a_n/alpha_n, always strictly below the real axis.  The
+    one-index call of the sweep's batched seeds.
     """
     members = sd.band_members(band)
     if not 0 <= n < len(members):
         raise ValueError(f"band {band} has no local index {n}")
-    return _alpha_and_seed(sd, int(members[n]))
+    seeded, error = _alpha_and_seed(sd, [int(members[n])])
+    if error is not None:
+        raise error
+    return seeded[0]
 
 
-def _alpha_and_seed(sd: SpectralData, g: int) -> tuple[complex, complex]:
-    """alpha_and_seed of global index g; theta refuses a lambda_g on the cuts,
-    and of the sorted eigenvalues only g-1 and g+1 can coincide with it."""
-    lam_n = float(sd.lambdas[g])
-    phase = cmath.exp(-1j * theta(lam_n))
-    diffs = sd.lambdas - lam_n
-    diffs[g] = np.inf  # term g is deleted from the sum
-    near = diffs[max(g - 1, 0):g + 2].tolist()  # lambda_g's own is inf
-    if min(map(abs, near)) <= _POLE_TOL * sd.scale:
-        raise PoleHit(f"coincident eigenvalues at lambda = {lam_n}")
-    alpha = complex(np.sum(np.delete(sd.weights_end / diffs, g))) + phase
-    seed = complex(lam_n + sd.weights_end[g] / alpha)
-    return alpha, seed
+def _alpha_and_seed(sd: SpectralData, gs) -> tuple[list, Exception | None]:
+    """(alpha, seed) of each global index in gs, in order, up to the first
+    that fails its guards, and that failure (None if every index passes).
+
+    theta refuses a lambda_g on the cuts, and of the sorted eigenvalues only
+    g-1 and g+1 can coincide with lambda_g (PoleHit).  Row i of a block
+    holds the terms of every eigenvalue but g_i, in order, so its pairwise
+    sum is that of np.delete(terms, g_i); the rows run in blocks of at most
+    _CHUNK entries.
+    """
+    lam, w = sd.lambdas, sd.weights_end
+    phases, error = [], None
+    for g in gs:
+        lam_n = float(lam[g])
+        near = [abs(float(lam[k]) - lam_n) for k in (g - 1, g + 1)
+                if 0 <= k < len(lam)]
+        try:
+            phase = cmath.exp(-1j * theta(lam_n))
+            if min(near, default=math.inf) <= _POLE_TOL * sd.scale:
+                raise PoleHit(f"coincident eigenvalues at lambda = {lam_n}")
+        except (OnBranchCut, PoleHit) as exc:
+            error = exc
+            break
+        phases.append(phase)
+    g = np.asarray(gs[:len(phases)], dtype=int)
+    sums = np.empty(len(g))
+    rows = max(1, _CHUNK // len(lam))
+    for s in range(0, len(g), rows):
+        gb = g[s:s + rows]
+        diffs = lam - lam[gb, None]
+        diffs[np.arange(len(gb)), gb] = np.inf  # term g is deleted from the sum
+        terms = (w / diffs)[np.arange(len(lam)) != gb[:, None]]
+        sums[s:s + rows] = np.add.reduce(
+            terms.reshape(len(gb), len(lam) - 1), 1)
+    alphas = [complex(total) + phase
+              for total, phase in zip(sums.tolist(), phases)]
+    seeds = lam[g] + w[g] / np.array(alphas, dtype=complex)
+    return list(zip(alphas, seeds.tolist())), error
 
 
 def newton_refine(sd: SpectralData, seed: complex,
@@ -202,13 +267,21 @@ def newton_refine(sd: SpectralData, seed: complex,
 
     Full step first, halved up to 8 times until |f| decreases; iterates are
     clamped below the real axis.  Divergence raises NoConvergence carrying
-    the last iterate instead of returning a wrong root.
+    the last iterate instead of returning a wrong root.  The one-seed call
+    of _newton, which a sweep runs on all its seeds.
     """
+    return _newton(sd, [seed], max_iter, tol)[0]
+
+
+def _newton_steps(seed, max_iter: int, tol: float):
+    """The damped Newton iteration of one seed, as a generator: it yields
+    each point to evaluate and is sent (f, f') there, or thrown the point's
+    PoleHit; it returns (z, |f(z)|, iterations)."""
     z = complex(seed)
     if z.imag >= 0:
         raise ValueError(f"seed {seed} must lie in the open lower half-plane")
-    eps = float(np.finfo(float).eps)
-    fz, fpz = f_and_fprime(sd, z)
+    eps = math.ulp(1.0)
+    fz, fpz = yield z
     best = abs(fz)
     for it in range(max_iter):
         if best <= tol:
@@ -223,7 +296,7 @@ def newton_refine(sd: SpectralData, seed: complex,
             if cand.imag >= 0.0:
                 cand = complex(cand.real, -1e-30)
             try:
-                fc, fpc = f_and_fprime(sd, cand)
+                fc, fpc = yield cand
             except PoleHit:
                 t *= 0.5
                 continue
@@ -245,6 +318,48 @@ def newton_refine(sd: SpectralData, seed: complex,
     if best <= tol:
         return z, best, max_iter
     raise NoConvergence(z, best, max_iter)
+
+
+def _newton(sd: SpectralData, seeds, max_iter: int,
+            tol: float) -> list[tuple[complex, float, int]]:
+    """newton_refine of every seed, in lockstep.
+
+    Each round evaluates the next point of every seed still running in one
+    _f_rows call; each seed keeps its own step, halvings and iteration
+    count, so its result is that of newton_refine on it alone.  A seed's
+    error (its ValueError, NoConvergence, the PoleHit of a seed at a pole,
+    an arithmetic error) stops the seeds after it, and the error raised is
+    that of the lowest-numbered failing seed, once the seeds before it have
+    finished.
+    """
+    runs = [_newton_steps(seed, max_iter, tol) for seed in seeds]
+    out, points = [None] * len(runs), {}
+    first, error = len(runs), None
+
+    def advance(k, resume, value):
+        nonlocal first, error
+        try:
+            points[k] = resume(value)
+        except StopIteration as done:
+            out[k] = done.value
+        except (SpectralError, ValueError, ArithmeticError) as exc:
+            if k < first:
+                first, error = k, exc
+
+    for k, run in enumerate(runs):
+        advance(k, run.send, None)
+    while points:
+        ks = sorted(k for k in points if k < first)
+        zs = [points[k] for k in ks]
+        points.clear()
+        for k, z, value in zip(ks, zs, _f_rows(sd, zs)):
+            if value is None:
+                advance(k, runs[k].throw, _pole_error(sd, z))
+            else:
+                advance(k, runs[k].send, value)
+    if error is not None:
+        raise error
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +458,6 @@ def winding_number(func, rect) -> int:
     return _windings(lambda z, b: func(z), [(x_lo, x_hi, y_lo, y_hi)])[0]
 
 
-_CHUNK = 1 << 13  # entries of a (points or boxes) x eigenvalues temporary
 _RHO = 0.125  # far eigenvalues lie beyond r/_RHO of a contour's centre
 _MOMENTS = 19  # J: far tail below _RHO**J/(1 - _RHO) sum |w/(lambda - c)|
 
@@ -565,19 +679,31 @@ def _shallow_depth(C0: float, n: int, L: int) -> float:
     return C0 * (n + 1) / L ** 2
 
 
-def _resonance(sd, edge, n, g, box, count) -> Resonance:
-    """The resonance of box n (global index g): its seed refined by Newton,
-    and its verdict from the box's count."""
-    alpha, seed = _alpha_and_seed(sd, g)
-    z, residual, iters = newton_refine(sd, seed)
-    shallow = _shallow_depth(SHALLOW_C0, n, sd.L)
-    verified = count == 1 and box.contains(z) and -shallow <= z.imag < 0.0
-    return Resonance(
-        band=edge.band_index, n=n, lambda_n=float(sd.lambdas[g]),
-        a_n=float(sd.weights_end[g]), alpha_n=alpha, seed=seed, z=z,
-        residual=residual, box=box, winding_verified=verified,
-        newton_iters=iters,
-    )
+def _resonances(sd, edge, steps, counts) -> list[Resonance]:
+    """The resonance of each step (n, g, box), box n of global index g: its
+    seed refined by Newton, and its verdict from the box's count.
+
+    Every seed is built in one batched pass and every seed refined by
+    _newton in lockstep.  The error raised is that of the lowest-numbered
+    box whose seed or Newton step fails, as if the boxes ran one at a time.
+    """
+    seeded, seed_error = _alpha_and_seed(sd, [g for _, g, _ in steps])
+    roots = _newton(sd, [seed for _, seed in seeded], NEWTON_MAX_ITER,
+                    NEWTON_TOL)
+    if seed_error is not None:
+        raise seed_error
+    out = []
+    for (n, g, box), count, (alpha, seed), (z, residual, iters) in zip(
+            steps, counts, seeded, roots):
+        shallow = _shallow_depth(SHALLOW_C0, n, sd.L)
+        verified = count == 1 and box.contains(z) and -shallow <= z.imag < 0.0
+        out.append(Resonance(
+            band=edge.band_index, n=n, lambda_n=float(sd.lambdas[g]),
+            a_n=float(sd.weights_end[g]), alpha_n=alpha, seed=seed, z=z,
+            residual=residual, box=box, winding_verified=verified,
+            newton_iters=iters,
+        ))
+    return out
 
 
 def check_step_inputs(edge: EdgeData, eps: float, *, L: int | None = None,
@@ -613,7 +739,7 @@ def locate_resonance(sd: SpectralData, edge: EdgeData, n: int,
     check_step_inputs(edge, eps, n=n)
     g, box = _box_for(sd, edge, n, eps)
     count = count_in_box(sd, box)
-    r = _resonance(sd, edge, n, g, box, count)
+    r, = _resonances(sd, edge, [(n, g, box)], [count])
     if not r.winding_verified:
         detail = f"resonance n={n}: z = {r.z} failed the box membership checks"
         raise UniquenessFailed(n, count, detail if count == 1 else None)
@@ -631,19 +757,21 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     exactly one resonance lying within the shallower cell of depth
     SHALLOW_C0 (n+1)/L^2.  Each verdict is recorded in winding_verified.
 
-    Three stages, each in box order, each raising its first failure:
-    every box is built (so a band too small for the sweep is refused
-    before the numerics), every box is counted by _count_boxes (all the
-    guards, then the contours), and every box's seed is refined.  So a
-    guard or contour error of any box is raised ahead of a seed or Newton
-    error of any box.
+    Three stages, each raising its first failure in box order: every box
+    is built (so a band too small for the sweep is refused before the
+    numerics), every box is counted by _count_boxes (all the guards, then
+    the contours), and every box's seed is built and refined: all seeds in
+    one batched pass, then all Newton iterations in lockstep rounds of one
+    kernel call each (_newton).  So a guard or contour error of any box is
+    raised ahead of a seed or Newton error of any box, and of those the
+    error of the lowest-numbered failing box, the one newton_refine or
+    alpha_and_seed raises on that box alone.
     """
     check_step_inputs(edge, eps, L=sd.L, C1=C1)
-    boxes = [_box_for(sd, edge, n, eps)
+    steps = [(n, *_box_for(sd, edge, n, eps))
              for n in range(int(math.floor(eps * sd.L / C1)) + 1)]
-    counts = _count_boxes(sd, [box for _, box in boxes])
-    return [_resonance(sd, edge, n, g, box, count)
-            for n, ((g, box), count) in enumerate(zip(boxes, counts))]
+    counts = _count_boxes(sd, [box for _, _, box in steps])
+    return _resonances(sd, edge, steps, counts)
 
 
 def check_region_inputs(edge: EdgeData, eps: float,

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import edgewatch as ew
 from edgewatch import cli
+from edgewatch import resonance as rz
 from edgewatch.cli import main
+from edgewatch.errors import NoConvergence
 
 
 def run_cli(capsys, *argv):
@@ -63,16 +66,20 @@ def test_edges_narrow_bands_keep_both_edges(capsys):
     # band 0 of (0, 1e5, 1e5) is 4e-10 wide, narrower than classify_edge's
     # 1e-9 match tolerance; each edge must resolve to itself, not to the
     # first edge point within the tolerance.  The gap of (0, 1e-7) is 1e-7
-    # wide and stays open, so both of its edges are listed
-    for potential, n_bands in (("0,1e5,1e5", 3), ("0,1e-7", 2)):
-        code, out, _ = run_cli(capsys, "edges", "--potential", potential,
+    # wide and stays open, so both of its edges are listed.  Both edges of
+    # band 0 of the period-6 potential share one recorded energy, and each
+    # is classified as itself
+    for potential, n_bands, n_energies in (
+            ("0,1e5,1e5", 3, 6), ("0,1e-7", 2, 4),
+            ("-15,-1452,-14,2807,-201,2648", 6, 11)):
+        code, out, _ = run_cli(capsys, "edges", f"--potential={potential}",
                                "--j", "0")
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [(r[1], r[2]) for r in rows] == [
             (str(b), side) for b in range(n_bands)
             for side in ("left", "right")]
-        assert len({r[0] for r in rows}) == 2 * n_bands
+        assert len({r[0] for r in rows}) == n_energies
 
 
 def test_resonances_small_run(capsys):
@@ -226,6 +233,35 @@ def test_numerical_error_exit_code(capsys):
         assert code == 3
         assert out == ""
         assert name in err
+
+
+@pytest.mark.parametrize("potential, L, edge", [
+    ("1.2,1.42,-1.12", 174, "-1.9904570840629134"),
+    ("1.47,1.2,0.26", 350, "0.3343692346777312")])
+def test_stalled_sweep_reports_its_first_failing_box(capsys, potential, L,
+                                                     edge):
+    # Newton stalls from the seed of one box of these sweeps, and the sweep
+    # exits 3 with the error newton_refine raises on that seed alone: the
+    # first such box's, as if the boxes ran one at a time
+    V = ew.PeriodicPotential.from_values(potential.split(","))
+    bs = ew.band_structure(V)
+    sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V, L)), bs)
+    ed = ew.classify_edge(V, bs, float(edge), sd.j)
+    members = sd.edge_members(ed)
+    for n in range(int(0.3 * L) + 1):
+        g = int(members[n])
+        _, seed = rz.alpha_and_seed(sd, ed.band_index, int(sd.local_index[g]))
+        try:
+            rz.newton_refine(sd, seed)
+        except NoConvergence as exc:
+            expected = f"numerical error: NoConvergence: {exc}\n"
+            break
+    else:
+        pytest.fail("no box of the sweep stalls")
+    code, out, err = run_cli(capsys, "resonances", f"--potential={potential}",
+                             "--L", str(L), f"--edge={edge}", "--eps", "0.3",
+                             "--c1", "1")
+    assert (code, out, err) == (3, "", expected)
 
 
 def test_resonances_output_deterministic(capsys):

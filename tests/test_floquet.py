@@ -405,3 +405,21 @@ def test_classify_edge_errors_and_consistency(V03, bs03):
     ed = ew.classify_edge(V03, bs03, -1.0, 0)
     # stored d reproduces bit-for-bit from the stored fields
     assert ed.d_j1 == ed.a_j1 * (ed.a0_p - ed.rho) + ed.b_j1 * ed.a0_p_minus_1
+
+
+def test_classify_edge_takes_a_recorded_edge_point(V03, bs03):
+    # a recorded EdgePoint is classified as itself, with the fields of its
+    # energy; both edges of a band narrower than one ulp share one energy,
+    # and each keeps its side and rho
+    for ep in bs03.edge_points:
+        assert ew.classify_edge(V03, bs03, ep, 1) == ew.classify_edge(
+            V03, bs03, ep.energy, 1)
+    V = ew.PeriodicPotential.from_values([-15, -1452, -14, 2807, -201, 2648])
+    bs = ew.band_structure(V)
+    left, right = bs.edge_points[:2]
+    assert left.energy == right.energy
+    assert [(ed.side, ed.rho) for ed in (ew.classify_edge(V, bs, ep, 0)
+                                         for ep in (left, right))] == [
+        ("left", 1.0), ("right", -1.0)]
+    with pytest.raises(NotAnEdge):
+        ew.classify_edge(V03, bs03, floquet.EdgePoint(-0.5, 0, "left"), 0)

@@ -125,6 +125,36 @@ def test_f_branch_asymmetry(sd400):
     assert abs(f1 - f2.conjugate()) > 1e-3
 
 
+def _point_reference(sd, z):
+    """f and f' at one point as evaluated before the row-batched kernel,
+    kept as the reference: one 1-D row of terms per point."""
+    diffs = sd.lambdas - z
+    terms = sd.weights_end / diffs
+    ph = cmath.exp(-1j * rz.theta(z))
+    return (complex(np.sum(terms)) + ph,
+            complex(np.sum(terms / diffs)) - 1j * rz.theta_prime(z) * ph)
+
+
+def test_f_rows_match_one_point_rows(sd400, sweep400):
+    # 60 points over three blocks of 20 rows (401 eigenvalues) give the bits
+    # of the one-point formula, and None at a pole, wherever they sit in a
+    # block; the real points are on the axis inside the cuts
+    assert rz._CHUNK // len(sd400.lambdas) == 20
+    rng = np.random.default_rng(29)
+    zs = [r.z for r in sweep400] + [r.seed for r in sweep400]
+    zs += [complex(rng.uniform(-1.9, 1.9), -10.0 ** rng.uniform(-12, 0))
+           for _ in range(40)]
+    zs += [-0.47 + 0j, 1.2 + 0j]
+    pole = float(sd400.lambdas[137])
+    zs[25] = complex(pole)
+    values = rz._f_rows(sd400, zs)
+    assert len(values) == 60 and values[25] is None
+    for z, value in zip(zs, values):
+        if z != pole:
+            assert value == _point_reference(sd400, z)
+            assert rz.f_and_fprime(sd400, z) == value
+
+
 # ---------------------------------------------------------------------------
 # seeds and refinement
 
@@ -357,22 +387,101 @@ def test_batched_counts_equal_single_box_counts(monkeypatch, sd400,
             assert count_boxes(sd, boxes) == counts
 
 
+def _nan_at(monkeypatch, points, part=0):
+    # the batched kernel returns NaN for f (part 0) or f' (part 1) at these
+    # points, which makes the Newton step from there non-finite; returns the
+    # list of the points of every kernel call
+    evaluate, calls = rz._f_rows, []
+
+    def f_rows(sd, zs):
+        calls.append(list(zs))
+        out = evaluate(sd, zs)
+        for i, z in enumerate(zs):
+            if z in points and out[i] is not None:
+                value = list(out[i])
+                value[part] = complex("nan+nanj")
+                out[i] = tuple(value)
+        return out
+    monkeypatch.setattr(rz, "_f_rows", f_rows)
+    return calls
+
+
+def test_newton_halves_a_step_onto_a_pole(monkeypatch, sd400, edge_m1_j0,
+                                          sweep400):
+    # a Newton candidate at a pole (the kernel's None) halves the step, in
+    # the sweep's lockstep rounds as for the seed alone
+    seed = sweep400[3].seed
+    f, fp = rz.f_and_fprime(sd400, seed)
+    full, half = seed - f / fp, seed - 0.5 * (f / fp)
+    evaluate = rz._f_rows
+    calls = []
+
+    def pole_at_full_step(sd, zs):
+        calls.append(list(zs))
+        return [None if z == full else v for z, v in zip(zs, evaluate(sd, zs))]
+    monkeypatch.setattr(rz, "_f_rows", pole_at_full_step)
+    z, residual, iters = rz.newton_refine(sd400, seed)
+    assert [c[0] for c in calls[:3]] == [seed, full, half]
+    assert residual <= 1e-10
+    calls.clear()
+    r = ew.sweep_band_edge(sd400, edge_m1_j0)[3]
+    assert (r.z, r.residual, r.newton_iters) == (z, residual, iters)
+    i = next(i for i, c in enumerate(calls) if full in c)
+    assert half in calls[i + 1]
+
+
 def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
                                             sweep400):
-    # a NoConvergence of box 2 or box 7 raises after the counts
-    refine = rz.newton_refine
-
-    def fail_box(j):
-        def refine_or_fail(sd, seed):
-            if seed == sweep400[j].seed:
-                raise NoConvergence(seed, 1.0, 0)
-            return refine(sd, seed)
-        return refine_or_fail
-
+    # a NoConvergence of box 2 or box 7 raises after the counts, with the
+    # message of newton_refine on that box's seed alone
     for j in (2, 7):
-        monkeypatch.setattr(rz, "newton_refine", fail_box(j))
-        with pytest.raises(NoConvergence):
-            ew.sweep_band_edge(sd400, edge_m1_j0)
+        with monkeypatch.context() as m:
+            _nan_at(m, [sweep400[j].seed])
+            with pytest.raises(NoConvergence) as alone:
+                rz.newton_refine(sd400, sweep400[j].seed)
+            assert str(alone.value) == "non-finite Newton step"
+            with pytest.raises(NoConvergence) as exc:
+                ew.sweep_band_edge(sd400, edge_m1_j0)
+            assert exc.value.last_iterate == sweep400[j].seed
+            assert str(exc.value) == str(alone.value)
+
+    # failures in boxes 2 and 7 raise box 2's, also where box 7 fails at its
+    # seed and box 2 only after its first step (a NaN f' there)
+    with monkeypatch.context() as m:
+        steps = _nan_at(m, [])
+        rz.newton_refine(sd400, sweep400[2].seed)
+        first_step = steps[1][0]
+    for box_2, part in ((sweep400[2].seed, 0), (first_step, 1)):
+        with monkeypatch.context() as m:
+            _nan_at(m, [sweep400[7].seed])
+            _nan_at(m, [box_2], part)
+            with pytest.raises(NoConvergence) as exc:
+                ew.sweep_band_edge(sd400, edge_m1_j0)
+            assert exc.value.last_iterate == box_2
+            assert exc.value.iterations == part
+
+    # a seed failure in box 7 (theta refuses its eigenvalue) raises alone,
+    # and behind a Newton failure in box 2, but ahead of one in box 8
+    lam_7 = sweep400[7].lambda_n
+    original_theta = rz.theta
+
+    def refuse_lambda_7(E):
+        if E == lam_7:
+            raise OnBranchCut(f"E = {E} refused")
+        return original_theta(E)
+
+    for newton_box, raised in ((None, OnBranchCut), (2, NoConvergence),
+                               (8, OnBranchCut)):
+        with monkeypatch.context() as m:
+            m.setattr(rz, "theta", refuse_lambda_7)
+            if newton_box is not None:
+                _nan_at(m, [sweep400[newton_box].seed])
+            with pytest.raises(raised) as exc:
+                ew.sweep_band_edge(sd400, edge_m1_j0)
+            if raised is OnBranchCut:
+                assert str(exc.value) == f"E = {lam_7} refused"
+            else:
+                assert exc.value.last_iterate == sweep400[2].seed
 
     # box k's values are NaN: its count raises, and so does the sweep, with
     # the message of count_in_box, before any seed is refined
@@ -385,9 +494,7 @@ def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
         return np.where(on_k, np.nan, evaluate(ff, z, b))
 
     monkeypatch.setattr(rz._FarField, "__call__", nan_on_box_k)
-    seeds = []
-    monkeypatch.setattr(rz, "newton_refine", lambda sd, seed: seeds.append(
-        seed) or refine(sd, seed))
+    seeds = _nan_at(monkeypatch, [])
     message = ("boundary value vanished or blew up at "
                f"{complex(box_k.x_lo, -box_k.depth)}")
     with pytest.raises(AdaptiveDepthExceeded) as exc:
@@ -399,15 +506,15 @@ def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
     assert seeds == []
 
     # with box 2's NoConvergence as well, box 5's contour error raises first
-    monkeypatch.setattr(rz, "newton_refine", fail_box(2))
+    _nan_at(monkeypatch, [sweep400[2].seed])
     with pytest.raises(AdaptiveDepthExceeded) as exc:
         ew.sweep_band_edge(sd400, edge_m1_j0)
     assert str(exc.value) == message
 
 
 def test_pole_guard_shared_by_point_and_contour(sd400):
-    # the scalar guard of the point kernel and the array guard of the
-    # contour take the same decisions at 0.5x and 2x the tolerance
+    # the one-point guard, the point kernel and the contour take the
+    # decisions of _pole_hits at 0.5x and 2x the tolerance
     tol = rz._POLE_TOL * sd400.scale
     k = 137
     lam = float(sd400.lambdas[k])
@@ -568,10 +675,11 @@ def test_sweep_parameter_validation(monkeypatch, sd400, edge_m1_j0):
     with pytest.raises(ValueError, match="C1 must be positive"):
         ew.sweep_band_edge(sd400, edge_m1_j0, 0.2, C1=float("nan"))
     # every box of a sweep is built, and the band size checked by _box_for,
-    # before any resonance is refined
+    # before any seed is built or refined
     def refine(*args, **kwargs):
         raise AssertionError("refined before the band size was checked")
-    monkeypatch.setattr(rz, "newton_refine", refine)
+    monkeypatch.setattr(rz, "_alpha_and_seed", refine)
+    monkeypatch.setattr(rz, "_f_rows", refine)
     with pytest.raises(ValueError, match="inside the band"):
         ew.sweep_band_edge(sd400, edge_m1_j0, eps=0.2, C1=0.01)
 
@@ -606,15 +714,23 @@ def test_sweep_right_edge_generic_b(V03, bs03):
 
 def test_public_steps_reproduce_the_sweep(sd400, sweep400, right401):
     # the benchmark's traced replay re-runs every box through these public
-    # steps and requires the sweep's numbers back exactly
-    for sd, results in ((sd400, sweep400), right401):
+    # steps and requires the sweep's numbers back exactly; the batched seeds
+    # and Newton rounds of (1,-2,0.5) at L=301 span several kernel blocks
+    V = ew.PeriodicPotential.from_values([1.0, -2.0, 0.5])
+    bs = ew.band_structure(V)
+    sd301 = ew.band_enumerate(ew.eigensystem(ew.assemble(V, 301)), bs)
+    e0 = min((ep.energy for ep in bs.edge_points), key=lambda e: abs(e - 0.5))
+    edge = ew.classify_edge(V, bs, e0, sd301.j)
+    deep = ew.sweep_band_edge(sd301, edge, eps=0.3, C1=1.0)
+    assert len(deep) == 91 and rz._CHUNK // len(sd301.lambdas) == 27
+    for sd, results in ((sd400, sweep400), right401, (sd301, deep)):
         for r in results:
             g = int(np.flatnonzero(sd.lambdas == r.lambda_n)[0])
             alpha, seed = rz.alpha_and_seed(sd, r.band,
                                             int(sd.local_index[g]))
-            z, _, iters = rz.newton_refine(sd, seed)
-            assert (alpha, seed, z, iters) == (r.alpha_n, r.seed, r.z,
-                                               r.newton_iters)
+            z, residual, iters = rz.newton_refine(sd, seed)
+            assert (alpha, seed, z, residual, iters) == (
+                r.alpha_n, r.seed, r.z, r.residual, r.newton_iters)
             assert rz.count_in_box(sd, r.box) == 1
 
 
