@@ -498,7 +498,7 @@ class _FarField:
             np.divide(1.0, u, out=u)
             v = w * u
             for j in range(_MOMENTS):
-                self.moments[j, s:s + rows] = np.sum(v, axis=1)
+                self.moments[j, s:s + rows] = np.add.reduce(v, 1)
                 v *= u
 
     def __call__(self, z: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -529,9 +529,9 @@ class _FarField:
             r = d * d
             r += (ys * ys)[:, None]
             q /= r
-            out.imag[s:e] = ys * np.sum(q, axis=1)
+            out.imag[s:e] = ys * np.add.reduce(q, 1)
             d *= q
-            out.real[s:e] = np.sum(d, axis=1)
+            out.real[s:e] = np.add.reduce(d, 1)
             s = e
         t = z - self.centre[b]
         far = self.moments[-1].take(b).astype(complex)

@@ -5,12 +5,15 @@ unit off-diagonals.  Only the boundary components of the eigenvectors are
 retained: the pair (eigenvalue, squared last component) fully determines the
 resonances downstream, and the squared first component feeds the edge
 classification cross-checks.  Past the tridiagonal QR eigenvalues, one
-recurrence gives both: the twisted factorisation of H - lambda per
-eigenvalue (Dhillon & Parlett, LAA 387, 2004), vectorised over a slice of
-eigenvalues at a time, whose Rayleigh quotient corrects each eigenvalue
-and whose vector at the corrected eigenvalue gives the weights.
+Newton step on the last LDL^T pivot of H - lambda, taken from the end
+where the eigenvector is larger, corrects each eigenvalue; then one pass
+of the twisted factorisation of H - lambda per eigenvalue (Dhillon &
+Parlett, LAA 387, 2004), vectorised over a slice of eigenvalues at a time,
+gives the weights, and its Rayleigh quotient checks the correction.  An
+eigenvalue that fails the check takes the twisted vector's Rayleigh
+quotient at its QR value instead, and its weights from a second pass.
 
-The recurrence runs as a Python loop over the sites with one numpy call
+The recurrences run as Python loops over the sites with one numpy call
 per operation over the slice's eigenvalues.  At the eigensolve's lengths a
 call's fixed cost (about 0.4-1 us on a 2-core Xeon) weighs as much as its
 arithmetic, so the site loops keep a call discipline that changes no
@@ -68,7 +71,7 @@ WEIGHT_RESIDUAL_TOL = 1e-8
 # working memory of the boundary-weight kernel: per eigenvalue it keeps a
 # few roots of n checkpointed pivots, a residue row per distinct diagonal
 # value and _WORKING_ROWS more, and the eigenvalues are processed in slices
-# that fit this budget
+# that fit this budget (as are those of _end_pivot_steps)
 WEIGHT_WORKSPACE_BYTES = 2_500_000
 # added to every pivot: it replaces an exact zero (E = 0 on (0,3) gives
 # v_0 - lambda = 0) and leaves any pivot larger than ~1e-104 unchanged
@@ -82,6 +85,14 @@ _WORKING_ROWS = 18
 # twist: it decides only between sites whose |gamma| agree to ~1e-300 or
 # whose norm is past ~1e280
 _TWIST_TIE = 1e-300
+# longest end-pivot Newton step taken, times max(1, max|x|): a QR eigenvalue
+# lies within ~n*eps of its root, so a longer step comes from an end that
+# barely sees the eigenvector
+_END_STEP_TOL = 1e-10
+# widest |rayleigh - lambda| / max(1, |lambda|) at which a stepped
+# eigenvalue is kept: where the step is sound it and the twisted quotient
+# each land within ~0.5 eps of the root, so a wider gap means it went astray
+_QUOTIENT_TOL = 2 * np.finfo(float).eps
 
 _NO_MEMBERS = np.zeros(0, dtype=np.intp)
 _NO_MEMBERS.flags.writeable = False
@@ -389,14 +400,12 @@ def _checkpoint_widths(v: np.ndarray) -> tuple[list, int]:
     return widths, lane_bytes
 
 
-def _boundary_weights(diag: np.ndarray, lam: np.ndarray):
-    """(weights_end, weights_start, rayleigh) of the twisted vectors at lam.
+def _twisted_rows(diag: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Rows (weights_end, weights_start, residual, rayleigh) of the twisted
+    vectors at lam, uncertified.
 
     Shifts whose weights overflow under _twisted_slice are redone by
-    _twisted_stored.  Raises ConvergenceFailure at the first eigenvalue
-    whose twisted vector misses WEIGHT_RESIDUAL_TOL or whose weights are
-    not finite.  The certificate also bounds each Rayleigh correction:
-    |gamma_r| / N <= |gamma_r| / sqrt(N) <= WEIGHT_RESIDUAL_TOL.
+    _twisted_stored.
     """
     n = len(diag)
     widths, lane_bytes = _checkpoint_widths(diag)
@@ -412,26 +421,103 @@ def _boundary_weights(diag: np.ndarray, lam: np.ndarray):
         for lo in range(0, len(redo), width):
             idx = redo[lo:lo + width]
             out[:, idx] = _twisted_stored(diag, lam[idx])
-    w_end, w_start, resid, rayleigh = out
-    ok = (resid <= WEIGHT_RESIDUAL_TOL) & np.isfinite(w_end) & np.isfinite(w_start)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise ConvergenceFailure(k, float(resid[k]))
-    return w_end, w_start, rayleigh
+    return out
+
+
+def _uncertified(out: np.ndarray) -> np.ndarray:
+    """Mask of the _twisted_rows columns whose twisted vector misses
+    WEIGHT_RESIDUAL_TOL or whose weights are not finite."""
+    w_end, w_start, resid, _ = out
+    return ~((resid <= WEIGHT_RESIDUAL_TOL) & np.isfinite(w_end)
+             & np.isfinite(w_start))
+
+
+def _certify(out: np.ndarray):
+    """Raise ConvergenceFailure at the first uncertified column of out."""
+    bad = _uncertified(out)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConvergenceFailure(k, float(out[2, k]))
+
+
+def _boundary_weights(diag: np.ndarray, lam: np.ndarray):
+    """(weights_end, weights_start, rayleigh) of the twisted vectors at lam.
+
+    Raises ConvergenceFailure at the first eigenvalue whose twisted vector
+    misses WEIGHT_RESIDUAL_TOL or whose weights are not finite.  The
+    certificate also bounds each Rayleigh correction:
+    |gamma_r| / N <= |gamma_r| / sqrt(N) <= WEIGHT_RESIDUAL_TOL.
+    eigensystem calls it only for the eigenvalues it redoes.
+    """
+    out = _twisted_rows(diag, lam)
+    _certify(out)
+    return out[0], out[1], out[3]
+
+
+def _end_pivot_steps(v: np.ndarray, x: np.ndarray):
+    """(y, taken): x moved by one Newton step on an end pivot of H - x.
+
+    The last pivot of the LDL^T factorisation from site 0,
+    D_i = ((v_i - x) - u) + _PIVOT_NUDGE with u = 1/D_{i-1}, has the
+    derivative D'_i = (u*u)*D'_{i-1} - 1 (D_0 = (v_0 - x) + _PIVOT_NUDGE,
+    D'_0 = -1), and D' = -1/weight of that end at a root, so its Newton step
+    D/D' is well conditioned where the eigenvector is large at that end.
+    The mirror image from site n-1 gives the other end's step.  Both run
+    as 2m stacked lanes through one site loop of six numpy calls, over
+    residue rows keyed by the pair (v_i, v_{n-1-i}), in slices of at most
+    WEIGHT_WORKSPACE_BYTES.  An end is valid when D' is finite and
+    |D/D'| <= _END_STEP_TOL * max(1, max|x|); each shift takes the step
+    of its valid end of smaller |D'|, y = x - D/D', and keeps y = x with
+    taken False where neither end is valid.
+    """
+    n, m = len(v), len(x)
+    ends = np.stack([v, v[::-1]], axis=1)
+    _, first, row = np.unique(ends.view(np.int64), axis=0, return_index=True,
+                              return_inverse=True)
+    ends, row = ends[first], row.reshape(-1).tolist()
+    bound = _END_STEP_TOL * max(1.0, float(np.max(np.abs(x))))
+    width = max(1, WEIGHT_WORKSPACE_BYTES // (16 * (len(ends) + 6)))
+    y, taken = x.copy(), np.zeros(m, dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, m, width):
+            xs = x[lo:lo + width]
+            by_ends = list((ends[:, :, None] - xs).reshape(len(ends), -1))
+            a = [by_ends[k] for k in row]
+            nudge = np.full(2 * len(xs), _PIVOT_NUDGE)
+            one = np.ones(2 * len(xs))
+            d, u, dd = a[0] + nudge, np.empty(2 * len(xs)), -one
+            for i in range(1, n):
+                np.reciprocal(d, u)
+                np.subtract(a[i], u, d)
+                np.add(d, nudge, d)
+                np.multiply(u, u, u)
+                np.multiply(u, dd, dd)
+                np.subtract(dd, one, dd)
+            step, size = (d / dd).reshape(2, -1), np.abs(dd).reshape(2, -1)
+            ok = np.isfinite(size) & (np.abs(step) <= bound)
+            far = ok[1] & (~ok[0] | (size[1] < size[0]))
+            hit = ok[0] | ok[1]
+            taken[lo:lo + width] = hit
+            y[lo:lo + width] = np.where(
+                hit, xs - np.where(far, step[1], step[0]), xs)
+    return y, taken
 
 
 def eigensystem(H: TridiagonalOperator) -> SpectralData:
     """All eigenvalues and eigenvector boundary weights of the section.
 
-    Past the tridiagonal QR algorithm, one recurrence serves both: the
-    twisted factorisation of H - x, vectorised over slices of the spectrum.
-    A first pass at the QR eigenvalues corrects each to its twisted
-    vector's Rayleigh quotient (band_enumerate later snaps edge eigenvalues
-    onto the band edge).  A second pass at the corrected eigenvalues gives
-    the boundary weights, and its own quotients are not applied.  The
-    twisted vector's relative residual is the certificate of each pass,
-    and one above WEIGHT_RESIDUAL_TOL raises ConvergenceFailure.  The
-    result is a function of H alone.
+    Past the tridiagonal QR algorithm, _end_pivot_steps moves each QR
+    eigenvalue x by one Newton step on an end pivot of H - x
+    (band_enumerate later snaps edge eigenvalues onto the band edge).  One
+    pass of the twisted factorisation at the stepped eigenvalues gives the
+    boundary weights, and its Rayleigh quotients check the steps: an
+    eigenvalue with no valid step, whose quotient differs from it by more
+    than _QUOTIENT_TOL * max(1, |lambda|), or whose twisted vector fails
+    its certificate is redone independently of the others, as the twisted
+    vector's Rayleigh quotient at x with its weights from a second pass at
+    that quotient.  The twisted vector's relative residual is the
+    certificate of every pass, and one above WEIGHT_RESIDUAL_TOL raises
+    ConvergenceFailure.  The result is a function of H alone.
     """
     L = H.L
     if L > L_SOFT_CAP:
@@ -439,18 +525,25 @@ def eigensystem(H: TridiagonalOperator) -> SpectralData:
             f"L = {L} exceeds the supported working-precision cap {L_SOFT_CAP}; "
             "near-edge weights may lose relative accuracy", stacklevel=2)
 
-    lam = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
-                           lapack_driver="stev")
-    lam = np.sort(_boundary_weights(H.diag, lam)[2])
+    x = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
+                         lapack_driver="stev")
+    lam, taken = _end_pivot_steps(H.diag, x)
+    out = _twisted_rows(H.diag, lam)
+    drift = np.abs(out[3] - lam) > _QUOTIENT_TOL * np.maximum(1.0, np.abs(lam))
+    redo = np.flatnonzero(~taken | drift | _uncertified(out))
+    if len(redo):
+        lam[redo] = _boundary_weights(H.diag, x[redo])[2]
+        out[:, redo] = _twisted_rows(H.diag, lam[redo])
+    order = np.argsort(lam)
+    lam, out = lam[order], out[:, order]
     gaps = np.diff(lam)
     if np.any(gaps < 1e-12):
         k = int(np.argmin(gaps))
         raise ConvergenceFailure(k, float(gaps[k]),
                                  f"near-degenerate eigenvalue pair at index {k}")
-
-    w_end, w_start, _ = _boundary_weights(H.diag, lam)
+    _certify(out)
     return SpectralData(L=L, j=L % H.period, lambdas=lam,
-                        weights_end=w_end, weights_start=w_start)
+                        weights_end=out[0], weights_start=out[1])
 
 
 def band_enumerate(sd: SpectralData, bs: BandStructure) -> SpectralData:

@@ -235,8 +235,9 @@ def _twisted_reference(v, x):
                                                   ((1.0, -2.0, 0.5), 301, None)])
 def test_twisted_kernel_matches_plain_recurrences(monkeypatch, values, L,
                                                   workspace):
-    # both passes of eigensystem: at the QR eigenvalues and at their
-    # Rayleigh quotients; the small workspace forces three checkpoint levels
+    # both passes of eigensystem's fallback: at the QR eigenvalues and at
+    # their Rayleigh quotients; the small workspace forces three checkpoint
+    # levels
     if workspace is not None:
         monkeypatch.setattr(spectrum, "WEIGHT_WORKSPACE_BYTES", workspace)
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
@@ -252,6 +253,128 @@ def test_twisted_kernel_matches_plain_recurrences(monkeypatch, values, L,
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         x = np.sort(got[3])
+
+
+def _end_pivot_reference(v, x):
+    """_end_pivot_steps kept plain: each end's pivot and derivative
+    recurred over the whole lane, one floating-point operation per line,
+    then the choice of step the kernel's docstring states."""
+    nudge = spectrum._PIVOT_NUDGE
+    steps, sizes = [], []
+    for w in (v, v[::-1]):
+        d = (w[0] - x) + nudge
+        dd = np.full(len(x), -1.0)
+        for vi in w[1:]:
+            u = 1.0 / d
+            d = ((vi - x) - u) + nudge
+            dd = ((u * u) * dd) - 1.0
+        steps.append(d / dd)
+        sizes.append(np.abs(dd))
+    bound = spectrum._END_STEP_TOL * max(1.0, np.max(np.abs(x)))
+    ok = [np.isfinite(size) & (np.abs(step) <= bound)
+          for step, size in zip(steps, sizes)]
+    far = ok[1] & (~ok[0] | (sizes[1] < sizes[0]))
+    taken = ok[0] | ok[1]
+    return np.where(taken, x - np.where(far, steps[1], steps[0]), x), taken
+
+
+def _long_double_roots(diag, lam, iters=4):
+    """Newton on the characteristic polynomial in np.longdouble from lam,
+    rescaled every site so p/p' stays representable."""
+    v = diag.astype(np.longdouble)
+    x = lam.astype(np.longdouble)
+    for _ in range(iters):
+        p_prev, p_cur = np.ones_like(x), v[0] - x
+        d_prev, d_cur = np.zeros_like(x), -np.ones_like(x)
+        for vi in v[1:]:
+            a = vi - x
+            p_new = a * p_cur - p_prev
+            d_new = a * d_cur - p_cur - d_prev
+            s = np.maximum(np.maximum(np.abs(p_new), np.abs(d_new)), 1)
+            p_prev, p_cur = p_cur / s, p_new / s
+            d_prev, d_cur = d_cur / s, d_new / s
+        x = x - p_cur / d_cur
+    return x
+
+
+def _recording_boundary_weights(monkeypatch):
+    """Record the shifts of every _boundary_weights call, which eigensystem
+    makes only for the eigenvalues it redoes."""
+    calls = []
+    plain = spectrum._boundary_weights
+
+    def record(diag, lam):
+        calls.append(lam.copy())
+        return plain(diag, lam)
+
+    monkeypatch.setattr(spectrum, "_boundary_weights", record)
+    return calls
+
+
+@pytest.mark.parametrize("values, L", [((1.0, -2.0, 0.5), 1000),
+                                       ((0.0, 3.0), 400)])
+def test_end_pivot_steps_match_plain_recurrences(monkeypatch, values, L):
+    # (1, -2, 0.5) at L = 1000 holds a gap state localised at site 0 whose
+    # weight at site L is ~2e-347: the pivot from that end alone steps ~0.6
+    # away, so every eigenvalue is within eps of its root only when each
+    # shift can take the other end's step
+    H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
+    x = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
+                         lapack_driver="stev")
+    with np.errstate(all="ignore"):
+        want = _end_pivot_reference(H.diag, x)
+    got = spectrum._end_pivot_steps(H.diag, x)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # slices change no bits: each shift's lanes are independent
+    monkeypatch.setattr(spectrum, "WEIGHT_WORKSPACE_BYTES", 2_000)
+    sliced = spectrum._end_pivot_steps(H.diag, x)
+    assert all(np.array_equal(a, b) for a, b in zip(sliced, want))
+    monkeypatch.undo()
+
+    y, taken = got
+    assert taken.all()
+    # every step passes the weights pass's check: no eigenvalue is redone
+    calls = _recording_boundary_weights(monkeypatch)
+    sd = ew.eigensystem(H)
+    assert calls == []
+    np.testing.assert_array_equal(sd.lambdas, np.sort(y))
+
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("np.longdouble has no extended precision here")
+    eps = np.finfo(float).eps
+    err = np.abs(y.astype(np.longdouble) - _long_double_roots(H.diag, y))
+    assert np.all(err <= eps * np.maximum(1.0, np.abs(y)))
+
+
+def test_eigensystem_redoes_steps_that_fail_their_check(monkeypatch):
+    # on this long-period section some stepped eigenvalues miss their
+    # twisted Rayleigh quotient by more than _QUOTIENT_TOL (9 of 201 with
+    # the reference LAPACK); each is redone as the two-pass path computes
+    # it (quotient at the QR value, weights at that quotient), so its
+    # eigenvalue and weights keep the two-pass bits
+    values = np.round(np.random.default_rng(30).uniform(-3, 3, 20), 2)
+    L = 200
+    H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
+    x = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
+                         lapack_driver="stev")
+    rayleigh = spectrum._boundary_weights(H.diag, x)[2]
+    two_pass = np.sort(rayleigh)
+    w_end, w_start, _ = spectrum._boundary_weights(H.diag, two_pass)
+
+    calls = _recording_boundary_weights(monkeypatch)
+    sd = ew.eigensystem(H)
+    assert len(calls) == 1 and 0 < len(calls[0]) < L + 1
+    i = np.searchsorted(x, calls[0])
+    np.testing.assert_array_equal(x[i], calls[0])
+    redone = rayleigh[i]
+    k = np.searchsorted(two_pass, redone)
+    np.testing.assert_array_equal(two_pass[k], redone)
+    np.testing.assert_array_equal(sd.lambdas[k], redone)
+    np.testing.assert_array_equal(sd.weights_end[k], w_end[k])
+    np.testing.assert_array_equal(sd.weights_start[k], w_start[k])
+    monkeypatch.undo()
+    # every eigenvalue, stepped or redone, passes the weight certificate
+    spectrum._boundary_weights(H.diag, sd.lambdas)
 
 
 def test_eigensystem_memory_stays_small():
