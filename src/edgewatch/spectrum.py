@@ -4,14 +4,18 @@ The truncated operator is an (L+1) x (L+1) symmetric tridiagonal matrix with
 unit off-diagonals.  Only the boundary components of the eigenvectors are
 retained: the pair (eigenvalue, squared last component) fully determines the
 resonances downstream, and the squared first component feeds the edge
-classification cross-checks.  Past the tridiagonal QR eigenvalues, one
+classification cross-checks.  The eigenvalues start from the roots of the
+section's characteristic function, which the one-period transfer matrix
+gives in O(p) work per energy (Teschl, Jacobi Operators and Completely
+Integrable Nonlinear Lattices, ch. 7), and one Sturm-count pass proves that
+none was lost or doubled, bisecting on the count wherever one was.  One
 Newton step on the last LDL^T pivot of H - lambda, taken from the end
 where the eigenvector is larger, corrects each eigenvalue; then one pass
 of the twisted factorisation of H - lambda per eigenvalue (Dhillon &
 Parlett, LAA 387, 2004), vectorised over a slice of eigenvalues at a time,
 gives the weights, and its Rayleigh quotient checks the correction.  An
 eigenvalue that fails the check takes the twisted vector's Rayleigh
-quotient at its QR value instead, and its weights from a second pass.
+quotient at its start value instead, and its weights from a second pass.
 
 The recurrences run as Python loops over the sites with one numpy call
 per operation over the slice's eigenvalues.  At the eigensolve's lengths a
@@ -28,7 +32,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import floquet
 from .errors import (
@@ -85,14 +88,28 @@ _WORKING_ROWS = 18
 # twist: it decides only between sites whose |gamma| agree to ~1e-300 or
 # whose norm is past ~1e280
 _TWIST_TIE = 1e-300
-# longest end-pivot Newton step taken, times max(1, max|x|): a QR eigenvalue
-# lies within ~n*eps of its root, so a longer step comes from an end that
-# barely sees the eigenvector
+# longest end-pivot Newton step taken, times max(1, max|x|): a certified
+# start value lies within a few eps of its root, so a longer step comes from
+# an end that barely sees the eigenvector
 _END_STEP_TOL = 1e-10
 # widest |rayleigh - lambda| / max(1, |lambda|) at which a stepped
 # eigenvalue is kept: where the step is sound it and the twisted quotient
 # each land within ~0.5 eps of the root, so a wider gap means it went astray
 _QUOTIENT_TOL = 2 * np.finfo(float).eps
+# grid points per eigenvalue that a band can hold (N + 2 for N periods):
+# Chebyshev points are about evenly spaced in the quasi-momentum, so each
+# spacing of the eigenvalues holds about four of them
+_GRID_PER_EIGENVALUE = 4
+# grid points across each gap, which holds at most one eigenvalue from
+# each end of the section
+_GAP_GRID = 16
+# a root's bracket (false position on psi, bisection on the Sturm count)
+# stops at this width times max(1, |x|): a few ulp, where the sign of psi
+# or of a pivot is rounding, and well inside the end-pivot step's reach
+_BISECT_STOP = 4 * np.finfo(float).eps
+# float rows per energy that _characteristic holds at its peak (the two
+# transfer products, their temporaries and both Chebyshev branches)
+_PSI_ROWS = 40
 
 _NO_MEMBERS = np.zeros(0, dtype=np.intp)
 _NO_MEMBERS.flags.writeable = False
@@ -135,7 +152,9 @@ class SpectralData:
     @cached_property
     def _members_by_band(self) -> dict[int, np.ndarray]:
         out = {}
-        for band in np.unique(self.band_of):
+        # a set, not np.unique, whose first plain call imports numpy.ma
+        # (~14 ms of a run's start-up on a 2-core Xeon)
+        for band in sorted(set(self.band_of.tolist())):
             # eigenvalues are sorted, so global order is local-index order
             idx = np.flatnonzero(self.band_of == band)
             idx.flags.writeable = False
@@ -503,17 +522,211 @@ def _end_pivot_steps(v: np.ndarray, x: np.ndarray):
     return y, taken
 
 
+def _characteristic(V: PeriodicPotential, N: int, r: int, E: np.ndarray):
+    """psi(E) = e_0^T P_r M^N e_0 times a positive factor, where the section
+    has N p + r sites, M = product_matrix(V, E, p), P_r that of r sites.
+
+    By Cayley-Hamilton M^N = U_{N-1}(c) M - U_{N-2}(c) I with c = tr M / 2
+    and U_n the Chebyshev polynomials of the second kind, taken at |c| with
+    the sign (-1)^n where c < 0: inside a band U_n = sin((n+1) k) / sin(k)
+    with k = arccos|c|, and in a gap U_n e^{-(N-1) tau} =
+    e^{-(N-1-n) tau} expm1(-2 (n+1) tau) / expm1(-2 tau) with
+    tau = arccosh|c|, which stays finite however long the section.
+    """
+    M = floquet.product_matrix(V, E, V.period)
+    P = floquet.product_matrix(V, E, r)
+    A = P[0, 0] * M[0, 0] + P[0, 1] * M[1, 0]
+    c = 0.5 * (M[0, 0] + M[1, 1])
+    t = np.abs(c)
+    k = np.arccos(np.minimum(t, 1.0))
+    tau = np.arccosh(np.maximum(t, 1.0))
+    inside, s, g = t < 1.0, np.sin(k), np.expm1(-2.0 * tau)
+    u1 = np.where(inside, np.sin(N * k) / s, np.expm1(-2.0 * N * tau) / g)
+    u2 = np.where(inside, np.sin((N - 1) * k) / s,
+                  np.exp(-tau) * np.expm1(-2.0 * (N - 1) * tau) / g)
+    edge = t == 1.0
+    u1[edge], u2[edge] = N, N - 1
+    odd = u1 if N % 2 == 0 else u2   # U_{N-1} or U_{N-2}, of odd degree
+    np.negative(odd, out=odd, where=c < 0)
+    return u1 * A - u2 * P[0, 0]
+
+
+def _stop_width(lo: np.ndarray, hi: np.ndarray):
+    """(tol, rounds): the bracket width _BISECT_STOP * max(1, |x|) at which
+    a lane stops, and the halvings bisection takes to reach it."""
+    tol = _BISECT_STOP * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rounds = np.ceil(np.log2(np.abs(hi - lo) / tol))
+    return tol, rounds
+
+
+def _false_position(psi, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
+                    fb: np.ndarray) -> np.ndarray:
+    """A root of psi in each bracket between a and b, whose values fa and
+    fb differ in sign bit, to within _BISECT_STOP * max(1, |x|).
+
+    Illinois false position (Dowell & Jarratt, BIT 11, 1971): the new
+    point c interpolates psi linearly, at least half the stop width inside
+    the bracket, so that a point that lands on the root still closes it; c
+    replaces the end whose sign bit it shares, and the other end's value is
+    halved each time that end is kept again.  Each lane stops on its own width, or after as many rounds
+    as bisection would take, so its result depends on its own values alone.
+    It returns the last point evaluated, or the bracket's midpoint where
+    psi vanishes exactly at that point: a root that the floating-point
+    recurrences meet exactly is never returned, since a pivot of H - x
+    vanishes there.
+    """
+    tol, rounds = _stop_width(a, b)
+    a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
+    for it in range(int(rounds.max(initial=0))):
+        idx = np.flatnonzero((np.abs(b - a) > tol) & (rounds > it))
+        if not len(idx):
+            break
+        A, B, FA, FB = a[idx], b[idx], fa[idx], fb[idx]
+        with np.errstate(all="ignore"):
+            c = B - FB * ((B - A) / (FB - FA))
+        half = 0.5 * tol[idx]
+        c = np.clip(np.where(np.isfinite(c), c, 0.5 * (A + B)),
+                    np.minimum(A, B) + half, np.maximum(A, B) - half)
+        fc = psi(c)
+        flip = np.signbit(fc) != np.signbit(FB)
+        a[idx] = np.where(flip, B, A)
+        fa[idx] = np.where(flip, FB, 0.5 * FA)
+        b[idx], fb[idx] = c, fc
+    return np.where(fb != 0.0, b, 0.5 * (a + b))
+
+
+def _monodromy_roots(v: np.ndarray, period: int) -> np.ndarray:
+    """Sorted roots of the characteristic function psi of the section.
+
+    psi (_characteristic) is sampled on a grid, Chebyshev-spaced in each
+    band with _GRID_PER_EIGENVALUE points for each eigenvalue the band can
+    hold and _GAP_GRID points across each gap, in slices of
+    WEIGHT_WORKSPACE_BYTES, and each cell where its sign bit changes is
+    refined by _false_position; an exact zero of psi counts on the side of
+    its sign bit.  Nothing here proves that every root was found:
+    _start_values does.
+    """
+    V = PeriodicPotential.from_values(v[:period])
+    N, r = divmod(len(v), period)
+    per = floquet._cell_eigenvalues(V, 1.0)
+    anti = floquet._cell_eigenvalues(V, -1.0)
+    lows, highs = np.minimum(per, anti), np.maximum(per, anti)
+
+    def cheb(a, b, m):
+        w = 0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi, m + 1))
+        return (a[:, None] + (b - a)[:, None] * w).ravel()
+
+    grid = np.sort(np.concatenate([
+        lows, highs, cheb(lows, highs, _GRID_PER_EIGENVALUE * (N + 2)),
+        cheb(highs[:-1], lows[1:], _GAP_GRID)]))
+    width = max(1, WEIGHT_WORKSPACE_BYTES // (8 * _PSI_ROWS))
+
+    def psi(E):
+        out = np.empty(len(E))
+        with np.errstate(all="ignore"):
+            for lo in range(0, len(E), width):
+                out[lo:lo + width] = _characteristic(V, N, r,
+                                                     E[lo:lo + width])
+        return out
+
+    f = psi(grid)
+    cell = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
+    return _false_position(psi, grid[cell], grid[cell + 1], f[cell],
+                           f[cell + 1])
+
+
+def _sturm_counts(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each shift x: the negative LDL^T pivots
+    of H - x, D_i = ((v_i - x) - 1/D_{i-1}) + _PIVOT_NUDGE as in
+    _end_pivot_steps, over residue rows, in slices of
+    WEIGHT_WORKSPACE_BYTES (Barth, Martin & Wilkinson, Numer. Math. 9,
+    1967)."""
+    n, m = len(v), len(x)
+    values, row = _residue_rows(v)
+    width = max(1, WEIGHT_WORKSPACE_BYTES // (8 * (len(values) + 5)))
+    counts = np.empty(m, dtype=np.intp)
+    with np.errstate(all="ignore"):
+        for lo in range(0, m, width):
+            xs = x[lo:lo + width]
+            by_value = list(values[:, None] - xs)
+            a = [by_value[k] for k in row]
+            nudge = np.full(len(xs), _PIVOT_NUDGE)
+            zero = np.zeros(len(xs))
+            d, u = a[0] + nudge, np.empty(len(xs))
+            neg = np.empty(len(xs), dtype=bool)
+            count = (d < zero).astype(np.intp)
+            for i in range(1, n):
+                np.reciprocal(d, u)
+                np.subtract(a[i], u, d)
+                np.add(d, nudge, d)
+                np.less(d, zero, neg)
+                np.add(count, neg, count)
+            counts[lo:lo + width] = count
+    return counts
+
+
+def _bisect_counts(v: np.ndarray, k: np.ndarray, x: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray):
+    """Bisect the brackets of eigenvalues k on the Sturm count until each
+    is at most _BISECT_STOP * max(1, |x|) wide, in place: lo[k] and hi[k]
+    shrink and x[k] becomes their midpoint.  Eigenvalue k lies above mid
+    while fewer than k + 1 eigenvalues lie below it; each lane stops on its
+    own width, so its result does not depend on the other lanes."""
+    a, b = lo[k], hi[k]
+    rounds = _stop_width(a, b)[1]
+    for it in range(int(rounds.max(initial=0))):
+        idx = np.flatnonzero(rounds > it)
+        mid = 0.5 * (a[idx] + b[idx])
+        up = _sturm_counts(v, mid) <= k[idx]
+        a[idx[up]] = mid[up]
+        b[idx[~up]] = mid[~up]
+    lo[k], hi[k], x[k] = a, b, 0.5 * (a + b)
+
+
+def _start_values(v: np.ndarray, period: int):
+    """(x, lo, hi): a start value x_k for every eigenvalue of the section
+    and a bracket [lo_k, hi_k] around it that holds that eigenvalue alone.
+
+    The certificate: _sturm_counts at the points that separate the sorted
+    _monodromy_roots (and the Gershgorin bounds min v - 3, max v + 3,
+    where the counts are 0 and n) must rise by one at each root.  Where it
+    does, eigenvalue k takes the root between the separators whose counts
+    are k and k + 1; every other index is repaired by _bisect_counts from
+    its bracket of separators, vectorised over those indices.  So psi can
+    cost time but never an eigenvalue.
+    """
+    n = len(v)
+    roots = _monodromy_roots(v, period)
+    sep = np.concatenate([[v.min() - 3.0], 0.5 * (roots[:-1] + roots[1:]),
+                          [v.max() + 3.0]])
+    counts = np.concatenate([[0], _sturm_counts(v, sep[1:-1]), [n]])
+    counts = np.maximum.accumulate(counts)
+    k = np.arange(n)
+    j = np.searchsorted(counts, k, side="right") - 1
+    J = np.searchsorted(counts, k + 1)
+    lo, hi = sep[j], sep[J]
+    ok = (counts[j] == k) & (counts[J] == k + 1)   # then J == j + 1
+    x = np.empty(n)
+    x[ok] = roots[j[ok]]
+    _bisect_counts(v, np.flatnonzero(~ok), x, lo, hi)
+    return x, lo, hi
+
+
 def eigensystem(H: TridiagonalOperator) -> SpectralData:
     """All eigenvalues and eigenvector boundary weights of the section.
 
-    Past the tridiagonal QR algorithm, _end_pivot_steps moves each QR
-    eigenvalue x by one Newton step on an end pivot of H - x
-    (band_enumerate later snaps edge eigenvalues onto the band edge).  One
-    pass of the twisted factorisation at the stepped eigenvalues gives the
-    boundary weights, and its Rayleigh quotients check the steps: an
-    eigenvalue with no valid step, whose quotient differs from it by more
-    than _QUOTIENT_TOL * max(1, |lambda|), or whose twisted vector fails
-    its certificate is redone independently of the others, as the twisted
+    _start_values gives a start value for each eigenvalue from the
+    one-period monodromy, certified complete by one Sturm-count pass, and
+    _end_pivot_steps moves each start value x by one Newton step on an end
+    pivot of H - x (band_enumerate later snaps edge eigenvalues onto the
+    band edge); an index with no valid step is first bisected on the Sturm
+    count down to _BISECT_STOP and stepped again.  One pass of the twisted
+    factorisation at the stepped eigenvalues gives the boundary weights,
+    and its Rayleigh quotients check the steps: an eigenvalue with no valid
+    step, whose quotient differs from it by more than
+    _QUOTIENT_TOL * max(1, |lambda|), or whose twisted vector fails its
+    certificate is redone independently of the others, as the twisted
     vector's Rayleigh quotient at x with its weights from a second pass at
     that quotient.  The twisted vector's relative residual is the
     certificate of every pass, and one above WEIGHT_RESIDUAL_TOL raises
@@ -525,9 +738,12 @@ def eigensystem(H: TridiagonalOperator) -> SpectralData:
             f"L = {L} exceeds the supported working-precision cap {L_SOFT_CAP}; "
             "near-edge weights may lose relative accuracy", stacklevel=2)
 
-    x = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
-                         lapack_driver="stev")
+    x, lo, hi = _start_values(H.diag, H.period)
     lam, taken = _end_pivot_steps(H.diag, x)
+    miss = np.flatnonzero(~taken)
+    if len(miss):
+        _bisect_counts(H.diag, miss, x, lo, hi)
+        lam[miss], taken[miss] = _end_pivot_steps(H.diag, x[miss])
     out = _twisted_rows(H.diag, lam)
     drift = np.abs(out[3] - lam) > _QUOTIENT_TOL * np.maximum(1.0, np.abs(lam))
     redo = np.flatnonzero(~taken | drift | _uncertified(out))

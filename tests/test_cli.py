@@ -1,7 +1,10 @@
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -297,6 +300,24 @@ def test_readme_commands_parse_and_run_in_ci():
         assert argv[0] == "edgewatch"
         cli.build_parser().parse_args(argv[1:])
         assert line in step_lines, line
+
+
+def test_cli_does_not_import_scipy():
+    # the eigensolve needs numpy only; scipy would add most of the start-up
+    # time and memory of every command
+    src = str(Path(ew.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys\n"
+              "from edgewatch import cli\n"
+              "code = cli.main(['resonances', '--potential', '0,3', '--L', "
+              "'400', '--edge', '-1', '--eps', '0.2'])\n"
+              "sys.stderr.write(f'scipy loaded: {\"scipy\" in sys.modules}')\n"
+              "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "scipy loaded: False")
+    assert done.stdout.startswith("n,")
 
 
 VERIFY_ROWS = ["product-unimodular", "trace-k-independence",

@@ -235,9 +235,9 @@ def _twisted_reference(v, x):
                                                   ((1.0, -2.0, 0.5), 301, None)])
 def test_twisted_kernel_matches_plain_recurrences(monkeypatch, values, L,
                                                   workspace):
-    # both passes of eigensystem's fallback: at the QR eigenvalues and at
-    # their Rayleigh quotients; the small workspace forces three checkpoint
-    # levels
+    # both passes of eigensystem's fallback, here at LAPACK's QR eigenvalues
+    # and at their Rayleigh quotients; the small workspace forces three
+    # checkpoint levels
     if workspace is not None:
         monkeypatch.setattr(spectrum, "WEIGHT_WORKSPACE_BYTES", workspace)
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
@@ -319,8 +319,7 @@ def test_end_pivot_steps_match_plain_recurrences(monkeypatch, values, L):
     # away, so every eigenvalue is within eps of its root only when each
     # shift can take the other end's step
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
-    x = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
-                         lapack_driver="stev")
+    x = spectrum._start_values(H.diag, H.period)[0]
     with np.errstate(all="ignore"):
         want = _end_pivot_reference(H.diag, x)
     got = spectrum._end_pivot_steps(H.diag, x)
@@ -348,15 +347,14 @@ def test_end_pivot_steps_match_plain_recurrences(monkeypatch, values, L):
 
 def test_eigensystem_redoes_steps_that_fail_their_check(monkeypatch):
     # on this long-period section some stepped eigenvalues miss their
-    # twisted Rayleigh quotient by more than _QUOTIENT_TOL (9 of 201 with
-    # the reference LAPACK); each is redone as the two-pass path computes
-    # it (quotient at the QR value, weights at that quotient), so its
-    # eigenvalue and weights keep the two-pass bits
+    # twisted Rayleigh quotient by more than _QUOTIENT_TOL (8 of 201); each
+    # is redone as the two-pass path computes it (quotient at the certified
+    # start value, weights at that quotient), so its eigenvalue and weights
+    # keep the two-pass bits
     values = np.round(np.random.default_rng(30).uniform(-3, 3, 20), 2)
     L = 200
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
-    x = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
-                         lapack_driver="stev")
+    x = spectrum._start_values(H.diag, H.period)[0]
     rayleigh = spectrum._boundary_weights(H.diag, x)[2]
     two_pass = np.sort(rayleigh)
     w_end, w_start, _ = spectrum._boundary_weights(H.diag, two_pass)
@@ -390,6 +388,105 @@ def test_eigensystem_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 3_000_000
+
+
+def _bisection_eigenvalues(diag):
+    """The reference of test_eigenvalues_match_bisection: LAPACK stebz with
+    its own Newton polish, sorted."""
+    abs_tol = 1e-13 * (2.0 + np.max(np.abs(diag)))
+    ref = eigh_tridiagonal(diag, np.ones(len(diag) - 1), eigvals_only=True,
+                           lapack_driver="stebz", tol=abs_tol)
+    return np.sort(_newton_polish(diag, ref, abs_tol))
+
+
+def _assert_start_values(diag, x, lo, hi):
+    """Every start value within 4 eps max(1, max|lambda|) of the bisection
+    reference, and each bracket holding its eigenvalue alone by the test's
+    own Sturm count."""
+    ref = _bisection_eigenvalues(diag)
+    eps = np.finfo(float).eps
+    assert len(x) == len(diag)
+    assert np.max(np.abs(x - ref)) <= 4 * eps * max(1.0, np.max(np.abs(ref)))
+    n = np.arange(len(diag))
+    np.testing.assert_array_equal(_sturm_counts(diag, lo), n)
+    np.testing.assert_array_equal(_sturm_counts(diag, hi), n + 1)
+    assert np.all((lo <= x) & (x <= hi))
+
+
+def _recording_bisect_counts(monkeypatch):
+    """Record the indices of every _bisect_counts call: the repairs."""
+    repaired = []
+    plain = spectrum._bisect_counts
+
+    def record(v, idx, x, lo, hi):
+        repaired.extend(idx.tolist())
+        plain(v, idx, x, lo, hi)
+
+    monkeypatch.setattr(spectrum, "_bisect_counts", record)
+    return repaired
+
+
+@pytest.mark.parametrize("values, L, repairs", [
+    ((0.0, 3.0), 400, 0),                # E = 0 is an exact eigenvalue
+    ((0.13,) * 4, 50, 0),                # every gap is closed
+    ((0.0,), 2, 0), ((0.0,), 9, 0), ((0.7,), 50, 0),   # period 1, no gap
+    (tuple(np.round(np.random.default_rng(7).uniform(-2, 2, 37), 2)), 10, 0),
+    ((2.0, 3.0, 2.0), 59, 3),            # a gap pair 5.9e-5 apart
+    (tuple(np.round(np.random.default_rng(30).uniform(-3, 3, 20), 2)), 200,
+     None),
+])
+def test_start_values_are_complete_and_accurate(monkeypatch, values, L,
+                                                repairs):
+    # the 37-value section is shorter than one period (N = 0); the gap pair
+    # of (2, 3, 2) shares one cell of the gap grid, so the Sturm count
+    # repairs the pair and one neighbour; on the deep wells of the rng(30)
+    # section the sign of psi is rounding-dependent next to some roots, so
+    # any repair is allowed there
+    H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
+    repaired = _recording_bisect_counts(monkeypatch)
+    _assert_start_values(H.diag, *spectrum._start_values(H.diag, H.period))
+    assert repairs is None or len(repaired) == repairs
+
+
+@pytest.mark.parametrize("change", ["drop", "duplicate", "perturb"])
+def test_start_values_repair_a_broken_root_stage(monkeypatch, change):
+    # a lost or misplaced root of psi costs a bisection on the Sturm count,
+    # never an eigenvalue: the misplaced one passes the count certificate
+    # but no end-pivot step reaches its eigenvalue, so eigensystem bisects
+    # it before the weights pass; a doubled root lies between two
+    # separators of equal count and is passed over
+    H = ew.assemble(ew.PeriodicPotential.from_values([1.0, -2.0, 0.5]), 301)
+    k = 150
+    roots = spectrum._monodromy_roots(H.diag, H.period)
+    broken = {"drop": np.delete(roots, k),
+              "duplicate": np.insert(roots, k, roots[k]),
+              "perturb": roots + np.where(np.arange(len(roots)) == k,
+                                          0.9 * (roots[k + 1] - roots[k]),
+                                          0.0)}[change]
+    monkeypatch.setattr(spectrum, "_monodromy_roots", lambda v, p: broken)
+    repaired = _recording_bisect_counts(monkeypatch)
+    x, lo, hi = spectrum._start_values(H.diag, H.period)
+    if change != "perturb":
+        _assert_start_values(H.diag, x, lo, hi)
+    sd = ew.eigensystem(H)
+    if change == "duplicate":
+        assert repaired == []
+        np.testing.assert_array_equal(x, np.delete(broken, k))
+    else:
+        assert repaired and set(repaired) <= {k - 1, k, k + 1}
+    ref = _bisection_eigenvalues(H.diag)
+    eps = np.finfo(float).eps
+    assert (np.max(np.abs(sd.lambdas - ref))
+            <= 4 * eps * max(1.0, np.max(np.abs(ref))))
+
+
+def test_eigensystem_refuses_a_pair_closer_than_the_sturm_count():
+    # two eigenvalues 3.8e-15 apart: the count cannot split them, and the
+    # 1e-12 pair check refuses the section as before
+    H = ew.assemble(ew.PeriodicPotential.from_values([1.0, -3.0, 1.0]), 323)
+    with pytest.raises(ConvergenceFailure,
+                       match="near-degenerate eigenvalue pair"):
+        ew.eigensystem(H)
 
 
 @pytest.mark.parametrize("values, L", [
