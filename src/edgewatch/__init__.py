@@ -7,9 +7,6 @@ from .floquet import (
     EdgeData,
     band_structure,
     classify_edge,
-    density_of_states,
-    h_j,
-    h_values,
     monodromy,
     product_matrix,
     quasi_momentum,
@@ -21,7 +18,6 @@ from .spectrum import (
     assemble,
     band_enumerate,
     eigensystem,
-    quantization_residuals,
     weight_profile,
 )
 from .resonance import (
@@ -36,7 +32,6 @@ from .resonance import (
     newton_refine,
     no_root_certificate,
     s_l,
-    s_l_dd,
     sweep_band_edge,
     theta,
     theta_prime,
@@ -47,7 +42,6 @@ from .analysis import (
     fit_power_law,
     l_scaling,
     scaling_report,
-    seed_accuracy,
 )
 
 __version__ = "0.1.0"

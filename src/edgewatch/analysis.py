@@ -24,7 +24,6 @@ __all__ = [
     "scaling_report",
     "check_l_lengths",
     "l_scaling",
-    "seed_accuracy",
 ]
 
 SLOPE_TOLERANCE = 0.3
@@ -183,12 +182,3 @@ def l_scaling(samples, track: str) -> ScalingCheck:
                                           min_points=L_SCALING_MIN_LENGTHS),
                         expected_slope=expected, tolerance=band)
 
-
-def seed_accuracy(resonances: list[Resonance], L: int) -> np.ndarray:
-    """Seed-error ratios |z - seed| * L^5 |alpha|^3 / (n+1)^4 per resonance."""
-    if not resonances:
-        raise TooFewPoints("no resonances given")
-    ns = np.array([r.n for r in resonances], dtype=int)
-    err = np.array([abs(r.z - r.seed) for r in resonances])
-    alph = np.array([abs(r.alpha_n) for r in resonances])
-    return err * float(L) ** 5 * alph ** 3 / (ns + 1.0) ** 4

@@ -18,14 +18,6 @@ class OutsideSpectrum(SpectralError):
     """Energy does not lie in (or near enough to) any spectral band."""
 
 
-class EdgeSingularity(SpectralError):
-    """Density of states requested too close to a band edge."""
-
-
-class DegenerateS(SpectralError):
-    """Phase numerator vanished; boundary phase is undefined there."""
-
-
 class NotAnEdge(SpectralError):
     """Energy does not match any recorded band edge."""
 

@@ -3,8 +3,7 @@
 Everything here concerns the whole-line operator with a period-p potential:
 the monodromy matrix and its trace (the discriminant), the decomposition of
 the spectrum into bands, the quasi-momentum normalised as pi times the
-integrated density of states, the boundary phase correction entering the
-finite-volume quantization rule, and the classification of band edges by
+integrated density of states, and the classification of band edges by
 which polynomial data vanish there.
 """
 
@@ -18,8 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    DegenerateS,
-    EdgeSingularity,
     NotAnEdge,
     OutsideSpectrum,
     RootFindingFailure,
@@ -35,9 +32,6 @@ __all__ = [
     "monodromy",
     "band_structure",
     "quasi_momentum",
-    "density_of_states",
-    "h_j",
-    "h_values",
     "classify_edge",
 ]
 
@@ -213,7 +207,7 @@ def band_structure(V: PeriodicPotential) -> BandStructure:
 
 
 # ---------------------------------------------------------------------------
-# Quasi-momentum and density of states
+# Quasi-momentum
 
 
 def _theta_band(bs: BandStructure, band_index: int, E: np.ndarray) -> np.ndarray:
@@ -246,112 +240,6 @@ def quasi_momentum(bs: BandStructure, E: float) -> float:
     if idx is None:
         raise OutsideSpectrum(f"E = {E} is not inside any band")
     return float(_theta_band(bs, idx, np.asarray([E], dtype=float))[0])
-
-
-def density_of_states(bs: BandStructure, E: float) -> float:
-    """Density of states at an energy strictly inside a band."""
-    idx = bs.locate(E)
-    if idx is None:
-        raise OutsideSpectrum(f"E = {E} is not inside any band")
-    delta = float(bs.discriminant_at(E))
-    g = 4.0 - delta * delta
-    if g <= 1e-14:
-        raise EdgeSingularity(f"density of states diverges at E = {E}")
-    dprime = float(bs.discriminant_derivative_at(E))
-    return abs(dprime) / (bs.period * np.pi * np.sqrt(g))
-
-
-# ---------------------------------------------------------------------------
-# Boundary phase correction
-
-
-def _phase_factor(bs: BandStructure, band_index: int, E: np.ndarray) -> np.ndarray:
-    """Unimodular monodromy eigenvalue exp(i p (theta_p - pi)).
-
-    Measuring the phase from the top of the band grid keeps the factor an
-    actual eigenvalue of the monodromy for every period parity (it satisfies
-    rho + 1/rho = discriminant).
-    """
-    th = _theta_band(bs, band_index, E)
-    return np.exp(1j * bs.period * (th - np.pi))
-
-
-def _s_values(V, bs, j, band_index, E):
-    Mp = product_matrix(V, E, V.period)
-    a_j1, b_j1 = product_matrix(V, E, j + 1)[0]
-    rho = _phase_factor(bs, band_index, E)
-    return a_j1 * (rho - Mp[0, 0]) - b_j1 * Mp[1, 0]
-
-
-def _centered_mod_pi(x: np.ndarray) -> np.ndarray:
-    return (x + np.pi / 2.0) % np.pi - np.pi / 2.0
-
-
-def h_values(V: PeriodicPotential, bs: BandStructure, j: int,
-             energies) -> np.ndarray:
-    """Boundary phase at several energies inside one band, one common branch.
-
-    The phase is defined modulo pi; values returned by a single call are
-    continuously unwrapped along the band from its low edge, so differences
-    between them are branch-independent.  A vanishing phase numerator along
-    the unwrap path (as happens at closed gaps of degenerate potentials)
-    raises DegenerateS.
-    """
-    if not 0 <= j <= V.period - 1:
-        raise ValueError(f"j must be in [0, {V.period - 1}], got {j}")
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    if energies.size == 0:
-        return np.zeros(0)
-    if np.any(np.diff(energies) < 0):
-        raise ValueError("energies must be sorted ascending")
-    idx = bs.locate(energies[0])
-    if idx is None:
-        raise OutsideSpectrum(f"E = {energies[0]} is not inside any band")
-    lo, hi = bs.bands[idx]
-    width = hi - lo
-    if energies[0] <= lo or energies[-1] >= hi:
-        raise OutsideSpectrum("all energies must lie strictly inside one band")
-
-    anchor = lo + 1e-9 * width
-    if energies[0] < anchor:
-        anchor = lo + 0.5 * (energies[0] - lo)
-    path = np.unique(np.concatenate([
-        np.linspace(anchor, energies[-1], 64), energies]))
-
-    p = V.period
-    tol_s = lambda e: 1e-13 * (1.0 + abs(e)) ** p
-
-    def angles(pts):
-        s = _s_values(V, bs, j, idx, pts)
-        mags = np.abs(s)
-        small = mags <= np.array([tol_s(e) for e in pts])
-        if small.any():
-            bad = pts[small][0]
-            raise DegenerateS(f"phase numerator vanishes at E = {bad}")
-        return np.angle(s)
-
-    ang = angles(path)
-    for _ in range(24):
-        d = _centered_mod_pi(np.diff(ang))
-        bad = np.abs(d) >= np.pi / 4.0
-        if not bad.any():
-            break
-        mids = 0.5 * (path[:-1][bad] + path[1:][bad])
-        path = np.unique(np.concatenate([path, mids]))
-        ang = angles(path)
-    else:
-        raise DegenerateS("could not unwrap the boundary phase along the band")
-
-    h_path = np.empty_like(ang)
-    h_path[0] = ang[0]
-    h_path[1:] = ang[0] + np.cumsum(_centered_mod_pi(np.diff(ang)))
-    pos = np.searchsorted(path, energies)
-    return h_path[pos]
-
-
-def h_j(V: PeriodicPotential, bs: BandStructure, j: int, E: float) -> float:
-    """Boundary phase at one energy strictly inside a band (branch mod pi)."""
-    return float(h_values(V, bs, j, [E])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .floquet import BandStructure, EdgeData
 from .spectrum import SpectralData
-from .summation import dd_sum
 
 __all__ = [
     "ResonanceBox",
@@ -40,7 +39,6 @@ __all__ = [
     "theta",
     "theta_prime",
     "s_l",
-    "s_l_dd",
     "f_and_fprime",
     "alpha_and_seed",
     "newton_refine",
@@ -129,9 +127,9 @@ def _pole_guard(sd: SpectralData, z):
 def _terms(sd: SpectralData, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """diffs = eigenvalue - z and terms = weight/diffs, refusing z at a pole.
 
-    The pole-guarded evaluation of the terms of S_L at one point; s_l and
-    its double-double oracle s_l_dd sum what it returns (f and f' come from
-    _f_rows).
+    The pole-guarded evaluation of the terms of S_L at one point; s_l sums
+    what it returns, as does the tests' double-double oracle (f and f' come
+    from _f_rows).
     """
     _pole_guard(sd, z)
     diffs = sd.lambdas - z
@@ -141,11 +139,6 @@ def _terms(sd: SpectralData, z: complex) -> tuple[np.ndarray, np.ndarray]:
 def s_l(sd: SpectralData, E) -> complex:
     """Sum of weight/(eigenvalue - E) over all L+1 eigenvalues."""
     return complex(np.sum(_terms(sd, complex(E))[1]))
-
-
-def s_l_dd(sd: SpectralData, E) -> complex:
-    """Double-double summation oracle for s_l (spot checks only)."""
-    return complex(dd_sum(_terms(sd, complex(E))[1]))
 
 
 def f_and_fprime(sd: SpectralData, E) -> tuple[complex, complex]:
@@ -709,8 +702,9 @@ def _resonances(sd, edge, steps, counts) -> list[Resonance]:
 def check_step_inputs(edge: EdgeData, eps: float, *, L: int | None = None,
                       C1: float | None = None, n: int | None = None):
     """Refuse, in order, NaN failing each: C1 <= 0, an edge outside (-2, 2),
-    a non-generic edge, an eps outside (0, 0.3], a sweep's L*eps/C1 < 3 and a
-    step's n < 0; the one input check of every box builder, run first."""
+    a non-generic edge, an eps outside (0, 0.3], a sweep's L*eps/C1 < 3, an
+    eps^5 that underflows to 0 and a step's n < 0; the one input check of
+    every box builder, run first."""
     if C1 is not None and not C1 > 0:
         raise ValueError(f"C1 must be positive, got {C1}")
     if not abs(edge.e0) < 2.0:
@@ -724,6 +718,8 @@ def check_step_inputs(edge: EdgeData, eps: float, *, L: int | None = None,
         raise ValueError(f"eps must be in (0, 0.3], got {eps}")
     if C1 is not None and not L * eps / C1 >= 3:
         raise ValueError(f"L*eps/C1 = {L * eps / C1:.2f} < 3; increase L")
+    if not eps ** 5 > 0:
+        raise ValueError(f"eps = {eps} is too small: eps^5 underflows to 0")
     if n is not None and n < 0:
         raise ValueError(f"resonance index n must be >= 0, got {n}")
 
@@ -778,14 +774,17 @@ def check_region_inputs(edge: EdgeData, eps: float,
                         bs: BandStructure) -> ResonanceBox:
     """The rectangle [e0 - eps, e0] x [-eps^5, 0] of free_region_check.
 
-    Refuses, in order: a right edge, eps <= 0 or NaN, a gap below the edge
-    narrower than eps and a rectangle reaching |E| >= 2; the one input check
-    of free_region_check, run before any section is built.
+    Refuses, in order: a right edge, eps <= 0 or NaN, an eps too small to
+    move e0 or with eps^5 = 0, a gap below the edge narrower than eps and a
+    rectangle reaching |E| >= 2; the one input check of free_region_check,
+    run before any section is built.
     """
     if edge.side != "left":
         raise ValueError("free_region_check applies to left band edges")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if edge.e0 - eps == edge.e0 or eps ** 5 == 0:
+        raise ValueError(f"eps = {eps} is too small for the edge {edge.e0}")
     box = ResonanceBox.between(edge.e0 - eps, edge.e0, eps)
     if edge.band_index > 0 and box.x_lo < bs.bands[edge.band_index - 1][1]:
         raise ValueError(f"gap below the edge is narrower than eps = {eps}")

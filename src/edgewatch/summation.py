@@ -1,11 +1,10 @@
-"""Compensated and double-double summation.
+"""Compensated summation, kept for the benchmark's probe alone.
 
 The resonance sums are numpy pairwise sums, whose error stays within a few
 units of roundoff relative to sum |terms| at every swept resonance, so
 `compensated_sum` (pairwise blocks + Neumaier / Kahan-Babuska across them)
-is no longer on the resonance path; it gained no digits there.  The
-double-double accumulator built on error-free transformations, `dd_sum`,
-is the in-project high-precision oracle for spot checks.
+is no longer on the resonance path; it gained no digits there, and no
+command imports this module.  The benchmark still times it.
 """
 
 from __future__ import annotations
@@ -49,29 +48,3 @@ def compensated_sum(arr: np.ndarray):
         return complex(_compensated_real(arr.real), _compensated_real(arr.imag))
     return _compensated_real(arr.astype(np.float64, copy=False))
 
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def _dd_real(values) -> float:
-    # double-double accumulator: hi + lo tracks the running sum exactly
-    # up to ~2^-106 relative
-    hi = 0.0
-    lo = 0.0
-    for x in values:
-        s, e = _two_sum(hi, x)
-        e += lo
-        hi, lo = _two_sum(s, e)
-    return hi + lo
-
-
-def dd_sum(arr: np.ndarray):
-    """Double-double (error-free transformation) sum; the spot-check oracle."""
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        return complex(_dd_real(arr.real.tolist()), _dd_real(arr.imag.tolist()))
-    return _dd_real(arr.astype(np.float64, copy=False).tolist())

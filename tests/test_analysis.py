@@ -9,6 +9,8 @@ from edgewatch.cli import main
 from edgewatch.errors import DegenerateData, TooFewPoints
 from edgewatch.resonance import Resonance, ResonanceBox
 
+from oracles import seed_accuracy
+
 
 def _fake_resonance(n, im, L=1000, j=0, alpha=2.0 + 1.0j):
     lam = -1.0 + (n + 1) ** 2 / L ** 2
@@ -83,12 +85,12 @@ def test_l_scaling_guards():
 
 def test_seed_accuracy_rows():
     res = [_fake_resonance(n, 1e-7 * (n + 1) ** 2) for n in range(3, 8)]
-    ratio = analysis.seed_accuracy(res, 1000)
+    ratio = seed_accuracy(res, 1000)
     assert ratio.shape == (len(res),)
     assert np.all(ratio > 0)
     assert np.all(np.isfinite(ratio))
     with pytest.raises(TooFewPoints):
-        analysis.seed_accuracy([], 1000)
+        seed_accuracy([], 1000)
 
 
 def test_scaling_report_generic(bs03, sd400, sweep400, edge_m1_j0):

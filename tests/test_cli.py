@@ -304,7 +304,8 @@ def test_readme_commands_parse_and_run_in_ci():
 
 def test_cli_does_not_import_scipy():
     # the eigensolve needs numpy only; scipy would add most of the start-up
-    # time and memory of every command
+    # time and memory of every command.  Nor does a command load
+    # edgewatch.summation, whose compensated sum no command runs
     src = str(Path(ew.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -312,11 +313,13 @@ def test_cli_does_not_import_scipy():
               "from edgewatch import cli\n"
               "code = cli.main(['resonances', '--potential', '0,3', '--L', "
               "'400', '--edge', '-1', '--eps', '0.2'])\n"
-              "sys.stderr.write(f'scipy loaded: {\"scipy\" in sys.modules}')\n"
+              "loaded = [name for name in ('scipy', 'edgewatch.summation') "
+              "if name in sys.modules]\n"
+              "sys.stderr.write(f'loaded: {loaded}')\n"
               "sys.exit(code)\n")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
-    assert (done.returncode, done.stderr) == (0, "scipy loaded: False")
+    assert (done.returncode, done.stderr) == (0, "loaded: []")
     assert done.stdout.startswith("n,")
 
 
@@ -475,7 +478,10 @@ def test_l_scaling_refuses_bad_lengths_before_numerics(monkeypatch, capsys):
             ("100,200,400", "-1", "0.5", "0", "eps must be in (0, 0.3]",
              step),
             ("100,200,400", "-1", "0.2", "-1", "n must be >= 0, got -1",
-             step)):
+             step),
+            # a box floor eps^5 that underflows to 0 builds no box
+            ("250,500,1000", "-1", "1e-70", "3",
+             "eps = 1e-70 is too small: eps^5 underflows to 0", step)):
         calls.clear()
         code, out, err = run_cli(capsys, "l-scaling", "--potential", "0,3",
                                  "--edge", edge, "--eps", eps,
@@ -537,7 +543,10 @@ def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
             ("free-region", "200", "3", "5", "gap below the edge is narrower "
              "than eps = 5.0", region),
             ("free-region", "200", "3", "0.2", "rectangle [2.8, 3.0] meets "
-             "the real axis outside (-2, 2)", region)):
+             "the real axis outside (-2, 2)", region),
+            # an eps that leaves e0 - eps == e0
+            ("free-region", "400", "-1", "1e-17", "eps = 1e-17 is too small "
+             "for the edge -1.0", region)):
         calls.clear()
         code, out, err = run_cli(capsys, command, "--potential", "0,3",
                                  "--L", L, "--edge", edge, "--eps", eps,

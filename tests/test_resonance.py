@@ -19,6 +19,8 @@ from edgewatch.errors import (
 )
 from edgewatch.spectrum import SpectralData
 
+from oracles import quantization_residuals, s_l_dd
+
 
 def single_pole_data():
     return SpectralData(L=0, j=0,
@@ -71,7 +73,7 @@ def test_s_l_matches_dd_oracle(V03, bs03, sd400, sweep400):
     sd = ew.eigensystem(ew.assemble(V03, 200))
     for E in (-0.5 - 0.01j, -0.9 - 1e-5j, 3.5 - 0.2j, 0.2 + 0.3j):
         a = rz.s_l(sd, E)
-        b = rz.s_l_dd(sd, E)
+        b = s_l_dd(sd, E)
         assert abs(a - b) <= 1e-12 * abs(b)
     # the swept resonances sit next to a pole, where the sweep spends its
     # time: the sum must stay within roundoff of sum |terms| there
@@ -79,7 +81,7 @@ def test_s_l_matches_dd_oracle(V03, bs03, sd400, sweep400):
         magnitude = float(np.sum(np.abs(sd400.weights_end
                                         / (sd400.lambdas - r.z))))
         a = rz.s_l(sd400, r.z)
-        b = rz.s_l_dd(sd400, r.z)
+        b = s_l_dd(sd400, r.z)
         assert abs(a - b) <= 1e-15 * magnitude
 
 
@@ -742,7 +744,7 @@ def test_sweep_period_three_potential():
     res = ew.sweep_band_edge(sd, edge, eps=0.2, C1=10.0)
     assert len(res) == 7
     assert all(r.winding_verified for r in res)
-    r = ew.quantization_residuals(sd, bs, V)
+    r = quantization_residuals(sd, bs, V)
     assert np.max(np.abs(r)) <= 1e-5
 
 
@@ -758,7 +760,7 @@ def test_sweep_period_one_potential():
     assert len(res) == 7
     assert all(r.winding_verified for r in res)
     assert rz.free_region_check(sd, edge, 0.2, bs) is True
-    assert np.max(np.abs(ew.quantization_residuals(sd, bs, V))) <= 1e-6
+    assert np.max(np.abs(quantization_residuals(sd, bs, V))) <= 1e-6
 
 
 def test_free_region(sd400, edge_m1_j0, bs03):
@@ -778,15 +780,24 @@ def test_free_region_rejects_right_edge(V03, bs03, sd400):
 
 
 def test_free_region_refuses_bad_inputs(V03, bs03, sd400):
-    # check_region_inputs also refuses a non-positive or NaN eps, a gap
-    # below the edge narrower than eps and a rectangle reaching |E| >= 2
+    # check_region_inputs also refuses a non-positive or NaN eps, an eps
+    # that leaves e0 - eps == e0 or eps^5 == 0, a gap below the edge
+    # narrower than eps and a rectangle reaching |E| >= 2
     for e0, eps, msg in ((-1.0, -0.1, "eps must be positive"),
                          (-1.0, float("nan"), "eps must be positive"),
+                         (-1.0, 1e-17, "eps = 1e-17 is too small"),
                          (3.0, 5.0, "gap below the edge is narrower"),
                          (3.0, 0.2, r"meets the real axis outside \(-2, 2\)")):
         edge = ew.classify_edge(V03, bs03, e0, 0)
         with pytest.raises(ValueError, match=msg):
             rz.free_region_check(sd400, edge, eps, bs03)
+    # at the edge 0 of (-3, 0) the rectangle [-eps, 0] is not empty, but its
+    # floor eps^5 is
+    V = ew.PeriodicPotential.from_values([-3.0, 0.0])
+    bs = ew.band_structure(V)
+    edge = ew.classify_edge(V, bs, 0.0, 0)
+    with pytest.raises(ValueError, match="eps = 1e-70 is too small"):
+        rz.check_region_inputs(edge, 1e-70, bs)
 
 
 def test_free_region_eigenvalue_in_interval():

@@ -11,6 +11,13 @@ import edgewatch as ew
 from edgewatch import floquet, spectrum
 from edgewatch.errors import AmbiguousAssignment, ConvergenceFailure, TooFewPoints
 
+from oracles import (
+    _oracle_weights,
+    _twisted_reference,
+    h_values,
+    quantization_residuals,
+)
+
 
 def test_assemble_shapes():
     V0 = ew.PeriodicPotential.from_values([0.0])
@@ -102,36 +109,6 @@ def test_eigensystem_deterministic_given_seed():
     np.testing.assert_array_equal(a.lambdas, b.lambdas)
 
 
-def _oracle_weights(diag, lam, dps):
-    """(root, weight_end, weight_start) at dps digits: Newton on the
-    characteristic polynomial from lam, then each end's weight 1/|phi|^2 of
-    the eigenvector phi recurred from that end with phi = 1 there.
-
-    A recurrence amplifies the root's error by up to e^(kappa L) towards the
-    far end, so a single vector can lose every digit of a gap state's weight
-    there; recurred from each end, that error enters only the far sites of
-    the norm, where it stays below 10^-dps e^(kappa L).
-    """
-    with mpmath.workdps(dps):
-        v = [mpmath.mpf(float(t)) for t in diag]
-        x = mpmath.mpf(float(lam))
-        for _ in range(50):
-            p0, p1, d0, d1 = mpmath.mpf(1), v[0] - x, mpmath.mpf(0), mpmath.mpf(-1)
-            for vi in v[1:]:
-                p0, p1, d0, d1 = p1, (vi - x) * p1 - p0, d1, (vi - x) * d1 - p1 - d0
-            step = p1 / d1
-            x -= step
-            if abs(step) <= mpmath.mpf(10) ** (10 - dps):
-                break
-        weights = []
-        for u in (v[::-1], v):
-            phi = [mpmath.mpf(1), x - u[0]]
-            for i in range(1, len(u) - 1):
-                phi.append((x - u[i]) * phi[i] - phi[i - 1])
-            weights.append(1 / mpmath.fsum(f * f for f in phi))
-        return (x, *weights)
-
-
 def _assert_weights_match(diag, lam, w_end, w_start, indices, dps):
     """Hold the weights at `indices` to the oracle; return its roots."""
     roots = []
@@ -193,41 +170,6 @@ def test_weight_certificate_refuses_a_shifted_spectrum():
     lam = ew.eigensystem(H).lambdas
     with pytest.raises(ConvergenceFailure):
         spectrum._boundary_weights(H.diag, lam + 1e-6)
-
-
-def _twisted_reference(v, x):
-    """_twisted_slice kept plain: every pivot and ratio stored at every site.
-
-    Each line is one floating-point operation in the order the kernel's
-    docstring states, so the kernel must match it bit for bit.
-    """
-    n, m = len(v), len(x)
-    nudge = spectrum._PIVOT_NUDGE
-    dp, R, rho = np.empty((3, n, m))
-    dp[0] = (v[0] - x) + nudge
-    R[0] = rho[0] = 1.0
-    for i in range(1, n):
-        u = 1.0 / dp[i - 1]
-        dp[i] = ((v[i] - x) - u) + nudge
-        y = (u * u) * R[i - 1]
-        R[i] = y + 1.0
-        rho[i] = (rho[i - 1] * y) / R[i]
-    dm, un, Q, sig = np.empty((4, n, m))
-    dm[n - 1] = (v[n - 1] - x) + nudge
-    un[n - 1] = 0.0
-    Q[n - 1] = sig[n - 1] = 1.0
-    for i in range(n - 2, -1, -1):
-        un[i] = 1.0 / dm[i + 1]
-        dm[i] = ((v[i] - x) - un[i]) + nudge
-        y = (un[i] * un[i]) * Q[i + 1]
-        Q[i] = y + 1.0
-        sig[i] = (sig[i + 1] * y) / Q[i]
-    g = dp - un
-    r = np.argmin(np.abs(g), axis=0)   # the lowest site on a tie
-    at = (lambda a: a[r, np.arange(m)])
-    norm = (at(R) + at(Q)) - 1.0
-    return ((at(sig) * at(Q)) / norm, (at(rho) * at(R)) / norm,
-            np.abs(at(g)) / np.sqrt(norm), x + at(g) / norm)
 
 
 @pytest.mark.parametrize("values, L, workspace", [((0.0, 3.0), 400, None),
@@ -487,6 +429,17 @@ def test_eigensystem_refuses_a_pair_closer_than_the_sturm_count():
     with pytest.raises(ConvergenceFailure,
                        match="near-degenerate eigenvalue pair"):
         ew.eigensystem(H)
+    # deep wells of a long period pair up within a few ulp at many indices;
+    # the refusal names the lowest pair below 1e-12, not the closest, which
+    # rounding decides
+    values = np.round(np.random.default_rng(34).uniform(-2, 2, 37), 2)
+    H = ew.assemble(ew.PeriodicPotential.from_values(values), 300)
+    with pytest.raises(ConvergenceFailure,
+                       match="near-degenerate eigenvalue pair at index 278$"
+                       ) as failure:
+        ew.eigensystem(H)
+    assert failure.value.index == 278
+    assert failure.value.residual < 1e-12
 
 
 @pytest.mark.parametrize("values, L", [
@@ -526,13 +479,13 @@ def test_band_enumerate_free_chain(free_chain):
     sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V0, 30)), bs0)
     assert np.all(sd.band_of == 0)
     np.testing.assert_array_equal(sd.local_index, np.arange(31))
-    assert sd.n_outside == 0
+    assert np.count_nonzero(sd.band_of < 0) == 0
 
 
 def test_band_enumerate_partition(V03, bs03):
     sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V03, 40)), bs03)
     counts = [int(np.sum(sd.band_of == b)) for b in range(len(bs03.bands))]
-    assert sum(counts) == 41 - sd.n_outside
+    assert sum(counts) == 41 - np.count_nonzero(sd.band_of < 0)
 
 
 def test_band_enumerate_ambiguous(bs03, sd400):
@@ -562,22 +515,22 @@ def test_band_enumerate_outside_eigenvalues_stable():
 def test_quantization_free_chain(free_chain):
     V0, bs0 = free_chain
     sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V0, 50)), bs0)
-    r = ew.quantization_residuals(sd, bs0, V0)
+    r = quantization_residuals(sd, bs0, V0)
     assert np.max(np.abs(r)) <= 1e-6
 
 
 def test_quantization_0_3(V03, bs03, sd400):
-    r = ew.quantization_residuals(sd400, bs03, V03, band=0)
+    r = quantization_residuals(sd400, bs03, V03, band=0)
     assert len(r) >= 150
     assert np.max(np.abs(r)) <= 1e-5
     # the second band obeys the same rule
-    r1 = ew.quantization_residuals(sd400, bs03, V03, band=1)
+    r1 = quantization_residuals(sd400, bs03, V03, band=1)
     assert np.max(np.abs(r1)) <= 1e-5
 
 
 def test_quantization_odd_residue(V03, bs03):
     sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V03, 201)), bs03)
-    r = ew.quantization_residuals(sd, bs03, V03)
+    r = quantization_residuals(sd, bs03, V03)
     assert np.max(np.abs(r)) <= 1e-5
 
 
@@ -587,7 +540,7 @@ def test_quantization_invariant_under_phase_offset(V03, bs03, sd400):
     lam = sd400.lambdas[members]
     lam = lam[(lam > -1 + 1e-9) & (lam < -1e-9)]
     th = floquet._theta_band(bs03, 0, lam)
-    h = ew.h_values(V03, bs03, 0, lam)
+    h = h_values(V03, bs03, 0, lam)
     L, j = sd400.L, sd400.j
     base = (L - j) * np.diff(th - h / (L - j)) - np.pi
     shifted = (L - j) * np.diff(th - (h + 0.37 * np.pi) / (L - j)) - np.pi

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from edgewatch.summation import compensated_sum, dd_sum
+from edgewatch.summation import compensated_sum
+
+from oracles import dd_sum
 
 
 def test_compensated_matches_fsum_cancellation():
