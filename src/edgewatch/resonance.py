@@ -90,55 +90,39 @@ NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
 
 
-def _nearest_distance(lambdas: np.ndarray, x) -> np.ndarray:
-    """Distance from each real x to the nearest eigenvalue.
+def _nearest(lambdas: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """(distance, index) of the eigenvalue nearest each real x, the lower
+    index on a tie.
 
     The one nearest-eigenvalue search of the module: a binary search in the
     sorted eigenvalues, then the neighbours on either side.  For complex z
     the distance to the nearest eigenvalue is hypot(distance at Re z, Im z).
     """
     i = np.searchsorted(lambdas, x)
-    return np.minimum(np.abs(lambdas.take(i - 1, mode="clip") - x),
-                      np.abs(lambdas.take(i, mode="clip") - x))
+    below = np.abs(lambdas.take(i - 1, mode="clip") - x)
+    above = np.abs(lambdas.take(i, mode="clip") - x)
+    return (np.minimum(below, above),
+            np.clip(i - (below <= above), 0, len(lambdas) - 1))
 
 
 def _pole_error(sd: SpectralData, z: complex) -> PoleHit:
     """The PoleHit of a point z within _POLE_TOL*scale of an eigenvalue."""
-    k = int(np.argmin(np.abs(sd.lambdas - z)))  # ties: lower index
+    k = int(_nearest(sd.lambdas, z.real)[1])
     return PoleHit(f"E = {z} is within {_POLE_TOL:g}*scale of "
                    f"eigenvalue {sd.lambdas[k]} (k = {k})")
 
 
 def _pole_hits(sd: SpectralData, z: np.ndarray) -> np.ndarray:
     """Whether each point of a complex array lies within _POLE_TOL*scale of
-    an eigenvalue: the contour's pole guard."""
-    return (np.hypot(_nearest_distance(sd.lambdas, z.real), z.imag)
+    an eigenvalue: the pole guard of every evaluator."""
+    return (np.hypot(_nearest(sd.lambdas, z.real)[0], z.imag)
             < _POLE_TOL * sd.scale)
 
 
-def _pole_guard(sd: SpectralData, z):
-    """Refuse one point z within _POLE_TOL*scale of an eigenvalue (PoleHit):
-    the one-point call of _pole_hits."""
-    z = complex(z)
-    if _pole_hits(sd, np.array([z]))[0]:
-        raise _pole_error(sd, z)
-
-
-def _terms(sd: SpectralData, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """diffs = eigenvalue - z and terms = weight/diffs, refusing z at a pole.
-
-    The pole-guarded evaluation of the terms of S_L at one point; s_l sums
-    what it returns, as does the tests' double-double oracle (f and f' come
-    from _f_rows).
-    """
-    _pole_guard(sd, z)
-    diffs = sd.lambdas - z
-    return diffs, sd.weights_end / diffs
-
-
 def s_l(sd: SpectralData, E) -> complex:
-    """Sum of weight/(eigenvalue - E) over all L+1 eigenvalues."""
-    return complex(np.sum(_terms(sd, complex(E))[1]))
+    """Sum of weight/(eigenvalue - E) over all L+1 eigenvalues: the
+    one-point call of _s_rows, which raises PoleHit at a pole."""
+    return _one_row(sd, _s_rows, E)[0]
 
 
 def f_and_fprime(sd: SpectralData, E) -> tuple[complex, complex]:
@@ -147,24 +131,26 @@ def f_and_fprime(sd: SpectralData, E) -> tuple[complex, complex]:
     The one-point call of _f_rows; a point within _POLE_TOL*scale of an
     eigenvalue raises PoleHit, a real point on the cuts OnBranchCut.
     """
+    return _one_row(sd, _f_rows, E)
+
+
+def _one_row(sd: SpectralData, kernel, E):
     z = complex(E)
-    value = _f_rows(sd, [z])[0]
+    value = kernel(sd, [z])[0]
     if value is None:
         raise _pole_error(sd, z)
     return value
 
 
-def _f_rows(sd: SpectralData, zs) -> list:
-    """f and f' at each point of zs: the pair (f, f'), or None at a point
-    within _POLE_TOL*scale of an eigenvalue (the guard of _pole_hits).
+def _s_rows(sd: SpectralData, zs) -> list:
+    """S_L and S_L' at each point of zs: the pair (S_L, S_L'), or None at a
+    point within _POLE_TOL*scale of an eigenvalue (the guard of _pole_hits).
 
-    The exact point kernel of the seeds' Newton steps.  The terms
-    w/(lambda - z) of a point are one contiguous row, and so are the terms
-    w/(lambda - z)^2; numpy's sum along a row is the same pairwise sum as
-    over that row alone, so a point's values do not depend on the other
-    points of its block.  The rows run in blocks of at most _CHUNK entries.
-    The phase exp(-i theta) and its derivative are added per point in
-    cmath, where theta raises at a real point on the cuts.
+    The exact point kernel of S_L.  The terms w/(lambda - z) of a point are
+    one contiguous row, and so are the terms w/(lambda - z)^2; numpy's sum
+    along a row is the same pairwise sum as over that row alone, so a
+    point's values do not depend on the other points of its block.  The
+    rows run in blocks of at most _CHUNK entries.
     """
     zs = np.asarray(zs, dtype=complex)
     ok = np.flatnonzero(~_pole_hits(sd, zs))
@@ -186,9 +172,21 @@ def _f_rows(sd: SpectralData, zs) -> list:
         np.divide(t, d, t)
         sums += zip(s0.tolist(), np.add.reduce(t, 1).tolist())
     out = [None] * len(zs)
-    for i, z, (s0, s1) in zip(ok.tolist(), points, sums):
-        ph = cmath.exp(-1j * theta(z))
-        out[i] = (s0 + ph, s1 - 1j * theta_prime(z) * ph)
+    for i, pair in zip(ok.tolist(), sums):
+        out[i] = pair
+    return out
+
+
+def _f_rows(sd: SpectralData, zs) -> list:
+    """f and f' at each point of zs: _s_rows with the phase exp(-i theta)
+    and its derivative added per point in cmath, where theta raises at a
+    real point on the cuts.  The exact kernel of the seeds' Newton steps.
+    """
+    out = _s_rows(sd, zs)
+    for i, (z, value) in enumerate(zip(zs, out)):
+        if value is not None:
+            ph = cmath.exp(-1j * theta(z))
+            out[i] = (value[0] + ph, value[1] - 1j * theta_prime(z) * ph)
     return out
 
 
@@ -218,10 +216,8 @@ def _alpha_and_seed(sd: SpectralData, gs) -> tuple[list, Exception | None]:
     that fails its guards, and that failure (None if every index passes).
 
     theta refuses a lambda_g on the cuts, and of the sorted eigenvalues only
-    g-1 and g+1 can coincide with lambda_g (PoleHit).  Row i of a block
-    holds the terms of every eigenvalue but g_i, in order, so its pairwise
-    sum is that of np.delete(terms, g_i); the rows run in blocks of at most
-    _CHUNK entries.
+    g-1 and g+1 can coincide with lambda_g (PoleHit).  The sum of index g is
+    the pairwise sum of np.delete(terms, g), one row per index.
     """
     lam, w = sd.lambdas, sd.weights_end
     phases, error = [], None
@@ -238,17 +234,11 @@ def _alpha_and_seed(sd: SpectralData, gs) -> tuple[list, Exception | None]:
             break
         phases.append(phase)
     g = np.asarray(gs[:len(phases)], dtype=int)
-    sums = np.empty(len(g))
-    rows = max(1, _CHUNK // len(lam))
-    for s in range(0, len(g), rows):
-        gb = g[s:s + rows]
-        diffs = lam - lam[gb, None]
-        diffs[np.arange(len(gb)), gb] = np.inf  # term g is deleted from the sum
-        terms = (w / diffs)[np.arange(len(lam)) != gb[:, None]]
-        sums[s:s + rows] = np.add.reduce(
-            terms.reshape(len(gb), len(lam) - 1), 1)
-    alphas = [complex(total) + phase
-              for total, phase in zip(sums.tolist(), phases)]
+    alphas = []
+    for k, phase in zip(g.tolist(), phases):
+        d = lam - lam[k]
+        d[k] = np.inf  # term k is deleted from the sum
+        alphas.append(complex(np.add.reduce(np.delete(w / d, k))) + phase)
     seeds = lam[g] + w[g] / np.array(alphas, dtype=complex)
     return list(zip(alphas, seeds.tolist())), error
 
@@ -621,7 +611,7 @@ def _count_boxes(sd: SpectralData, boxes) -> list[int]:
     earliest group, at its earliest subdivision level.
     """
     lam, out = sd.lambdas, []
-    dist = _nearest_distance(lam, [(box.x_lo, box.x_hi) for box in boxes])
+    dist = _nearest(lam, [(box.x_lo, box.x_hi) for box in boxes])[0]
     for box, d in zip(boxes, dist.tolist()):
         for x, dx in zip((box.x_lo, box.x_hi), d):
             if dx < 1e-10 * sd.scale:
@@ -676,9 +666,10 @@ def _resonances(sd, edge, steps, counts) -> list[Resonance]:
     """The resonance of each step (n, g, box), box n of global index g: its
     seed refined by Newton, and its verdict from the box's count.
 
-    Every seed is built in one batched pass and every seed refined by
-    _newton in lockstep.  The error raised is that of the lowest-numbered
-    box whose seed or Newton step fails, as if the boxes ran one at a time.
+    Every seed is built in one pass of per-index sums and every seed
+    refined by _newton in lockstep.  The error raised is that of the
+    lowest-numbered box whose seed or Newton step fails, as if the boxes
+    ran one at a time.
     """
     seeded, seed_error = _alpha_and_seed(sd, [g for _, g, _ in steps])
     roots = _newton(sd, [seed for _, seed in seeded], NEWTON_MAX_ITER,
@@ -757,7 +748,7 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     is built (so a band too small for the sweep is refused before the
     numerics), every box is counted by _count_boxes (all the guards, then
     the contours), and every box's seed is built and refined: all seeds in
-    one batched pass, then all Newton iterations in lockstep rounds of one
+    one pass, then all Newton iterations in lockstep rounds of one
     kernel call each (_newton).  So a guard or contour error of any box is
     raised ahead of a seed or Newton error of any box, and of those the
     error of the lowest-numbered failing box, the one newton_refine or
@@ -777,21 +768,22 @@ def check_region_inputs(edge: EdgeData, eps: float,
     Refuses, in order: a right edge, eps <= 0 or NaN, an eps too small to
     move e0 or with eps^5 = 0, a gap below the edge narrower than eps and a
     rectangle reaching |E| >= 2; the one input check of free_region_check,
-    run before any section is built.
+    run before any section is built.  The interval's rules are checked on
+    a box of unit depth, so a huge eps, whose eps^5 overflows, meets them.
     """
     if edge.side != "left":
         raise ValueError("free_region_check applies to left band edges")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if edge.e0 - eps == edge.e0 or eps ** 5 == 0:
+    if edge.e0 - eps == edge.e0 or (eps < 1.0 and eps ** 5 == 0):
         raise ValueError(f"eps = {eps} is too small for the edge {edge.e0}")
-    box = ResonanceBox.between(edge.e0 - eps, edge.e0, eps)
+    box = ResonanceBox.between(edge.e0 - eps, edge.e0, 1.0)
     if edge.band_index > 0 and box.x_lo < bs.bands[edge.band_index - 1][1]:
         raise ValueError(f"gap below the edge is narrower than eps = {eps}")
     if box.meets_cuts:
         raise ValueError(f"rectangle [{box.x_lo}, {box.x_hi}] meets the "
                          "real axis outside (-2, 2)")
-    return box
+    return ResonanceBox.between(edge.e0 - eps, edge.e0, eps)
 
 
 def free_region_check(sd: SpectralData, edge: EdgeData, eps: float,

@@ -73,7 +73,7 @@ WEIGHT_RESIDUAL_TOL = 1e-8
 # working memory of the boundary-weight kernel: per eigenvalue it keeps a
 # few roots of n checkpointed pivots, a residue row per distinct diagonal
 # value and _WORKING_ROWS more, and the eigenvalues are processed in slices
-# that fit this budget (as are those of _end_pivot_steps)
+# that fit this budget (as are the lanes of every site loop: _lane_slices)
 WEIGHT_WORKSPACE_BYTES = 2_500_000
 # added to every pivot: it replaces an exact zero (E = 0 on (0,3) gives
 # v_0 - lambda = 0) and leaves any pivot larger than ~1e-104 unchanged
@@ -174,16 +174,31 @@ def assemble(V: PeriodicPotential, L: int) -> TridiagonalOperator:
     return TridiagonalOperator(diag=diag, period=V.period)
 
 
-def _residue_rows(v: np.ndarray):
-    """(values, row): the distinct diagonal values, told apart by bit
-    pattern, and the index row[i] of v_i among them.
+def _lane_slices(m: int, lane_bytes: int):
+    """The fewest, most even slices of m lanes of lane_bytes each that fit
+    WEIGHT_WORKSPACE_BYTES, yielded inside the one np.errstate of the site
+    loops, whose pivots overflow or vanish by design."""
+    count = max(1, -(-m // max(1, WEIGHT_WORKSPACE_BYTES // lane_bytes)))
+    width = max(1, -(-m // count))
+    with np.errstate(all="ignore"):
+        for lo in range(0, m, width):
+            yield slice(lo, lo + width)
 
-    The residue table values[:, None] - x then holds each v_i - x once: a
-    section of period p needs at most p rows.
-    """
+
+def _residue_rows(v: np.ndarray, x: np.ndarray, mirrored: bool = False):
+    """(rows, row): the distinct residue rows v_i - x of H - x, at most p
+    for period p (values told apart by bit pattern), and the index row[i]
+    of site i's; x[:0] counts them.  With mirrored, site i's row is v_i - x
+    then v_{n-1-i} - x, keyed by the two sites' value indices."""
     _, first, row = np.unique(v.view(np.int64), return_index=True,
                               return_inverse=True)
-    return v[first], row.tolist()
+    sites = [first]
+    if mirrored:
+        _, first, row = np.unique(row * len(first) + row[::-1],
+                                  return_index=True, return_inverse=True)
+        sites = [first, len(v) - 1 - first]
+    table = np.concatenate([v[i, None] - x for i in sites], axis=1)
+    return list(table), row.tolist()
 
 
 def _pivots_backward(a, lo, hi, d_lo, widths, bufs, u, d, nudge, visit):
@@ -295,23 +310,20 @@ def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
     when the suffix changes.
     """
     n, m = len(v), len(x)
-    values, row = _residue_rows(v)
-    table = values[:, None] - x
-    nudge = np.full(m, _PIVOT_NUDGE)
-    one = np.ones(m)
-    by_value = list(table)
-    best, g_r, Q_r, sig_r, r = _twist_record([by_value[k] for k in row],
-                                             widths, nudge, one)
-    del by_value, table
+    rows, row = _residue_rows(v, x)
+    nudge, one = np.full(m, _PIVOT_NUDGE), np.ones(m)
+    _, g_r, Q_r, sig_r, r = _twist_record([rows[k] for k in row], widths,
+                                          nudge, one)
+    del rows
     r = r.astype(np.intp)
 
     # with the shifts sorted by twist, those still short of their twist at
     # site i are a suffix of the slice
     order = np.argsort(r, kind="stable")
     start = np.searchsorted(r[order], np.arange(n)).tolist()
-    table = values[:, None] - x[order]
+    rows = _residue_rows(v, x[order])[0]
     fwd = np.ones((5, m))   # D+_i, 1/D+_{i-1}, y, R_i, rho_i
-    np.add(table[row[0]], nudge, fwd[0])
+    np.add(rows[row[0]], nudge, fwd[0])
     s = -1
     for i in range(1, n):
         if start[i] != s:
@@ -319,7 +331,7 @@ def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
             if s == m:
                 break
             dd, uu, yy, RR, rr = fwd[:, s:]
-            tab, nud, on = table[:, s:], nudge[s:], one[s:]
+            tab, nud, on = [a[s:] for a in rows], nudge[s:], one[s:]
         np.reciprocal(dd, uu)
         np.subtract(tab[row[i]], uu, dd)
         np.add(dd, nud, dd)
@@ -328,14 +340,17 @@ def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
         np.add(yy, on, RR)
         np.multiply(rr, yy, rr)
         np.divide(rr, RR, rr)
-    R_r = np.empty(m)
-    rho_r = np.empty(m)
-    R_r[order] = fwd[3]
-    rho_r[order] = fwd[4]
+    R_rho = np.empty((2, m))
+    R_rho[:, order] = fwd[3:]
+    return _twisted_outputs(x, g_r, *R_rho, Q_r, sig_r)
 
+
+def _twisted_outputs(x, g_r, R_r, rho_r, Q_r, sig_r):
+    """(weights_end, weights_start, residual, rayleigh) at shifts x from
+    the record at each twist, as _twisted_slice states them."""
     norm = R_r + Q_r - 1.0
-    return (sig_r * Q_r / norm, rho_r * R_r / norm, best / np.sqrt(norm),
-            x + g_r / norm)
+    return (sig_r * Q_r / norm, rho_r * R_r / norm,
+            np.abs(g_r) / np.sqrt(norm), x + g_r / norm)
 
 
 def _twisted_stored(v: np.ndarray, x: np.ndarray):
@@ -351,8 +366,7 @@ def _twisted_stored(v: np.ndarray, x: np.ndarray):
     n, m = len(v), len(x)
     nudge = _PIVOT_NUDGE
     d = np.empty((n, m))
-    R = np.ones((n, m))
-    rho = np.ones((n, m))
+    R, rho = np.ones((2, n, m))
     d[0] = v[0] - x + nudge
     for i in range(1, n):
         u = 1.0 / d[i - 1]
@@ -381,9 +395,7 @@ def _twisted_stored(v: np.ndarray, x: np.ndarray):
         for mine, now in ((g_r, g), (R_r, R[i]), (rho_r, rho[i]), (Q_r, Q),
                           (sig_r, sig)):
             np.copyto(mine, now, where=better)
-    norm = R_r + Q_r - 1.0
-    return (sig_r * Q_r / norm, rho_r * R_r / norm, np.abs(g_r) / np.sqrt(norm),
-            x + g_r / norm)
+    return _twisted_outputs(x, g_r, R_r, rho_r, Q_r, sig_r)
 
 
 def _checkpoint_widths(v: np.ndarray) -> tuple[list, int]:
@@ -398,7 +410,7 @@ def _checkpoint_widths(v: np.ndarray) -> tuple[list, int]:
     period narrows the slices.
     """
     n = len(v)
-    residues = len(_residue_rows(v)[0])
+    residues = len(_residue_rows(v, v[:0])[0])
     for levels in (2, 3):
         c = 1
         while c ** levels < n:
@@ -419,20 +431,13 @@ def _twisted_rows(diag: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Shifts whose weights overflow under _twisted_slice are redone by
     _twisted_stored.
     """
-    n = len(diag)
     widths, lane_bytes = _checkpoint_widths(diag)
-    slices = -(-len(lam) * lane_bytes // WEIGHT_WORKSPACE_BYTES)
-    width = -(-len(lam) // slices)
     out = np.empty((4, len(lam)))
-    with np.errstate(all="ignore"):
-        for lo in range(0, len(lam), width):
-            out[:, lo:lo + width] = _twisted_slice(diag, lam[lo:lo + width],
-                                                   widths)
-        redo = np.flatnonzero(~np.isfinite(out[:2]).all(axis=0))
-        width = max(1, WEIGHT_WORKSPACE_BYTES // (8 * 3 * n))
-        for lo in range(0, len(redo), width):
-            idx = redo[lo:lo + width]
-            out[:, idx] = _twisted_stored(diag, lam[idx])
+    for s in _lane_slices(len(lam), lane_bytes):
+        out[:, s] = _twisted_slice(diag, lam[s], widths)
+    redo = np.flatnonzero(~np.isfinite(out[:2]).all(axis=0))
+    for s in _lane_slices(len(redo), 8 * 3 * len(diag)):
+        out[:, redo[s]] = _twisted_stored(diag, lam[redo[s]])
     return out
 
 
@@ -444,25 +449,27 @@ def _uncertified(out: np.ndarray) -> np.ndarray:
              & np.isfinite(w_start))
 
 
-def _certify(out: np.ndarray):
-    """Raise ConvergenceFailure at the first uncertified column of out."""
+def _certify(out: np.ndarray, index=None):
+    """Raise ConvergenceFailure at the first uncertified column of out,
+    named by its eigenvalue's index (index[k] of column k, k by default)."""
     bad = _uncertified(out)
     if bad.any():
         k = int(np.argmax(bad))
-        raise ConvergenceFailure(k, float(out[2, k]))
+        raise ConvergenceFailure(k if index is None else int(index[k]),
+                                 float(out[2, k]))
 
 
-def _boundary_weights(diag: np.ndarray, lam: np.ndarray):
+def _boundary_weights(diag: np.ndarray, lam: np.ndarray, index=None):
     """(weights_end, weights_start, rayleigh) of the twisted vectors at lam.
 
     Raises ConvergenceFailure at the first eigenvalue whose twisted vector
-    misses WEIGHT_RESIDUAL_TOL or whose weights are not finite.  The
-    certificate also bounds each Rayleigh correction:
-    |gamma_r| / N <= |gamma_r| / sqrt(N) <= WEIGHT_RESIDUAL_TOL.
+    misses WEIGHT_RESIDUAL_TOL or whose weights are not finite, named as
+    _certify names it.  The certificate also bounds each Rayleigh
+    correction: |gamma_r| / N <= |gamma_r| / sqrt(N) <= WEIGHT_RESIDUAL_TOL.
     eigensystem calls it only for the eigenvalues it redoes.
     """
     out = _twisted_rows(diag, lam)
-    _certify(out)
+    _certify(out, index)
     return out[0], out[1], out[3]
 
 
@@ -483,35 +490,27 @@ def _end_pivot_steps(v: np.ndarray, x: np.ndarray):
     taken False where neither end is valid.
     """
     n, m = len(v), len(x)
-    ends = np.stack([v, v[::-1]], axis=1)
-    _, first, row = np.unique(ends.view(np.int64), axis=0, return_index=True,
-                              return_inverse=True)
-    ends, row = ends[first], row.reshape(-1).tolist()
+    pairs = len(_residue_rows(v, x[:0], mirrored=True)[0])
     bound = _END_STEP_TOL * max(1.0, float(np.max(np.abs(x))))
-    width = max(1, WEIGHT_WORKSPACE_BYTES // (16 * (len(ends) + 6)))
     y, taken = x.copy(), np.zeros(m, dtype=bool)
-    with np.errstate(all="ignore"):
-        for lo in range(0, m, width):
-            xs = x[lo:lo + width]
-            by_ends = list((ends[:, :, None] - xs).reshape(len(ends), -1))
-            a = [by_ends[k] for k in row]
-            nudge = np.full(2 * len(xs), _PIVOT_NUDGE)
-            one = np.ones(2 * len(xs))
-            d, u, dd = a[0] + nudge, np.empty(2 * len(xs)), -one
-            for i in range(1, n):
-                np.reciprocal(d, u)
-                np.subtract(a[i], u, d)
-                np.add(d, nudge, d)
-                np.multiply(u, u, u)
-                np.multiply(u, dd, dd)
-                np.subtract(dd, one, dd)
-            step, size = (d / dd).reshape(2, -1), np.abs(dd).reshape(2, -1)
-            ok = np.isfinite(size) & (np.abs(step) <= bound)
-            far = ok[1] & (~ok[0] | (size[1] < size[0]))
-            hit = ok[0] | ok[1]
-            taken[lo:lo + width] = hit
-            y[lo:lo + width] = np.where(
-                hit, xs - np.where(far, step[1], step[0]), xs)
+    for s in _lane_slices(m, 16 * (pairs + 6)):
+        xs = x[s]
+        rows, row = _residue_rows(v, xs, mirrored=True)
+        a = [rows[k] for k in row]
+        nudge, one = np.full(2 * len(xs), _PIVOT_NUDGE), np.ones(2 * len(xs))
+        d, u, dd = a[0] + nudge, np.empty(2 * len(xs)), -one
+        for i in range(1, n):
+            np.reciprocal(d, u)
+            np.subtract(a[i], u, d)
+            np.add(d, nudge, d)
+            np.multiply(u, u, u)
+            np.multiply(u, dd, dd)
+            np.subtract(dd, one, dd)
+        step, size = (d / dd).reshape(2, -1), np.abs(dd).reshape(2, -1)
+        ok = np.isfinite(size) & (np.abs(step) <= bound)
+        far = ok[1] & (~ok[0] | (size[1] < size[0]))
+        taken[s] = hit = ok[0] | ok[1]
+        y[s] = np.where(hit, xs - np.where(far, step[1], step[0]), xs)
     return y, taken
 
 
@@ -548,9 +547,8 @@ def _stop_width(lo: np.ndarray, hi: np.ndarray):
     """(tol, rounds): the bracket width _BISECT_STOP * max(1, |x|) at which
     a lane stops, and the halvings bisection takes to reach it."""
     tol = _BISECT_STOP * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rounds = np.ceil(np.log2(np.abs(hi - lo) / tol))
-    return tol, rounds
+    # a bracket already narrower than tol takes 0 rounds
+    return tol, np.ceil(np.log2(np.maximum(np.abs(hi - lo) / tol, 1.0)))
 
 
 def _false_position(psi, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
@@ -613,14 +611,11 @@ def _monodromy_roots(v: np.ndarray, period: int) -> np.ndarray:
     grid = np.sort(np.concatenate([
         lows, highs, cheb(lows, highs, _GRID_PER_EIGENVALUE * (N + 2)),
         cheb(highs[:-1], lows[1:], _GAP_GRID)]))
-    width = max(1, WEIGHT_WORKSPACE_BYTES // (8 * _PSI_ROWS))
 
     def psi(E):
         out = np.empty(len(E))
-        with np.errstate(all="ignore"):
-            for lo in range(0, len(E), width):
-                out[lo:lo + width] = _characteristic(V, N, r,
-                                                     E[lo:lo + width])
+        for s in _lane_slices(len(E), 8 * _PSI_ROWS):
+            out[s] = _characteristic(V, N, r, E[s])
         return out
 
     f = psi(grid)
@@ -636,26 +631,23 @@ def _sturm_counts(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     WEIGHT_WORKSPACE_BYTES (Barth, Martin & Wilkinson, Numer. Math. 9,
     1967)."""
     n, m = len(v), len(x)
-    values, row = _residue_rows(v)
-    width = max(1, WEIGHT_WORKSPACE_BYTES // (8 * (len(values) + 5)))
+    residues = len(_residue_rows(v, x[:0])[0])
     counts = np.empty(m, dtype=np.intp)
-    with np.errstate(all="ignore"):
-        for lo in range(0, m, width):
-            xs = x[lo:lo + width]
-            by_value = list(values[:, None] - xs)
-            a = [by_value[k] for k in row]
-            nudge = np.full(len(xs), _PIVOT_NUDGE)
-            zero = np.zeros(len(xs))
-            d, u = a[0] + nudge, np.empty(len(xs))
-            neg = np.empty(len(xs), dtype=bool)
-            count = (d < zero).astype(np.intp)
-            for i in range(1, n):
-                np.reciprocal(d, u)
-                np.subtract(a[i], u, d)
-                np.add(d, nudge, d)
-                np.less(d, zero, neg)
-                np.add(count, neg, count)
-            counts[lo:lo + width] = count
+    for s in _lane_slices(m, 8 * (residues + 5)):
+        xs = x[s]
+        rows, row = _residue_rows(v, xs)
+        a = [rows[k] for k in row]
+        nudge, zero = np.full(len(xs), _PIVOT_NUDGE), np.zeros(len(xs))
+        d, u = a[0] + nudge, np.empty(len(xs))
+        neg = np.empty(len(xs), dtype=bool)
+        count = (d < zero).astype(np.intp)
+        for i in range(1, n):
+            np.reciprocal(d, u)
+            np.subtract(a[i], u, d)
+            np.add(d, nudge, d)
+            np.less(d, zero, neg)
+            np.add(count, neg, count)
+        counts[s] = count
     return counts
 
 
@@ -741,7 +733,7 @@ def eigensystem(H: TridiagonalOperator) -> SpectralData:
     drift = np.abs(out[3] - lam) > _QUOTIENT_TOL * np.maximum(1.0, np.abs(lam))
     redo = np.flatnonzero(~taken | drift | _uncertified(out))
     if len(redo):
-        lam[redo] = _boundary_weights(H.diag, x[redo])[2]
+        lam[redo] = _boundary_weights(H.diag, x[redo], redo)[2]
         out[:, redo] = _twisted_rows(H.diag, lam[redo])
     order = np.argsort(lam)
     lam, out = lam[order], out[:, order]

@@ -3,8 +3,10 @@
 Each one is an independent, slower or more precise route to a quantity the
 package computes: the double-double sum of S_L, the finite-volume
 quantization rule with its boundary phase, the density of states, the
-seed-error ratios of a sweep, and two references for the eigensolve (the
-plain twisted recurrences and the mpmath eigenpair).
+seed-error ratios of a sweep, two references for the eigensolve (the
+plain twisted recurrences and the mpmath eigenpair) and every resonance of
+a section from one dense eigensolve, with the two properties the edge
+commands are held to against it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from edgewatch import spectrum
 from edgewatch.errors import OutsideSpectrum, SpectralError, TooFewPoints
 from edgewatch.floquet import BandStructure, _theta_band, product_matrix
 from edgewatch.potential import PeriodicPotential
-from edgewatch.resonance import Resonance, _terms
+from edgewatch.resonance import Resonance, ResonanceBox, count_in_box, s_l
 from edgewatch.spectrum import BAND_TOL, SpectralData
 
 
@@ -60,8 +62,11 @@ def dd_sum(arr: np.ndarray):
 
 
 def s_l_dd(sd: SpectralData, E) -> complex:
-    """Double-double summation oracle for s_l (spot checks only)."""
-    return complex(dd_sum(_terms(sd, complex(E))[1]))
+    """Double-double summation oracle for s_l (spot checks only): the
+    terms of S_L at E, summed in double-double after s_l's pole guard."""
+    z = complex(E)
+    s_l(sd, z)
+    return complex(dd_sum(sd.weights_end / (sd.lambdas - z)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,3 +287,54 @@ def _twisted_reference(v, x):
     norm = (at(R) + at(Q)) - 1.0
     return ((at(sig) * at(Q)) / norm, (at(rho) * at(R)) / norm,
             np.abs(at(g)) / np.sqrt(norm), x + at(g) / norm)
+
+
+# ---------------------------------------------------------------------------
+# Dense resonances
+
+
+# largest distance of a certified z from its dense resonance, which is the
+# dense eigensolve's own error (against 60-digit roots the certified z are
+# within 1.1e-16): measured 6.4e-15 on the README sweep ((0,3) L=400),
+# 1.5e-15 on the certified row of the CI sweep at L=48 and 2.2e-14 over
+# the 85 certified rows of test_random_potential_fuzz
+DENSE_Z_TOL = 1e-13
+
+
+def dense_resonances(diag) -> np.ndarray:
+    """Every resonance of the section with diagonal diag, from one dense
+    eigensolve.
+
+    With mu = exp(-i theta(z)), so that z = mu + 1/mu, the resonance
+    equation S_L(z) = -mu says that mu is an eigenvalue with |mu| < 1 of
+    the quadratic pencil mu^2 u - mu H u - (E_L - I) u = 0, E_L = e_L e_L^T,
+    whose companion matrix is [[0, I], [E_L - I, H]] (Tisseur & Meerbergen,
+    SIAM Rev. 43, 2001).  E_L - I is singular, so the pencil also has the
+    root mu = 0, double where v_L = 0, which rounding leaves within ~1e-8
+    of 0; those roots (|z| > 1e6) are dropped.
+    """
+    n = len(diag)
+    H = np.diag(diag) + np.eye(n, k=1) + np.eye(n, k=-1)
+    B = -np.eye(n)
+    B[-1, -1] = 0.0
+    mu = np.linalg.eigvals(np.block([[np.zeros((n, n)), np.eye(n)], [B, H]]))
+    mu = mu[(np.abs(mu) < 1.0) & (np.abs(mu) > 1e-6)]
+    return mu + 1.0 / mu
+
+
+def dense_inside(box: ResonanceBox, dense) -> int:
+    """Number of dense resonances in the closed box."""
+    return sum(box.contains(complex(z)) for z in dense)
+
+
+def assert_near_dense(zs, dense):
+    """Property: every z lies within DENSE_Z_TOL of a dense resonance."""
+    for z in zs:
+        assert np.min(np.abs(dense - z)) <= DENSE_Z_TOL, z
+
+
+def assert_counts_match_dense(sd: SpectralData, boxes, dense):
+    """Property: every box's count_in_box equals the number of dense
+    resonances inside it."""
+    for box in boxes:
+        assert count_in_box(sd, box) == dense_inside(box, dense), box

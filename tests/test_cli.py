@@ -546,7 +546,10 @@ def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
              "the real axis outside (-2, 2)", region),
             # an eps that leaves e0 - eps == e0
             ("free-region", "400", "-1", "1e-17", "eps = 1e-17 is too small "
-             "for the edge -1.0", region)):
+             "for the edge -1.0", region),
+            # an eps whose eps^5 overflows: the interval's rules come first
+            ("free-region", "400", "-1", "1e300", "rectangle [-1e+300, -1.0] "
+             "meets the real axis outside (-2, 2)", region)):
         calls.clear()
         code, out, err = run_cli(capsys, command, "--potential", "0,3",
                                  "--L", L, "--edge", edge, "--eps", eps,

@@ -1,6 +1,7 @@
 """Fuzz tests of the commands' input surface and of random potentials."""
 
 import contextlib
+import csv
 import io
 import json
 
@@ -11,8 +12,21 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from edgewatch.cli import main  # noqa: E402
 from edgewatch.errors import SpectralError  # noqa: E402
-from edgewatch.floquet import band_structure  # noqa: E402
+from edgewatch.floquet import band_structure, classify_edge  # noqa: E402
 from edgewatch.potential import PeriodicPotential  # noqa: E402
+from edgewatch.resonance import ResonanceBox, _box_for  # noqa: E402
+from edgewatch.spectrum import (  # noqa: E402
+    assemble,
+    band_enumerate,
+    eigensystem,
+)
+
+from oracles import (  # noqa: E402
+    assert_counts_match_dense,
+    assert_near_dense,
+    dense_inside,
+    dense_resonances,
+)
 
 
 _FUZZ_EDGES = {p: [ep.energy for ep in band_structure(
@@ -95,13 +109,42 @@ def test_random_potential_fuzz(values, spectrum_L, edge_L, c1, edge_pick):
     # edges inside (-2, 2), where resonances are located, when there are any
     edges = [e for e in edges if abs(e.energy) < 2.0] or edges
     if edges:
-        edge = f"--edge={edges[edge_pick % len(edges)].energy!r}"
+        e0 = edges[edge_pick % len(edges)].energy
+        edge = f"--edge={e0!r}"
         sweep = ["resonances", potential, edge, f"--L={edge_L}",
                  f"--c1={c1!r}"]
         argvs += [sweep, sweep + ["--format=json"],
                   ["free-region", potential, edge, f"--L={edge_L}"]]
-    for argv in argvs:
-        code, out = _assert_clean_exit(argv)
-        # a finished sweep's JSON table parses, whatever its verdicts
+    outcomes = [_assert_clean_exit(argv) for argv in argvs]
+    # a finished sweep's JSON table parses, whatever its verdicts
+    for argv, (code, out) in zip(argvs, outcomes):
         if "--format=json" in argv and code in (0, 1):
             json.loads(out)
+    if edges:
+        _assert_agrees_with_dense(values, e0, edge_L, *outcomes[-2:])
+
+
+def _assert_agrees_with_dense(values, e0, L, sweep, region):
+    """The dense oracle's properties on the fuzz's edge commands at the
+    default eps 0.2: a finished sweep's certified z and box counts, and a
+    free-region rectangle that passes holds no dense resonance."""
+    (sweep_code, rows), (region_code, table) = sweep, region
+    if sweep_code not in (0, 1) and region_code != 0:
+        return
+    V = PeriodicPotential.from_values(values)
+    H = assemble(V, L)
+    dense = dense_resonances(H.diag)
+    if sweep_code in (0, 1):
+        rows = json.loads(rows)
+        assert_near_dense([complex(r["z_re"], r["z_im"]) for r in rows
+                           if r["winding_verified"]], dense)
+        bs = band_structure(V)
+        sd = band_enumerate(eigensystem(H), bs)
+        edge = classify_edge(V, bs, e0, sd.j)
+        assert_counts_match_dense(sd, [_box_for(sd, edge, r["n"], 0.2)[1]
+                                       for r in rows], dense)
+    if region_code == 0:
+        row = next(csv.DictReader(io.StringIO(table)))
+        box = ResonanceBox(float(row["x_lo"]), float(row["x_hi"]),
+                           float(row["depth"]))
+        assert dense_inside(box, dense) == 0

@@ -155,6 +155,8 @@ def test_f_rows_match_one_point_rows(sd400, sweep400):
         if z != pole:
             assert value == _point_reference(sd400, z)
             assert rz.f_and_fprime(sd400, z) == value
+            assert rz.s_l(sd400, z) == complex(
+                np.sum(sd400.weights_end / (sd400.lambdas - z)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +517,8 @@ def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
 
 
 def test_pole_guard_shared_by_point_and_contour(sd400):
-    # the one-point guard, the point kernel and the contour take the
-    # decisions of _pole_hits at 0.5x and 2x the tolerance
+    # the point kernel's one-point calls (s_l, f_and_fprime) and the
+    # contour take the decisions of _pole_hits at 0.5x and 2x the tolerance
     tol = rz._POLE_TOL * sd400.scale
     k = 137
     lam = float(sd400.lambdas[k])
@@ -524,8 +526,7 @@ def test_pole_guard_shared_by_point_and_contour(sd400):
     ff = rz._FarField(sd400, [rect])
     for offset in (0.5 * tol, -0.5 * tol, -0.5j * tol):
         z = lam + offset
-        for guarded in (lambda: rz._pole_guard(sd400, z),
-                        lambda: rz._terms(sd400, z),
+        for guarded in (lambda: rz.s_l(sd400, z),
                         lambda: rz.f_and_fprime(sd400, z)):
             with pytest.raises(PoleHit, match=f"k = {k}\\)"):
                 guarded()
@@ -535,21 +536,24 @@ def test_pole_guard_shared_by_point_and_contour(sd400):
         assert str(exc.value) == str(rz._pole_error(sd400, complex(z)))
     for offset in (2.0 * tol, -2.0 * tol, -2.0j * tol):
         z = lam + offset
-        rz._pole_guard(sd400, z)
-        assert np.all(np.isfinite(rz._terms(sd400, z)[1]))
+        assert cmath.isfinite(rz.s_l(sd400, z))
+        assert all(map(cmath.isfinite, rz.f_and_fprime(sd400, z)))
         w = ff(np.array([z]), np.zeros(1, dtype=int))
         assert np.all(np.isfinite(w))
     # equidistant eigenvalues: PoleHit names the lower index
     lambdas = np.array([-1.0, 0.0, 1e-14, 1.0])
     pair = SpectralData(L=3, j=0, lambdas=lambdas, weights_end=np.ones(4),
                         weights_start=np.ones(4))
-    with pytest.raises(PoleHit, match=r"k = 1\)"):
-        rz._pole_guard(pair, 0.5e-14 + 0j)
+    for guarded in (lambda: rz.s_l(pair, 0.5e-14 + 0j),
+                    lambda: rz.f_and_fprime(pair, 0.5e-14 + 0j)):
+        with pytest.raises(PoleHit, match=r"k = 1\)"):
+            guarded()
     with pytest.raises(PoleHit, match=r"k = 1\)"):
         rz._FarField(pair, [(-0.5, 0.5, -0.1, 0.1)])(
             np.array([0.5e-14 + 0j]), np.zeros(1, dtype=int))
-    assert rz._nearest_distance(lambdas, [-3.0, 0.75, 3.0]).tolist() == [
-        2.0, 0.25, 2.0]
+    distance, index = rz._nearest(lambdas, [-3.0, 0.75, 3.0, 0.5e-14])
+    assert distance.tolist()[:3] == [2.0, 0.25, 2.0]
+    assert index.tolist() == [0, 3, 3, 1]
 
 
 def test_count_in_box_guards(sd400):
@@ -782,12 +786,16 @@ def test_free_region_rejects_right_edge(V03, bs03, sd400):
 def test_free_region_refuses_bad_inputs(V03, bs03, sd400):
     # check_region_inputs also refuses a non-positive or NaN eps, an eps
     # that leaves e0 - eps == e0 or eps^5 == 0, a gap below the edge
-    # narrower than eps and a rectangle reaching |E| >= 2
+    # narrower than eps and a rectangle reaching |E| >= 2, also where eps^5
+    # would overflow
     for e0, eps, msg in ((-1.0, -0.1, "eps must be positive"),
                          (-1.0, float("nan"), "eps must be positive"),
                          (-1.0, 1e-17, "eps = 1e-17 is too small"),
                          (3.0, 5.0, "gap below the edge is narrower"),
-                         (3.0, 0.2, r"meets the real axis outside \(-2, 2\)")):
+                         (3.0, 1e300, "gap below the edge is narrower"),
+                         (3.0, 0.2, r"meets the real axis outside \(-2, 2\)"),
+                         (-1.0, 1e300, r"rectangle \[-1e\+300, -1.0\] meets"),
+                         (-1.0, 1e62, r"rectangle \[-1e\+62, -1.0\] meets")):
         edge = ew.classify_edge(V03, bs03, e0, 0)
         with pytest.raises(ValueError, match=msg):
             rz.free_region_check(sd400, edge, eps, bs03)

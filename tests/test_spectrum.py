@@ -245,9 +245,9 @@ def _recording_boundary_weights(monkeypatch):
     calls = []
     plain = spectrum._boundary_weights
 
-    def record(diag, lam):
+    def record(diag, lam, index=None):
         calls.append(lam.copy())
-        return plain(diag, lam)
+        return plain(diag, lam, index)
 
     monkeypatch.setattr(spectrum, "_boundary_weights", record)
     return calls
@@ -315,6 +315,34 @@ def test_eigensystem_redoes_steps_that_fail_their_check(monkeypatch):
     monkeypatch.undo()
     # every eigenvalue, stepped or redone, passes the weight certificate
     spectrum._boundary_weights(H.diag, sd.lambdas)
+
+
+def test_redo_pass_names_the_eigenvalue_index(monkeypatch):
+    # on this section eigensystem redoes eigenvalues 10-13 and 15-18; with
+    # eigenvalue 11's first-pass residual forced above WEIGHT_RESIDUAL_TOL,
+    # the failure names index 11, not its position 1 in the redo set
+    values = [-1.59, -0.43, -2.45, 0.56, 1.7, 2.21, -1.04, -2.34, -0.61,
+              0.55, -1.5, 0.86, 2.41, -0.65, -0.13, 1.6, 0.67, 1.46, 0.04,
+              2.3]
+    H = ew.assemble(ew.PeriodicPotential.from_values(values), 200)
+    calls = _recording_boundary_weights(monkeypatch)
+    ew.eigensystem(H)
+    x = spectrum._start_values(H.diag, H.period)[0]
+    assert np.searchsorted(x, calls[0]).tolist() == [10, 11, 12, 13, 15, 16,
+                                                    17, 18]
+    monkeypatch.undo()
+    rows = spectrum._twisted_rows
+
+    def failing(diag, lam):
+        # the first pass of the redo, the first call on the 8 redone lanes
+        out = rows(diag, lam)
+        if len(lam) == 8:
+            out[2, 1] = 2 * spectrum.WEIGHT_RESIDUAL_TOL
+        return out
+    monkeypatch.setattr(spectrum, "_twisted_rows", failing)
+    with pytest.raises(ConvergenceFailure, match="at index 11 ") as failure:
+        ew.eigensystem(H)
+    assert failure.value.index == 11
 
 
 def test_eigensystem_memory_stays_small():
