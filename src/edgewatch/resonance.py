@@ -27,7 +27,6 @@ from .errors import (
     NonGenericEdge,
     OnBranchCut,
     PoleHit,
-    SpectralError,
     UniquenessFailed,
 )
 from .floquet import BandStructure, EdgeData
@@ -205,42 +204,34 @@ def alpha_and_seed(sd: SpectralData, band: int, n: int) -> tuple[complex, comple
     members = sd.band_members(band)
     if not 0 <= n < len(members):
         raise ValueError(f"band {band} has no local index {n}")
-    seeded, error = _alpha_and_seed(sd, [int(members[n])])
-    if error is not None:
-        raise error
-    return seeded[0]
+    return _alpha_and_seed(sd, [int(members[n])])[0]
 
 
-def _alpha_and_seed(sd: SpectralData, gs) -> tuple[list, Exception | None]:
-    """(alpha, seed) of each global index in gs, in order, up to the first
-    that fails its guards, and that failure (None if every index passes).
+def _alpha_and_seed(sd: SpectralData, gs) -> list[tuple[complex, complex]]:
+    """(alpha, seed) of each global index in gs, in order; the first index
+    that fails its guards raises.
 
     theta refuses a lambda_g on the cuts, and of the sorted eigenvalues only
     g-1 and g+1 can coincide with lambda_g (PoleHit).  The sum of index g is
-    the pairwise sum of np.delete(terms, g), one row per index.
+    the pairwise sum of its terms with term g left out, one row per index.
     """
     lam, w = sd.lambdas, sd.weights_end
-    phases, error = [], None
+    alphas = []
     for g in gs:
         lam_n = float(lam[g])
+        phase = cmath.exp(-1j * theta(lam_n))
         near = [abs(float(lam[k]) - lam_n) for k in (g - 1, g + 1)
                 if 0 <= k < len(lam)]
-        try:
-            phase = cmath.exp(-1j * theta(lam_n))
-            if min(near, default=math.inf) <= _POLE_TOL * sd.scale:
-                raise PoleHit(f"coincident eigenvalues at lambda = {lam_n}")
-        except (OnBranchCut, PoleHit) as exc:
-            error = exc
-            break
-        phases.append(phase)
-    g = np.asarray(gs[:len(phases)], dtype=int)
-    alphas = []
-    for k, phase in zip(g.tolist(), phases):
-        d = lam - lam[k]
-        d[k] = np.inf  # term k is deleted from the sum
-        alphas.append(complex(np.add.reduce(np.delete(w / d, k))) + phase)
+        if min(near, default=math.inf) <= _POLE_TOL * sd.scale:
+            raise PoleHit(f"coincident eigenvalues at lambda = {lam_n}")
+        d = lam - lam[g]
+        d[g] = np.inf  # no division by zero at term g, which the sum skips
+        t = w / d
+        alpha = np.add.reduce(np.concatenate((t[:g], t[g + 1:])))
+        alphas.append(complex(alpha) + phase)
+    g = np.asarray(gs, dtype=int)
     seeds = lam[g] + w[g] / np.array(alphas, dtype=complex)
-    return list(zip(alphas, seeds.tolist())), error
+    return list(zip(alphas, seeds.tolist()))
 
 
 def newton_refine(sd: SpectralData, seed: complex,
@@ -309,30 +300,24 @@ def _newton(sd: SpectralData, seeds, max_iter: int,
 
     Each round evaluates the next point of every seed still running in one
     _f_rows call; each seed keeps its own step, halvings and iteration
-    count, so its result is that of newton_refine on it alone.  A seed's
-    error (its ValueError, NoConvergence, the PoleHit of a seed at a pole,
-    an arithmetic error) stops the seeds after it, and the error raised is
-    that of the lowest-numbered failing seed, once the seeds before it have
-    finished.
+    count, so its result is that of newton_refine on it alone.  The first
+    error met raises (a seed's ValueError, NoConvergence, the PoleHit of a
+    seed at a pole, an arithmetic error): in the earliest round, the
+    lowest-numbered seed's.
     """
     runs = [_newton_steps(seed, max_iter, tol) for seed in seeds]
     out, points = [None] * len(runs), {}
-    first, error = len(runs), None
 
     def advance(k, resume, value):
-        nonlocal first, error
         try:
             points[k] = resume(value)
         except StopIteration as done:
             out[k] = done.value
-        except (SpectralError, ValueError, ArithmeticError) as exc:
-            if k < first:
-                first, error = k, exc
 
     for k, run in enumerate(runs):
         advance(k, run.send, None)
     while points:
-        ks = sorted(k for k in points if k < first)
+        ks = sorted(points)
         zs = [points[k] for k in ks]
         points.clear()
         for k, z, value in zip(ks, zs, _f_rows(sd, zs)):
@@ -340,8 +325,6 @@ def _newton(sd: SpectralData, seeds, max_iter: int,
                 advance(k, runs[k].throw, _pole_error(sd, z))
             else:
                 advance(k, runs[k].send, value)
-    if error is not None:
-        raise error
     return out
 
 
@@ -666,16 +649,12 @@ def _resonances(sd, edge, steps, counts) -> list[Resonance]:
     """The resonance of each step (n, g, box), box n of global index g: its
     seed refined by Newton, and its verdict from the box's count.
 
-    Every seed is built in one pass of per-index sums and every seed
-    refined by _newton in lockstep.  The error raised is that of the
-    lowest-numbered box whose seed or Newton step fails, as if the boxes
-    ran one at a time.
+    Every seed is built in one pass of per-index sums, then every seed is
+    refined by _newton in lockstep; each stage raises its first failure.
     """
-    seeded, seed_error = _alpha_and_seed(sd, [g for _, g, _ in steps])
+    seeded = _alpha_and_seed(sd, [g for _, g, _ in steps])
     roots = _newton(sd, [seed for _, seed in seeded], NEWTON_MAX_ITER,
                     NEWTON_TOL)
-    if seed_error is not None:
-        raise seed_error
     out = []
     for (n, g, box), count, (alpha, seed), (z, residual, iters) in zip(
             steps, counts, seeded, roots):
@@ -693,9 +672,9 @@ def _resonances(sd, edge, steps, counts) -> list[Resonance]:
 def check_step_inputs(edge: EdgeData, eps: float, *, L: int | None = None,
                       C1: float | None = None, n: int | None = None):
     """Refuse, in order, NaN failing each: C1 <= 0, an edge outside (-2, 2),
-    a non-generic edge, an eps outside (0, 0.3], a sweep's L*eps/C1 < 3, an
-    eps^5 that underflows to 0 and a step's n < 0; the one input check of
-    every box builder, run first."""
+    a non-generic edge, an eps outside (0, 0.3], a sweep's L*eps/C1 < 3 or
+    not finite, an eps^5 that underflows to 0 and a step's n < 0; the one
+    input check of every box builder, run first."""
     if C1 is not None and not C1 > 0:
         raise ValueError(f"C1 must be positive, got {C1}")
     if not abs(edge.e0) < 2.0:
@@ -709,6 +688,9 @@ def check_step_inputs(edge: EdgeData, eps: float, *, L: int | None = None,
         raise ValueError(f"eps must be in (0, 0.3], got {eps}")
     if C1 is not None and not L * eps / C1 >= 3:
         raise ValueError(f"L*eps/C1 = {L * eps / C1:.2f} < 3; increase L")
+    if C1 is not None and not math.isfinite(L * eps / C1):
+        raise ValueError(f"L*eps/C1 = {L * eps / C1} is not finite; "
+                         "increase C1")
     if not eps ** 5 > 0:
         raise ValueError(f"eps = {eps} is too small: eps^5 underflows to 0")
     if n is not None and n < 0:
@@ -744,15 +726,11 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     exactly one resonance lying within the shallower cell of depth
     SHALLOW_C0 (n+1)/L^2.  Each verdict is recorded in winding_verified.
 
-    Three stages, each raising its first failure in box order: every box
-    is built (so a band too small for the sweep is refused before the
+    Four stages, each raising the first failure it meets: every box is
+    built (so a band too small for the sweep is refused before the
     numerics), every box is counted by _count_boxes (all the guards, then
-    the contours), and every box's seed is built and refined: all seeds in
-    one pass, then all Newton iterations in lockstep rounds of one
-    kernel call each (_newton).  So a guard or contour error of any box is
-    raised ahead of a seed or Newton error of any box, and of those the
-    error of the lowest-numbered failing box, the one newton_refine or
-    alpha_and_seed raises on that box alone.
+    the contours), every seed is built in one pass, and every seed is
+    refined by _newton in lockstep rounds of one kernel call each.
     """
     check_step_inputs(edge, eps, L=sd.L, C1=C1)
     steps = [(n, *_box_for(sd, edge, n, eps))

@@ -243,9 +243,9 @@ def test_numerical_error_exit_code(capsys):
     ("1.47,1.2,0.26", 350, "0.3343692346777312")])
 def test_stalled_sweep_reports_its_first_failing_box(capsys, potential, L,
                                                      edge):
-    # Newton stalls from the seed of one box of these sweeps, and the sweep
-    # exits 3 with the error newton_refine raises on that seed alone: the
-    # first such box's, as if the boxes ran one at a time
+    # Newton stalls from the seed of one box of these sweeps (n = 19 of 53,
+    # n = 95 of 106), and the sweep exits 3 with the error newton_refine
+    # raises on that seed alone
     V = ew.PeriodicPotential.from_values(potential.split(","))
     bs = ew.band_structure(V)
     sd = ew.band_enumerate(ew.eigensystem(ew.assemble(V, L)), bs)
@@ -506,7 +506,8 @@ def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
     # an edge on |E| >= 2 is one usage error, found before any eigensolve,
     # whether the edge is generic (L = 200) or not (L = 99); so are a
     # non-positive C1, an eps outside (0, 0.3] and a sweep with
-    # L*eps/C1 < 3, whose one owner is resonance.check_step_inputs
+    # L*eps/C1 < 3 or not finite, whose one owner is
+    # resonance.check_step_inputs
     calls = []
     for name in ("spectrum", "resonance"):
         monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
@@ -529,6 +530,11 @@ def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
              "--c1", "1e9"),
             ("resonances", "200", "-1", "0.2", "C1 must be positive, got 0.0",
              step, "--c1", "0"),
+            # a subnormal C1: L*eps/C1 overflows to inf
+            ("resonances", "400", "-1", "0.3", "L*eps/C1 = inf is not finite",
+             step, "--c1", "1e-320"),
+            ("scaling", "400", "-1", "0.3", "L*eps/C1 = inf is not finite",
+             step, "--c1", "5e-324"),
             # the fits at a non-generic edge take eps in (0, 0.5), whose
             # owner is spectrum.check_profile_inputs
             ("scaling", "200", "0", "-0.1", "(0, 0.5), got -0.1",

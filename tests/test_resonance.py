@@ -224,6 +224,27 @@ def test_seed_guard_reads_both_neighbours(free_chain, g):
                     rz.alpha_and_seed(moved, 0, g)
 
 
+def test_count_guard_meets_a_coincident_neighbour_first(sd400, edge_m1_j0):
+    # a neighbour within 1e-14*scale of lambda_g puts a box edge (a
+    # midpoint) within 1e-10*scale of an eigenvalue, so a sweep raises the
+    # count's EdgeTooCloseToEigenvalue before the seed guard's PoleHit,
+    # which alpha_and_seed raises on the same data alone
+    members = sd400.edge_members(edge_m1_j0)
+    for n in (0, 3):
+        g = int(members[n])
+        for k in (g - 1, g + 1):
+            if not 0 <= k < len(sd400.lambdas):
+                continue
+            lam = sd400.lambdas.copy()
+            lam[k] = lam[g] + 1e-15 * sd400.scale * (k - g)
+            moved = replace(sd400, lambdas=lam)
+            with pytest.raises(EdgeTooCloseToEigenvalue):
+                ew.sweep_band_edge(moved, edge_m1_j0)
+            with pytest.raises(PoleHit, match="coincident"):
+                rz.alpha_and_seed(moved, edge_m1_j0.band_index,
+                                  int(sd400.local_index[g]))
+
+
 def test_seed_refuses_lambda_on_the_cut(sd400):
     # the lowest eigenvalue of the band [3, 4] lies on the cut E >= 2
     with pytest.raises(OnBranchCut):
@@ -434,8 +455,8 @@ def test_newton_halves_a_step_onto_a_pole(monkeypatch, sd400, edge_m1_j0,
     assert half in calls[i + 1]
 
 
-def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
-                                            sweep400):
+def test_sweep_raises_the_first_failure_it_meets(monkeypatch, sd400,
+                                                 edge_m1_j0, sweep400):
     # a NoConvergence of box 2 or box 7 raises after the counts, with the
     # message of newton_refine on that box's seed alone
     for j in (2, 7):
@@ -449,23 +470,26 @@ def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
             assert exc.value.last_iterate == sweep400[j].seed
             assert str(exc.value) == str(alone.value)
 
-    # failures in boxes 2 and 7 raise box 2's, also where box 7 fails at its
-    # seed and box 2 only after its first step (a NaN f' there)
+    # failures in boxes 2 and 7 raise the one met in the earliest Newton
+    # round: box 2's where both fail at their seeds (round 1), box 7's where
+    # it fails at its seed and box 2 only after its first step (a NaN f'
+    # there, round 2)
     with monkeypatch.context() as m:
         steps = _nan_at(m, [])
         rz.newton_refine(sd400, sweep400[2].seed)
         first_step = steps[1][0]
-    for box_2, part in ((sweep400[2].seed, 0), (first_step, 1)):
+    for box_2, part, raised in ((sweep400[2].seed, 0, (sweep400[2].seed, 0)),
+                                (first_step, 1, (sweep400[7].seed, 0))):
         with monkeypatch.context() as m:
             _nan_at(m, [sweep400[7].seed])
             _nan_at(m, [box_2], part)
             with pytest.raises(NoConvergence) as exc:
                 ew.sweep_band_edge(sd400, edge_m1_j0)
-            assert exc.value.last_iterate == box_2
-            assert exc.value.iterations == part
+            assert (exc.value.last_iterate, exc.value.iterations) == raised
 
     # a seed failure in box 7 (theta refuses its eigenvalue) raises alone,
-    # and behind a Newton failure in box 2, but ahead of one in box 8
+    # and ahead of a Newton failure in box 2 or box 8: every seed is built
+    # before Newton starts
     lam_7 = sweep400[7].lambda_n
     original_theta = rz.theta
 
@@ -474,18 +498,14 @@ def test_sweep_raises_the_first_failing_box(monkeypatch, sd400, edge_m1_j0,
             raise OnBranchCut(f"E = {E} refused")
         return original_theta(E)
 
-    for newton_box, raised in ((None, OnBranchCut), (2, NoConvergence),
-                               (8, OnBranchCut)):
+    for newton_box in (None, 2, 8):
         with monkeypatch.context() as m:
             m.setattr(rz, "theta", refuse_lambda_7)
             if newton_box is not None:
                 _nan_at(m, [sweep400[newton_box].seed])
-            with pytest.raises(raised) as exc:
+            with pytest.raises(OnBranchCut) as exc:
                 ew.sweep_band_edge(sd400, edge_m1_j0)
-            if raised is OnBranchCut:
-                assert str(exc.value) == f"E = {lam_7} refused"
-            else:
-                assert exc.value.last_iterate == sweep400[2].seed
+            assert str(exc.value) == f"E = {lam_7} refused"
 
     # box k's values are NaN: its count raises, and so does the sweep, with
     # the message of count_in_box, before any seed is refined
@@ -680,6 +700,11 @@ def test_sweep_parameter_validation(monkeypatch, sd400, edge_m1_j0):
             rz.check_step_inputs(edge_m1_j0, 0.2, L=400, C1=C1)
     with pytest.raises(ValueError, match="C1 must be positive"):
         ew.sweep_band_edge(sd400, edge_m1_j0, 0.2, C1=float("nan"))
+    # a subnormal C1 makes L*eps/C1 overflow to inf, which no box count
+    # can take
+    for C1 in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match=r"L\*eps/C1 = inf is not finite"):
+            ew.sweep_band_edge(sd400, edge_m1_j0, 0.3, C1=C1)
     # every box of a sweep is built, and the band size checked by _box_for,
     # before any seed is built or refined
     def refine(*args, **kwargs):
