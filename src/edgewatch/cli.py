@@ -92,10 +92,21 @@ class UsageError(Exception):
     pass
 
 
-def _section(V, bs, L: int):
-    """Band-enumerated spectral data of the length-L Dirichlet section."""
-    sd = spectrum.eigensystem(spectrum.assemble(V, L))
-    return spectrum.band_enumerate(sd, bs)
+def _section(V, bs, L: int, edge=None, ns=(), eps=None):
+    """Band-enumerated spectral data of the length-L Dirichlet section.
+
+    Whole, or for the boxes ns at the edge windowed around them: the
+    window of resonance.sweep_window, doubled until resonance.window_holds
+    (spectrum.eigensystem solves whole a window over WINDOW_SHARE).
+    """
+    H = spectrum.assemble(V, L)
+    window = resonance.sweep_window(bs, edge, L, ns, eps) if ns else None
+    while True:
+        sd = spectrum.band_enumerate(spectrum.eigensystem(H, window), bs)
+        if window is None or resonance.window_holds(sd, edge, ns, eps):
+            return sd
+        c, r = 0.5 * (window[0] + window[1]), window[1] - window[0]
+        window = (c - r, c + r)
 
 
 def _check_section_length(L: int):
@@ -159,7 +170,8 @@ def _cmd_spectrum(args):
 def _cmd_resonances(args):
     V, bs, edge = _edge_setup(args)
     resonance.check_step_inputs(edge, args.eps, L=args.L, C1=args.c1)
-    sd = _section(V, bs, args.L)
+    boxes = range(int(math.floor(args.eps * args.L / args.c1)) + 1)
+    sd = _section(V, bs, args.L, edge, boxes, args.eps)
     results = resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1)
     rows = [{
         "n": r.n, "lambda_n": r.lambda_n, "a_n": r.a_n,
@@ -238,7 +250,9 @@ def _cmd_l_scaling(args):
     resonance.check_step_inputs(edge, args.eps, n=args.n)
     fixed, prop = [], []
     for L in lengths:
-        sd = _section(V, bs, L)
+        ns = [args.n] + ([] if args.proportional is None
+                         else [int(args.proportional * L)])
+        sd = _section(V, bs, L, edge, ns, args.eps)
         fixed.append((L, sd.j, resonance.locate_resonance(
             sd, edge, args.n, eps=args.eps)))
         if args.proportional is not None:

@@ -44,6 +44,8 @@ __all__ = [
     "winding_number",
     "check_step_inputs",
     "check_region_inputs",
+    "sweep_window",
+    "window_holds",
     "count_in_box",
     "locate_resonance",
     "sweep_band_edge",
@@ -119,8 +121,9 @@ def _pole_hits(sd: SpectralData, z: np.ndarray) -> np.ndarray:
 
 
 def s_l(sd: SpectralData, E) -> complex:
-    """Sum of weight/(eigenvalue - E) over all L+1 eigenvalues: the
-    one-point call of _s_rows, which raises PoleHit at a pole."""
+    """Sum of weight/(eigenvalue - E) over all L+1 eigenvalues (a window's
+    lanes and its far term): the one-point call of _s_rows, which raises
+    PoleHit at a pole."""
     return _one_row(sd, _s_rows, E)[0]
 
 
@@ -149,7 +152,8 @@ def _s_rows(sd: SpectralData, zs) -> list:
     one contiguous row, and so are the terms w/(lambda - z)^2; numpy's sum
     along a row is the same pairwise sum as over that row alone, so a
     point's values do not depend on the other points of its block.  The
-    rows run in blocks of at most _CHUNK entries.
+    rows run in blocks of at most _CHUNK entries.  A windowed section's
+    rows hold its lanes, and its FarTerm.complete adds the rest.
     """
     zs = np.asarray(zs, dtype=complex)
     ok = np.flatnonzero(~_pole_hits(sd, zs))
@@ -160,18 +164,20 @@ def _s_rows(sd: SpectralData, zs) -> list:
     rows = max(1, _CHUNK // len(lam))
     diffs = np.empty((min(len(points), rows), len(lam)), dtype=complex)
     terms = np.empty_like(diffs)
-    sums = []
+    sums = np.empty((2, len(points)), dtype=complex)
     for s in range(0, len(points), rows):
         block = points[s:s + rows]
         d, t = diffs[:len(block)], terms[:len(block)]
         for row, z in zip(d, block):
             np.subtract(lam, z, row)
         np.divide(w, d, t)
-        s0 = np.add.reduce(t, 1)
+        sums[0, s:s + rows] = np.add.reduce(t, 1)
         np.divide(t, d, t)
-        sums += zip(s0.tolist(), np.add.reduce(t, 1).tolist())
+        sums[1, s:s + rows] = np.add.reduce(t, 1)
+    if sd.far is not None:
+        sums = sd.far.complete(zs[ok], *sums)
     out = [None] * len(zs)
-    for i, pair in zip(ok.tolist(), sums):
+    for i, pair in zip(ok.tolist(), zip(*sums.tolist())):
         out[i] = pair
     return out
 
@@ -202,8 +208,8 @@ def alpha_and_seed(sd: SpectralData, band: int, n: int) -> tuple[complex, comple
     one-index call of the sweep's batched seeds.
     """
     members = sd.band_members(band)
-    if not 0 <= n < len(members):
-        raise ValueError(f"band {band} has no local index {n}")
+    if not (0 <= n < len(members) and members[n] >= 0):
+        raise ValueError(f"band {band} has no local index {n} in the section")
     return _alpha_and_seed(sd, [int(members[n])])[0]
 
 
@@ -213,11 +219,20 @@ def _alpha_and_seed(sd: SpectralData, gs) -> list[tuple[complex, complex]]:
 
     theta refuses a lambda_g on the cuts, and of the sorted eigenvalues only
     g-1 and g+1 can coincide with lambda_g (PoleHit).  The sum of index g is
-    the pairwise sum of its terms with term g left out, one row per index.
+    the pairwise sum of its terms with term g left out, one row per index;
+    a windowed section adds its far term's series at lambda_g, which must
+    lie on the series' disc.
     """
     lam, w = sd.lambdas, sd.weights_end
+    tail = np.zeros(len(gs))
+    if sd.far is not None:
+        at = lam[np.asarray(gs, dtype=int)].astype(complex)
+        if not sd.far.covers(at).all():
+            raise ValueError("an eigenvalue lies off the far term's disc of "
+                             "the section's window")
+        tail = sd.far.series(at)[0].real
     alphas = []
-    for g in gs:
+    for g, far in zip(gs, tail.tolist()):
         lam_n = float(lam[g])
         phase = cmath.exp(-1j * theta(lam_n))
         near = [abs(float(lam[k]) - lam_n) for k in (g - 1, g + 1)
@@ -228,7 +243,7 @@ def _alpha_and_seed(sd: SpectralData, gs) -> list[tuple[complex, complex]]:
         d[g] = np.inf  # no division by zero at term g, which the sum skips
         t = w / d
         alpha = np.add.reduce(np.concatenate((t[:g], t[g + 1:])))
-        alphas.append(complex(alpha) + phase)
+        alphas.append(complex(alpha + far) + phase)
     g = np.asarray(gs, dtype=int)
     seeds = lam[g] + w[g] / np.array(alphas, dtype=complex)
     return list(zip(alphas, seeds.tolist()))
@@ -441,7 +456,8 @@ class _FarField:
     _RHO**_MOMENTS/(1 - _RHO) sum_far |w/(lambda - c)|.  The phase term is
     added as exp(i arccos(z/2)); the points must lie off the cuts |E| >= 2
     of the real axis, which the guards of _count_boxes check.  Points within
-    _POLE_TOL*scale of an eigenvalue raise PoleHit.
+    _POLE_TOL*scale of an eigenvalue raise PoleHit.  A windowed section's
+    far term joins through FarTerm.complete.
     Every temporary holds at most _CHUNK entries.
     """
 
@@ -504,7 +520,10 @@ class _FarField:
         for m in self.moments[-2::-1]:
             far *= t
             far += m.take(b)
-        return out + far + np.exp(1j * np.arccos(z / 2.0))
+        out += far
+        if self.sd.far is not None:
+            out = self.sd.far.complete(z, out)[0]
+        return out + np.exp(1j * np.arccos(z / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +608,9 @@ def _count_boxes(sd: SpectralData, boxes) -> list[int]:
     First the guards of every box, in one nearest-eigenvalue search: a
     vertical edge crossing the axis within 1e-10*scale of an eigenvalue
     (EdgeTooCloseToEigenvalue, x_lo before x_hi) or a box on the cuts
-    |E| >= 2 (OnBranchCut).  Then the contours, _GROUP boxes per winding
+    |E| >= 2 (OnBranchCut); a box of a windowed section must lie in one
+    span of its window (ValueError), where every eigenvalue is a lane.
+    Then the contours, _GROUP boxes per winding
     loop; the first contour failure met raises (see _windings): in the
     earliest group, at its earliest subdivision level.
     """
@@ -603,6 +624,9 @@ def _count_boxes(sd: SpectralData, boxes) -> list[int]:
         if box.meets_cuts:
             raise OnBranchCut(f"box [{box.x_lo}, {box.x_hi}] meets the real "
                               "axis outside (-2, 2)")
+        if sd.window is not None and not sd.window.holds(box.x_lo, box.x_hi):
+            raise ValueError(f"box [{box.x_lo}, {box.x_hi}] leaves the "
+                             "section's window")
     for s in range(0, len(boxes), _GROUP):
         group = boxes[s:s + _GROUP]
         x_lo = np.array([box.x_lo for box in group])
@@ -632,12 +656,76 @@ def _box_for(sd: SpectralData, edge: EdgeData, n: int,
     if n + 1 >= len(members):
         raise ValueError(f"need eigenvalue n+1 = {n + 1} inside the band, have "
                          f"{len(members)}")
+    if (members[max(0, n - 1):n + 2] < 0).any():
+        raise ValueError(f"eigenvalues {max(0, n - 1)}..{n + 1} from the edge "
+                         "are not all in the section's window")
     g = int(members[n])
     lam_n = sd.lambdas[g]
     lam_prev = 2.0 * edge.e0 - lam_n if n == 0 else sd.lambdas[members[n - 1]]
     lam_next = sd.lambdas[members[n + 1]]
     return g, ResonanceBox.between(0.5 * (lam_prev + lam_n),
                                    0.5 * (lam_n + lam_next), eps)
+
+
+def _disc(box: ResonanceBox) -> tuple[float, float]:
+    """(c, r): a box's centre on the axis and a radius that bounds its
+    contour, lifted by at most a tenth of its width (count_in_box)."""
+    half = 0.5 * (box.x_hi - box.x_lo)
+    return 0.5 * (box.x_lo + box.x_hi), math.hypot(half, max(box.depth, half))
+
+
+def sweep_window(bs: BandStructure, edge: EdgeData, L: int, ns,
+                 eps: float) -> tuple[float, float] | None:
+    """The window of spectrum.eigensystem for the boxes ns at the edge:
+    the smallest interval that holds each box's r/_RHO disc (_disc), from
+    the eigenvalues the discriminant predicts; None (the whole section)
+    where eigenvalue max(ns) + 1 would lie past the band's first half.
+
+    Eigenvalue k from the edge sits near the band angle
+    theta_k = p pi (k + 1)/(L + 1), where D(E) = D(e0) cos(theta_k); each
+    is found by bisection between e0 and the band's far end.
+    """
+    lo, hi = bs.bands[edge.band_index]
+    k = np.arange(max(ns) + 2)
+    angle = bs.period * np.pi * (k + 1) / (L + 1)
+    if not angle[-1] < 0.5 * np.pi:
+        return None
+    target = np.cos(angle)
+    d0 = float(bs.discriminant_at(edge.e0))
+    a, b = np.full(len(k), edge.e0), np.full(len(k), hi + lo - edge.e0)
+    for _ in range(50):
+        mid = 0.5 * (a + b)
+        out = bs.discriminant_at(mid) / d0 > target
+        a, b = np.where(out, mid, a), np.where(out, b, mid)
+    lam = 0.5 * (a + b)
+    ends = []
+    for n in ns:
+        prev = 2.0 * edge.e0 - lam[0] if n == 0 else lam[n - 1]
+        c, r = _disc(ResonanceBox.between(0.5 * (prev + lam[n]),
+                                          0.5 * (lam[n] + lam[n + 1]), eps))
+        ends += [c - r / _RHO, c + r / _RHO]
+    return min(ends), max(ends)
+
+
+def window_holds(sd: SpectralData, edge: EdgeData, ns, eps: float) -> bool:
+    """Whether the section serves the boxes ns at the edge: a whole one
+    does; of a windowed one, each box's eigenvalues n-1, n, n+1 must be
+    lanes, its r/_RHO disc must lie in one span of the window and its
+    contour on the far term's disc.  A box past the band's end is left to
+    the sweep's refusal."""
+    if sd.window is None:
+        return True
+    members = sd.edge_members(edge)
+    for n in ns:
+        if n + 1 >= len(members):
+            continue
+        if (members[max(0, n - 1):n + 2] < 0).any():
+            return False
+        c, r = _disc(_box_for(sd, edge, n, eps)[1])
+        if not (sd.window.holds(c - r / _RHO, c + r / _RHO)
+                and abs(c - sd.far.centre) + r <= sd.far.radius):
+            return False
+    return True
 
 
 def _shallow_depth(C0: float, n: int, L: int) -> float:
@@ -800,6 +888,7 @@ def no_root_certificate(sd: SpectralData, edge: EdgeData, n: int, eps: float,
     the strip.  The inputs must pass check_step_inputs.
     """
     check_step_inputs(edge, eps, n=n)
+    sd.check_whole("no_root_certificate")
     _, box = _box_for(sd, edge, n, eps)
     top, bottom = _shallow_depth(C0, n, sd.L), box.depth
     if top >= bottom:

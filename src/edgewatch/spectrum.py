@@ -30,6 +30,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +42,9 @@ from .errors import (
 )
 from .floquet import BandStructure, EdgeData
 from .potential import PeriodicPotential
+
+if TYPE_CHECKING:
+    from .window import FarTerm, Window
 
 __all__ = [
     "TridiagonalOperator",
@@ -87,7 +91,7 @@ _WORKING_ROWS = 18
 # twist: it decides only between sites whose |gamma| agree to ~1e-300 or
 # whose norm is past ~1e280
 _TWIST_TIE = 1e-300
-# longest end-pivot Newton step taken, times max(1, max|x|): a certified
+# longest end-pivot Newton step taken, times max(1, max|v| + 2): a certified
 # start value lies within a few eps of its root, so a longer step comes from
 # an end that barely sees the eigenvector
 _END_STEP_TOL = 1e-10
@@ -128,19 +132,36 @@ class TridiagonalOperator:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues and boundary weights of one Dirichlet section."""
+    """Eigenvalues and boundary weights of one Dirichlet section.
+
+    A windowed section (eigensystem with a window) holds the eigenpairs
+    inside its window's spans only, the lanes, and the rest of S_L in
+    `window.far`; `band_members` and `local_index` still count by
+    band-local index, with -1 for a member that is not a lane.
+    """
 
     L: int
     j: int
-    lambdas: np.ndarray       # strictly increasing, length L+1
+    lambdas: np.ndarray       # strictly increasing: all L+1, or the lanes
     weights_end: np.ndarray   # |phi_k(L)|^2
     weights_start: np.ndarray  # |phi_k(0)|^2
     band_of: np.ndarray | None = None      # band index, -1 outside
     local_index: np.ndarray | None = None  # 0-based within band, -1 outside
+    window: Window | None = None
+    band_sizes: np.ndarray | None = None   # of a windowed section's bands
 
     @cached_property
     def scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.lambdas))))
+
+    @property
+    def far(self) -> FarTerm | None:
+        return None if self.window is None else self.window.far
+
+    def check_whole(self, what: str):
+        """Refuse a windowed section where `what` reads every eigenvalue."""
+        if self.window is not None:
+            raise ValueError(f"{what} needs the whole spectrum, not a window")
 
     @cached_property
     def _members_by_band(self) -> dict[int, np.ndarray]:
@@ -150,12 +171,16 @@ class SpectralData:
         for band in sorted(set(self.band_of.tolist())):
             # eigenvalues are sorted, so global order is local-index order
             idx = np.flatnonzero(self.band_of == band)
+            if self.band_sizes is not None and band >= 0:
+                lanes, idx = idx, np.full(self.band_sizes[band], -1, np.intp)
+                idx[self.local_index[lanes]] = lanes
             idx.flags.writeable = False
             out[int(band)] = idx
         return out
 
     def band_members(self, band: int) -> np.ndarray:
-        """Global indices of the eigenvalues in `band`, by local index (read-only)."""
+        """Global indices of the eigenvalues in `band`, by local index
+        (read-only); a windowed section's lane positions, -1 off its lanes."""
         if self.band_of is None:
             raise ValueError("band_enumerate has not been run")
         return self._members_by_band.get(band, _NO_MEMBERS)
@@ -356,6 +381,9 @@ def _twisted_outputs(x, g_r, R_r, rho_r, Q_r, sig_r):
 def _twisted_stored(v: np.ndarray, x: np.ndarray):
     """_twisted_slice for a few shifts, keeping R at every site.
 
+    A pivot that is exactly 0 after the nudge (a zero diagonal value at the
+    shift +_PIVOT_NUDGE) becomes _PIVOT_NUDGE; _twisted_slice, which keeps
+    its call discipline, sends such a shift here by its non-finite weights.
     The twist minimises |gamma_i| + _TWIST_TIE * ||z||^2 instead.  The norm
     term is below rounding unless gamma_i vanishes, which happens at many
     sites at once when a shift is an exact eigenvalue of the floating-point
@@ -364,18 +392,23 @@ def _twisted_stored(v: np.ndarray, x: np.ndarray):
     overflows.
     """
     n, m = len(v), len(x)
-    nudge = _PIVOT_NUDGE
+
+    def pivot(a, u):
+        # a pivot that is still exactly 0 after the nudge becomes the nudge
+        d = a - u + _PIVOT_NUDGE
+        return np.where(d == 0.0, _PIVOT_NUDGE, d)
+
     d = np.empty((n, m))
     R, rho = np.ones((2, n, m))
-    d[0] = v[0] - x + nudge
+    d[0] = pivot(v[0] - x, 0.0)
     for i in range(1, n):
         u = 1.0 / d[i - 1]
-        d[i] = v[i] - x - u + nudge
+        d[i] = pivot(v[i] - x, u)
         y = R[i - 1] * u * u
         R[i] = 1.0 + y
         rho[i] = rho[i - 1] * y / R[i]
 
-    dm = v[n - 1] - x + nudge
+    dm = pivot(v[n - 1] - x, 0.0)
     un = np.zeros(m)
     Q = np.ones(m)
     sig = np.ones(m)
@@ -384,7 +417,7 @@ def _twisted_stored(v: np.ndarray, x: np.ndarray):
     for i in range(n - 1, -1, -1):
         if i < n - 1:
             un = 1.0 / dm
-            dm = v[i] - x - un + nudge
+            dm = pivot(v[i] - x, un)
             y = Q * un * un
             Q = 1.0 + y
             sig = sig * y / Q
@@ -485,13 +518,16 @@ def _end_pivot_steps(v: np.ndarray, x: np.ndarray):
     as 2m stacked lanes through one site loop of six numpy calls, over
     residue rows keyed by the pair (v_i, v_{n-1-i}), in slices of at most
     WEIGHT_WORKSPACE_BYTES.  An end is valid when D' is finite and
-    |D/D'| <= _END_STEP_TOL * max(1, max|x|); each shift takes the step
-    of its valid end of smaller |D'|, y = x - D/D', and keeps y = x with
-    taken False where neither end is valid.
+    |D/D'| <= _END_STEP_TOL * max(1, max|v| + 2), a bound of the section
+    alone (Gershgorin: every eigenvalue lies within 2 of a diagonal value),
+    so each shift's step is decided by its own values whatever the other
+    shifts; each shift takes the step of its valid end of smaller |D'|,
+    y = x - D/D', and keeps y = x with taken False where neither end is
+    valid.
     """
     n, m = len(v), len(x)
     pairs = len(_residue_rows(v, x[:0], mirrored=True)[0])
-    bound = _END_STEP_TOL * max(1.0, float(np.max(np.abs(x))))
+    bound = _END_STEP_TOL * max(1.0, float(np.max(np.abs(v))) + 2.0)
     y, taken = x.copy(), np.zeros(m, dtype=bool)
     for s in _lane_slices(m, 16 * (pairs + 6)):
         xs = x[s]
@@ -587,17 +623,12 @@ def _false_position(psi, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
     return np.where(fb != 0.0, b, 0.5 * (a + b))
 
 
-def _monodromy_roots(v: np.ndarray, period: int) -> np.ndarray:
-    """Sorted roots of the characteristic function psi of the section.
-
-    psi (_characteristic) is sampled on a grid, Chebyshev-spaced in each
-    band with _GRID_PER_EIGENVALUE points for each eigenvalue the band can
-    hold and _GAP_GRID points across each gap, in slices of
-    WEIGHT_WORKSPACE_BYTES, and each cell where its sign bit changes is
-    refined by _false_position; an exact zero of psi counts on the side of
-    its sign bit.  Nothing here proves that every root was found:
-    _start_values does.
-    """
+def _root_grid(v: np.ndarray, period: int):
+    """(psi, grid, lows, highs): the section's characteristic function psi
+    (_characteristic, in slices of WEIGHT_WORKSPACE_BYTES), its sign grid,
+    Chebyshev-spaced in each band with _GRID_PER_EIGENVALUE points for each
+    eigenvalue the band can hold and _GAP_GRID points across each gap, and
+    the cell eigenvalues below and above each band."""
     V = PeriodicPotential.from_values(v[:period])
     N, r = divmod(len(v), period)
     per = floquet._cell_eigenvalues(V, 1.0)
@@ -618,8 +649,27 @@ def _monodromy_roots(v: np.ndarray, period: int) -> np.ndarray:
             out[s] = _characteristic(V, N, r, E[s])
         return out
 
+    return psi, grid, lows, highs
+
+
+def _monodromy_roots(v: np.ndarray, period: int, spans=None) -> np.ndarray:
+    """Sorted roots of the characteristic function psi of the section, or
+    those inside the energy spans [a, b] (points of the root grid).
+
+    psi is sampled on _root_grid's points (of the spans), and each cell
+    where its sign bit changes is refined by _false_position; an exact zero
+    of psi counts on the side of its sign bit, and no cell joins two spans.
+    Nothing here proves that every root was found: _start_values does.
+    """
+    psi, grid = _root_grid(v, period)[:2]
+    if spans is not None:
+        parts = [grid[(a <= grid) & (grid <= b)] for a, b in spans]
+        grid = np.concatenate(parts)
     f = psi(grid)
-    cell = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
+    change = np.signbit(f[:-1]) != np.signbit(f[1:])
+    if spans is not None:
+        change[np.cumsum([len(g) for g in parts])[:-1] - 1] = False
+    cell = np.flatnonzero(change)
     return _false_position(psi, grid[cell], grid[cell + 1], f[cell],
                            f[cell + 1])
 
@@ -669,37 +719,81 @@ def _bisect_counts(v: np.ndarray, k: np.ndarray, x: np.ndarray,
     lo[k], hi[k], x[k] = a, b, 0.5 * (a + b)
 
 
+def _assign_roots(roots, sep, counts, x, lo, hi) -> np.ndarray:
+    """The certificate of the start values between sep[0] and sep[-1].
+
+    The Sturm counts at the separators sep of the sorted roots must rise by
+    one at each root.  Where they do, eigenvalue k takes the root between
+    the separators whose counts are k and k + 1; x[k], lo[k] and hi[k] get
+    its root and its bracket of separators, and the indices the count does
+    not certify are returned for _bisect_counts.
+    """
+    counts = np.maximum.accumulate(counts)
+    k = np.arange(counts[0], counts[-1])
+    j = np.searchsorted(counts, k, side="right") - 1
+    J = np.searchsorted(counts, k + 1)
+    lo[k], hi[k] = sep[j], sep[J]
+    ok = (counts[j] == k) & (counts[J] == k + 1)   # then J == j + 1
+    x[k[ok]] = roots[j[ok]]
+    return k[~ok]
+
+
 def _start_values(v: np.ndarray, period: int):
     """(x, lo, hi): a start value x_k for every eigenvalue of the section
     and a bracket [lo_k, hi_k] around it that holds that eigenvalue alone.
 
-    The certificate: _sturm_counts at the points that separate the sorted
-    _monodromy_roots (and the Gershgorin bounds min v - 3, max v + 3,
-    where the counts are 0 and n) must rise by one at each root.  Where it
-    does, eigenvalue k takes the root between the separators whose counts
-    are k and k + 1; every other index is repaired by _bisect_counts from
-    its bracket of separators, vectorised over those indices.  So psi can
-    cost time but never an eigenvalue.
+    The certificate (_assign_roots): _sturm_counts at the points that
+    separate the sorted _monodromy_roots (and the Gershgorin bounds
+    min v - 3, max v + 3, where the counts are 0 and n) must rise by one at
+    each root; every index it does not certify is repaired by
+    _bisect_counts from its bracket of separators, vectorised over those
+    indices.  So psi can cost time but never an eigenvalue.
     """
     n = len(v)
     roots = _monodromy_roots(v, period)
     sep = np.concatenate([[v.min() - 3.0], 0.5 * (roots[:-1] + roots[1:]),
                           [v.max() + 3.0]])
     counts = np.concatenate([[0], _sturm_counts(v, sep[1:-1]), [n]])
-    counts = np.maximum.accumulate(counts)
-    k = np.arange(n)
-    j = np.searchsorted(counts, k, side="right") - 1
-    J = np.searchsorted(counts, k + 1)
-    lo, hi = sep[j], sep[J]
-    ok = (counts[j] == k) & (counts[J] == k + 1)   # then J == j + 1
-    x = np.empty(n)
-    x[ok] = roots[j[ok]]
-    _bisect_counts(v, np.flatnonzero(~ok), x, lo, hi)
+    x, lo, hi = np.empty((3, n))
+    _bisect_counts(v, _assign_roots(roots, sep, counts, x, lo, hi), x, lo, hi)
     return x, lo, hi
 
 
-def eigensystem(H: TridiagonalOperator) -> SpectralData:
-    """All eigenvalues and eigenvector boundary weights of the section.
+def _solve_lanes(v: np.ndarray, x, lo, hi, lanes: np.ndarray):
+    """(lam, out): the eigenvalues of the lanes (sorted global indices)
+    from their start values x[lanes] with brackets lo, hi (all indexed by
+    global index), sorted, and their _twisted_rows; the steps of
+    eigensystem, raising its failures named by global index."""
+    lam, taken = _end_pivot_steps(v, x[lanes])
+    miss = np.flatnonzero(~taken)
+    if len(miss):
+        _bisect_counts(v, lanes[miss], x, lo, hi)
+        lam[miss], taken[miss] = _end_pivot_steps(v, x[lanes[miss]])
+    out = _twisted_rows(v, lam)
+    drift = np.abs(out[3] - lam) > _QUOTIENT_TOL * np.maximum(1.0, np.abs(lam))
+    redo = np.flatnonzero(~taken | drift | _uncertified(out))
+    if len(redo):
+        lam[redo] = _boundary_weights(v, x[lanes[redo]], lanes[redo])[2]
+        out[:, redo] = _twisted_rows(v, lam[redo])
+    # sorted, the lanes keep the order of their global indices: lanes of
+    # two spans lie apart
+    order = np.argsort(lam)
+    lam, out = lam[order], out[:, order]
+    gaps = np.diff(lam)
+    # name the lowest close pair: which pair of a cluster is the closest
+    # is decided by rounding
+    close = np.flatnonzero(gaps < 1e-12)
+    if len(close):
+        k = int(lanes[close[0]])
+        raise ConvergenceFailure(k, float(gaps[close[0]]),
+                                 f"near-degenerate eigenvalue pair at index {k}")
+    _certify(out, lanes)
+    return lam, out
+
+
+def eigensystem(H: TridiagonalOperator, window=None) -> SpectralData:
+    """All eigenvalues and eigenvector boundary weights of the section, or
+    with window = (a, b) those near [a, b] and a far term for the rest.
 
     _start_values gives a start value for each eigenvalue from the
     one-period monodromy, certified complete by one Sturm-count pass, and
@@ -715,37 +809,34 @@ def eigensystem(H: TridiagonalOperator) -> SpectralData:
     vector's Rayleigh quotient at x with its weights from a second pass at
     that quotient.  The twisted vector's relative residual is the
     certificate of every pass, and one above WEIGHT_RESIDUAL_TOL raises
-    ConvergenceFailure.  The result is a function of H alone.
+    ConvergenceFailure, as does a pair closer than 1e-12.  The result is a
+    function of H (and the window) alone.
+
+    The window (edgewatch.window.solve, loaded on its first use) runs the
+    same steps (_solve_lanes) on the lanes, the eigenvalues of a few spans
+    of the root grid around [a, b] and at the spectrum's two ends: two
+    Sturm counts at each span's ends, in the start values' one count pass,
+    give the lanes' global indices and prove that none inside a span was
+    lost.  Each lane's steps read its own values alone, so its eigenvalue
+    and weights are the whole solve's wherever both certify its start value
+    alike, and so are sd.scale's extreme eigenvalues.  The rest of S_L is
+    the window's FarTerm, whose docstring states its truncation bound.  A
+    window over WINDOW_SHARE of the spectrum, or one too narrow for the far
+    term's circle, is solved whole: the whole solve is the window that holds
+    every eigenvalue, with no far term.
     """
     L = H.L
     if L > L_SOFT_CAP:
         warnings.warn(
             f"L = {L} exceeds the supported working-precision cap {L_SOFT_CAP}; "
             "near-edge weights may lose relative accuracy", stacklevel=2)
-
+    if window is not None:
+        from . import window as windowed
+        sd = windowed.solve(H, window)
+        if sd is not None:
+            return sd
     x, lo, hi = _start_values(H.diag, H.period)
-    lam, taken = _end_pivot_steps(H.diag, x)
-    miss = np.flatnonzero(~taken)
-    if len(miss):
-        _bisect_counts(H.diag, miss, x, lo, hi)
-        lam[miss], taken[miss] = _end_pivot_steps(H.diag, x[miss])
-    out = _twisted_rows(H.diag, lam)
-    drift = np.abs(out[3] - lam) > _QUOTIENT_TOL * np.maximum(1.0, np.abs(lam))
-    redo = np.flatnonzero(~taken | drift | _uncertified(out))
-    if len(redo):
-        lam[redo] = _boundary_weights(H.diag, x[redo], redo)[2]
-        out[:, redo] = _twisted_rows(H.diag, lam[redo])
-    order = np.argsort(lam)
-    lam, out = lam[order], out[:, order]
-    gaps = np.diff(lam)
-    # name the lowest close pair: which pair of a cluster is the closest
-    # is decided by rounding
-    close = np.flatnonzero(gaps < 1e-12)
-    if len(close):
-        k = int(close[0])
-        raise ConvergenceFailure(k, float(gaps[k]),
-                                 f"near-degenerate eigenvalue pair at index {k}")
-    _certify(out)
+    lam, out = _solve_lanes(H.diag, x, lo, hi, np.arange(L + 1))
     return SpectralData(L=L, j=L % H.period, lambdas=lam,
                         weights_end=out[0], weights_start=out[1])
 
@@ -757,7 +848,8 @@ def band_enumerate(sd: SpectralData, bs: BandStructure) -> SpectralData:
     exactly to that edge, so edge eigenvalues do not carry the last-ulp
     noise of the eigensolver.  Eigenvalues farther than
     BAND_TOL * max(1, |lambda|) from every band are flagged with -1, never
-    interpreted.
+    interpreted.  A windowed section's local indices come from its
+    window's Sturm counts (Window.local_indices).
     """
     lam = sd.lambdas.copy()
     snap = EIGENVALUE_TOL * sd.scale
@@ -773,6 +865,10 @@ def band_enumerate(sd: SpectralData, bs: BandStructure) -> SpectralData:
             f"eigenvalue {lam[i]} matches bands "
             f"{np.flatnonzero(hits[i]).tolist()} within {BAND_TOL}")
     band_of = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+    if sd.window is not None:
+        local, sizes = sd.window.local_indices(lam, band_of, lo, hi)
+        return replace(sd, lambdas=lam, band_of=band_of, local_index=local,
+                       band_sizes=sizes)
     local = np.full(len(lam), -1, dtype=int)
     for b in range(len(bs.bands)):
         members = np.flatnonzero(band_of == b)  # lambdas sorted, so members are too
@@ -807,6 +903,7 @@ def weight_profile(sd: SpectralData, edge: EdgeData, eps: float,
     coincides with the band-local enumeration.
     """
     check_profile_inputs(eps)
+    sd.check_whole("weight_profile")
     members = sd.edge_members(edge)
     lam = sd.lambdas[members]
     # window scale: eps^2 in units of the band width

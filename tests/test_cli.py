@@ -446,8 +446,11 @@ def test_layer_calls_go_through_module_references(monkeypatch, capsys):
     calls = []
     for name in ("spectrum", "resonance"):
         monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
-    section = ["spectrum.assemble", "spectrum.eigensystem",
-               "spectrum.band_enumerate"]
+    # a windowed section: the window of the command's boxes, then its
+    # check (one round on both commands)
+    section = ["spectrum.assemble", "resonance.sweep_window",
+               "spectrum.eigensystem", "spectrum.band_enumerate",
+               "resonance.window_holds"]
     code, out, _ = run_cli(capsys, "resonances", "--potential", "0,3",
                            "--L", "200", "--edge", "-1")
     assert code == 0 and len(out.splitlines()) == 1 + 5

@@ -392,6 +392,60 @@ def test_contour_evaluator_at_the_near_radius(sd400):
         _assert_matches_f(sd, ff, z, np.zeros(len(z), dtype=int))
 
 
+@pytest.mark.parametrize("values, L, e0", [((0.0, 3.0), 400, -1.0),
+                                           ((0.0, 3.0), 1000, -1.0),
+                                           ((1.0, -2.0, 0.5), 1000, 0.5)])
+def test_windowed_evaluator_matches_the_whole(monkeypatch, values, L, e0):
+    # the section the CLI's sweep builds, forced onto the window path:
+    # its eigenpairs are the whole solve's bits, and f, f' (at every
+    # swept z, every seed and each box's initial contour samples) and every
+    # count agree with the whole section's within the tier-1 bounds
+    from edgewatch import cli, window
+    monkeypatch.setattr(window, "WINDOW_SHARE", 1.0)
+    V = ew.PeriodicPotential.from_values(values)
+    bs = ew.band_structure(V)
+    edge = ew.classify_edge(V, bs, e0, L % V.period)
+    ns = range(int(0.2 * L / 10.0) + 1)
+    win = cli._section(V, bs, L, edge, ns, 0.2)
+    whole = ew.band_enumerate(ew.eigensystem(ew.assemble(V, L)), bs)
+    assert win.window is not None and len(win.lambdas) < L // 4
+    idx = win.window.index
+    for name in ("lambdas", "weights_end", "weights_start", "band_of",
+                 "local_index"):
+        np.testing.assert_array_equal(getattr(whole, name)[idx],
+                                      getattr(win, name))
+    assert win.scale == whole.scale
+    evaluate, samples = rz._FarField.__call__, []
+    monkeypatch.setattr(rz._FarField, "__call__", lambda ff, z, b:
+                        samples.append(z) or evaluate(ff, z, b))
+    swept = ew.sweep_band_edge(win, edge)
+    assert [r.n for r in swept] == list(ns)
+    zs = np.concatenate([[r.z for r in swept], [r.seed for r in swept],
+                         samples[0]])
+    lam, w = whole.lambdas, whole.weights_end
+    for z, got, want in zip(zs, rz._f_rows(win, zs), rz._f_rows(whole, zs)):
+        d = np.abs(lam - z)
+        assert abs(got[0] - want[0]) <= 1e-13 * (np.sum(w / d) + 1.0), z
+        assert abs(got[1] - want[1]) <= 1e-13 * (np.sum(w / d**2) + 1.0), z
+    # the contour evaluator of each box at its 64 initial samples
+    rects = [(r.box.x_lo, r.box.x_hi, -r.box.depth, 0.1 * r.box.depth)
+             for r in swept]
+    b = np.repeat(np.arange(len(rects)), 4)
+    z = np.array([complex(x, y) for x0, x1, y0, y1 in rects
+                  for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))])
+    monkeypatch.undo()
+    _assert_matches_f(whole, rz._FarField(win, rects), z, b)
+    assert ([rz.count_in_box(win, r.box) for r in swept]
+            == [rz.count_in_box(whole, r.box) for r in swept])
+    # the benchmark's replay: the public steps give the sweep's bits back
+    for r in swept:
+        g = int(np.flatnonzero(win.lambdas == r.lambda_n)[0])
+        alpha, seed = rz.alpha_and_seed(win, r.band, int(win.local_index[g]))
+        assert (alpha, seed) == (r.alpha_n, r.seed)
+        assert rz.newton_refine(win, seed) == (r.z, r.residual,
+                                               r.newton_iters)
+
+
 def test_batched_counts_equal_single_box_counts(monkeypatch, sd400,
                                                 edge_m1_j0):
     # every box counts the same in its sweep's winding loop as through

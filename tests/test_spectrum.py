@@ -164,6 +164,30 @@ def test_weights_at_exact_floating_point_eigenvalues():
         _assert_weights_match(H.diag, lam, w_end, w_start, [0], 200)
 
 
+def test_twisted_fallback_meets_a_zero_pivot():
+    # a zero diagonal at the shift +_PIVOT_NUDGE: the first pivot
+    # (0 - 1e-120) + 1e-120 is exactly 0, the fast kernel's weights are not
+    # finite, and the fallback takes the nudge as that pivot; the
+    # eigenvector (1, 0, -1)/sqrt(2) of eigenvalue 0 has both weights 1/2
+    out = spectrum._twisted_rows(np.zeros(3), np.array([1e-120]))
+    assert not spectrum._uncertified(out).any()
+    np.testing.assert_allclose(out[:2, 0], [0.5, 0.5], rtol=1e-15)
+
+
+def test_end_pivot_step_bound_is_the_sections(V03):
+    # a step of 2e-10 from a start value next to the eigenvalue near -1 of
+    # (0,3): the bound 1e-10 max(1, max|v| + 2) = 5e-10 belongs to the
+    # section, so the step is taken alone as among every lane, with the
+    # same bits (a bound from the shifts' own max |x| refused it alone)
+    H = ew.assemble(V03, 400)
+    lam = ew.eigensystem(H).lambdas
+    x = np.array([lam[0] + 2e-10])
+    y, taken = spectrum._end_pivot_steps(H.diag, x)
+    y_all, taken_all = spectrum._end_pivot_steps(H.diag, np.append(x, lam))
+    assert taken[0] and taken_all[0] and y[0] == y_all[0]
+    assert abs(y[0] - lam[0]) <= 1e-3 * 2e-10
+
+
 def test_weight_certificate_refuses_a_shifted_spectrum():
     # a twisted vector's residual is at least the distance to the spectrum
     H = ew.assemble(ew.PeriodicPotential.from_values([0.0, 3.0]), 200)
