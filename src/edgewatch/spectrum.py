@@ -135,8 +135,10 @@ class SpectralData:
     """Eigenvalues and boundary weights of one Dirichlet section.
 
     A windowed section (eigensystem with a window) holds the eigenpairs
-    inside its window's spans only, the lanes, and the rest of S_L in
-    `window.far`; `band_members` and `local_index` still count by
+    inside its window's spans only, the lanes, whose global indices and
+    completeness the Sturm counts at the spans' ends prove, and the rest of
+    S_L in `window.far`, a series within q^32/((1 - q) R) of it on its disc
+    (see eigensystem); `band_members` and `local_index` still count by
     band-local index, with -1 for a member that is not a lane.
     """
 
@@ -820,7 +822,9 @@ def eigensystem(H: TridiagonalOperator, window=None) -> SpectralData:
     lost.  Each lane's steps read its own values alone, so its eigenvalue
     and weights are the whole solve's wherever both certify its start value
     alike, and so are sd.scale's extreme eigenvalues.  The rest of S_L is
-    the window's FarTerm, whose docstring states its truncation bound.  A
+    the window's FarTerm: on its disc its 32-term series is within
+    q^32/((1 - q) R) + 2 (0.55)^64/R of that rest, with q <= 0.275 and R
+    the distance to the nearest eigenvalue that is not a lane.  A
     window over WINDOW_SHARE of the spectrum, or one too narrow for the far
     term's circle, is solved whole: the whole solve is the window that holds
     every eigenvalue, with no far term.
