@@ -96,14 +96,15 @@ def _section(V, bs, L: int, edge=None, ns=(), eps=None):
     """Band-enumerated spectral data of the length-L Dirichlet section.
 
     Whole, or for the boxes ns at the edge windowed around them: the
-    window of resonance.sweep_window, doubled until resonance.window_holds
-    (spectrum.eigensystem solves whole a window over WINDOW_SHARE).
+    window of resonance.sweep_window, doubled until the section's window
+    serves the boxes (Window.serves; spectrum.eigensystem solves whole a
+    window whose spans hold spectrum.WINDOW_SHARE of the spectrum or more).
     """
     H = spectrum.assemble(V, L)
     window = resonance.sweep_window(bs, edge, L, ns, eps) if ns else None
     while True:
         sd = spectrum.band_enumerate(spectrum.eigensystem(H, window), bs)
-        if window is None or resonance.window_holds(sd, edge, ns, eps):
+        if sd.window is None or sd.window.serves(sd, edge, ns, eps):
             return sd
         c, r = 0.5 * (window[0] + window[1]), window[1] - window[0]
         window = (c - r, c + r)
@@ -170,8 +171,8 @@ def _cmd_spectrum(args):
 def _cmd_resonances(args):
     V, bs, edge = _edge_setup(args)
     resonance.check_step_inputs(edge, args.eps, L=args.L, C1=args.c1)
-    boxes = range(int(math.floor(args.eps * args.L / args.c1)) + 1)
-    sd = _section(V, bs, args.L, edge, boxes, args.eps)
+    sd = _section(V, bs, args.L, edge,
+                  resonance.sweep_indices(args.L, args.eps, args.c1), args.eps)
     results = resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1)
     rows = [{
         "n": r.n, "lambda_n": r.lambda_n, "a_n": r.a_n,
@@ -253,11 +254,9 @@ def _cmd_l_scaling(args):
         ns = [args.n] + ([] if args.proportional is None
                          else [int(args.proportional * L)])
         sd = _section(V, bs, L, edge, ns, args.eps)
-        fixed.append((L, sd.j, resonance.locate_resonance(
-            sd, edge, args.n, eps=args.eps)))
-        if args.proportional is not None:
-            prop.append((L, sd.j, resonance.locate_resonance(
-                sd, edge, int(args.proportional * L), eps=args.eps)))
+        for track, n in zip((fixed, prop), ns):
+            track.append((L, sd.j, resonance.locate_resonance(
+                sd, edge, n, eps=args.eps)))
     rows = [_l_scaling_row(f"fixed-n={args.n}",
                            analysis.l_scaling(fixed, "fixed"))]
     if prop:

@@ -276,6 +276,25 @@ class EdgeData:
                                        EdgeClassification.GENERIC_B)
 
 
+def predicted_eigenvalues(bs: BandStructure, edge: EdgeData, L: int,
+                          count: int) -> np.ndarray:
+    """The first `count` eigenvalues from the edge into its band of the
+    length-L Dirichlet section, as the discriminant predicts them:
+    eigenvalue k sits near the band angle theta_k = p pi (k + 1)/(L + 1),
+    where D(E) = D(e0) cos(theta_k), found by bisection between e0 and the
+    band's far end (where an angle past pi puts it)."""
+    lo, hi = bs.bands[edge.band_index]
+    k = np.arange(count)
+    target = np.cos(np.minimum(bs.period * np.pi * (k + 1) / (L + 1), np.pi))
+    d0 = float(bs.discriminant_at(edge.e0))
+    a, b = np.full(count, edge.e0), np.full(count, hi + lo - edge.e0)
+    for _ in range(50):
+        mid = 0.5 * (a + b)
+        out = bs.discriminant_at(mid) / d0 > target
+        a, b = np.where(out, mid, a), np.where(out, b, mid)
+    return 0.5 * (a + b)
+
+
 def classify_edge(V: PeriodicPotential, bs: BandStructure,
                   e0: float | EdgePoint, j: int) -> EdgeData:
     """Evaluate the edge polynomials at e0 and classify the edge.

@@ -29,6 +29,14 @@ from .errors import (
     PoleHit,
     UniquenessFailed,
 )
+from .boxes import (
+    _RHO,
+    ResonanceBox,
+    _box_for,
+    _boxes_for,
+    sweep_indices,
+    sweep_window,
+)
 from .floquet import BandStructure, EdgeData
 from .spectrum import SpectralData
 
@@ -44,8 +52,8 @@ __all__ = [
     "winding_number",
     "check_step_inputs",
     "check_region_inputs",
+    "sweep_indices",
     "sweep_window",
-    "window_holds",
     "count_in_box",
     "locate_resonance",
     "sweep_band_edge",
@@ -230,7 +238,7 @@ def _alpha_and_seed(sd: SpectralData, gs) -> list[tuple[complex, complex]]:
         if not sd.far.covers(at).all():
             raise ValueError("an eigenvalue lies off the far term's disc of "
                              "the section's window")
-        tail = sd.far.series(at)[0].real
+        tail = sd.far.series(at, False)[0].real
     alphas = []
     for g, far in zip(gs, tail.tolist()):
         lam_n = float(lam[g])
@@ -340,6 +348,8 @@ def _newton(sd: SpectralData, seeds, max_iter: int,
                 advance(k, runs[k].throw, _pole_error(sd, z))
             else:
                 advance(k, runs[k].send, value)
+    if sd.far is not None:
+        out = sd.far.refine(out, lambda zs: _f_rows(sd, zs))
     return out
 
 
@@ -439,7 +449,6 @@ def winding_number(func, rect) -> int:
     return _windings(lambda z, b: func(z), [(x_lo, x_hi, y_lo, y_hi)])[0]
 
 
-_RHO = 0.125  # far eigenvalues lie beyond r/_RHO of a contour's centre
 _MOMENTS = 19  # J: far tail below _RHO**J/(1 - _RHO) sum |w/(lambda - c)|
 
 
@@ -531,41 +540,6 @@ class _FarField:
 
 
 @dataclass(frozen=True)
-class ResonanceBox:
-    """[x_lo, x_hi] x [-depth, 0]: the search cell of one resonance, or the
-    rectangle of a free-region certificate."""
-
-    x_lo: float
-    x_hi: float
-    depth: float
-
-    def __post_init__(self):
-        if not (self.x_lo < self.x_hi and self.depth > 0):
-            raise ValueError(f"invalid box {self}")
-
-    @classmethod
-    def between(cls, a, b, eps: float) -> ResonanceBox:
-        """The box over the interval between a and b with the certificate's
-        floor eps^5, in Python floats."""
-        return cls(x_lo=float(min(a, b)), x_hi=float(max(a, b)),
-                   depth=float(eps) ** 5)
-
-    @property
-    def reach(self) -> float:
-        """The largest |Re z| in the box."""
-        return max(abs(self.x_lo), abs(self.x_hi))
-
-    @property
-    def meets_cuts(self) -> bool:
-        """Whether the box meets the real axis outside (-2, 2)."""
-        return self.reach >= 2.0
-
-    def contains(self, z: complex) -> bool:
-        return (self.x_lo <= z.real <= self.x_hi
-                and -self.depth <= z.imag <= 0.0)
-
-
-@dataclass(frozen=True)
 class Resonance:
     """One located resonance with its certificate data."""
 
@@ -645,87 +619,6 @@ def _count_boxes(sd: SpectralData, boxes) -> list[int]:
         windings = _windings(_FarField(sd, rects), rects)
         out += [w + P for w, P in zip(windings, (stop - first).tolist())]
     return out
-
-
-def _box_for(sd: SpectralData, edge: EdgeData, n: int,
-             eps: float) -> tuple[int, ResonanceBox]:
-    """Global index g of eigenvalue n >= 0 from the edge, and its box of
-    floor eps^5 between the midpoints to lambda_{n-1} (lambda_0 reflected
-    through the edge for n = 0) and lambda_{n+1}, which must be in the band."""
-    members = sd.edge_members(edge)
-    if n + 1 >= len(members):
-        raise ValueError(f"need eigenvalue n+1 = {n + 1} inside the band, have "
-                         f"{len(members)}")
-    if (members[max(0, n - 1):n + 2] < 0).any():
-        raise ValueError(f"eigenvalues {max(0, n - 1)}..{n + 1} from the edge "
-                         "are not all in the section's window")
-    g = int(members[n])
-    lam_n = sd.lambdas[g]
-    lam_prev = 2.0 * edge.e0 - lam_n if n == 0 else sd.lambdas[members[n - 1]]
-    lam_next = sd.lambdas[members[n + 1]]
-    return g, ResonanceBox.between(0.5 * (lam_prev + lam_n),
-                                   0.5 * (lam_n + lam_next), eps)
-
-
-def _disc(box: ResonanceBox) -> tuple[float, float]:
-    """(c, r): a box's centre on the axis and a radius that bounds its
-    contour, lifted by at most a tenth of its width (count_in_box)."""
-    half = 0.5 * (box.x_hi - box.x_lo)
-    return 0.5 * (box.x_lo + box.x_hi), math.hypot(half, max(box.depth, half))
-
-
-def sweep_window(bs: BandStructure, edge: EdgeData, L: int, ns,
-                 eps: float) -> tuple[float, float] | None:
-    """The window of spectrum.eigensystem for the boxes ns at the edge:
-    the smallest interval that holds each box's r/_RHO disc (_disc), from
-    the eigenvalues the discriminant predicts; None (the whole section)
-    where eigenvalue max(ns) + 1 would lie past the band's first half.
-
-    Eigenvalue k from the edge sits near the band angle
-    theta_k = p pi (k + 1)/(L + 1), where D(E) = D(e0) cos(theta_k); each
-    is found by bisection between e0 and the band's far end.
-    """
-    lo, hi = bs.bands[edge.band_index]
-    k = np.arange(max(ns) + 2)
-    angle = bs.period * np.pi * (k + 1) / (L + 1)
-    if not angle[-1] < 0.5 * np.pi:
-        return None
-    target = np.cos(angle)
-    d0 = float(bs.discriminant_at(edge.e0))
-    a, b = np.full(len(k), edge.e0), np.full(len(k), hi + lo - edge.e0)
-    for _ in range(50):
-        mid = 0.5 * (a + b)
-        out = bs.discriminant_at(mid) / d0 > target
-        a, b = np.where(out, mid, a), np.where(out, b, mid)
-    lam = 0.5 * (a + b)
-    ends = []
-    for n in ns:
-        prev = 2.0 * edge.e0 - lam[0] if n == 0 else lam[n - 1]
-        c, r = _disc(ResonanceBox.between(0.5 * (prev + lam[n]),
-                                          0.5 * (lam[n] + lam[n + 1]), eps))
-        ends += [c - r / _RHO, c + r / _RHO]
-    return min(ends), max(ends)
-
-
-def window_holds(sd: SpectralData, edge: EdgeData, ns, eps: float) -> bool:
-    """Whether the section serves the boxes ns at the edge: a whole one
-    does; of a windowed one, each box's eigenvalues n-1, n, n+1 must be
-    lanes, its r/_RHO disc must lie in one span of the window and its
-    contour on the far term's disc.  A box past the band's end is left to
-    the sweep's refusal."""
-    if sd.window is None:
-        return True
-    members = sd.edge_members(edge)
-    for n in ns:
-        if n + 1 >= len(members):
-            continue
-        if (members[max(0, n - 1):n + 2] < 0).any():
-            return False
-        c, r = _disc(_box_for(sd, edge, n, eps)[1])
-        if not (sd.window.holds(c - r / _RHO, c + r / _RHO)
-                and abs(c - sd.far.centre) + r <= sd.far.radius):
-            return False
-    return True
 
 
 def _shallow_depth(C0: float, n: int, L: int) -> float:
@@ -821,8 +714,8 @@ def sweep_band_edge(sd: SpectralData, edge: EdgeData,
     refined by _newton in lockstep rounds of one kernel call each.
     """
     check_step_inputs(edge, eps, L=sd.L, C1=C1)
-    steps = [(n, *_box_for(sd, edge, n, eps))
-             for n in range(int(math.floor(eps * sd.L / C1)) + 1)]
+    ns = sweep_indices(sd.L, eps, C1)
+    steps = [(n, *step) for n, step in zip(ns, _boxes_for(sd, edge, ns, eps))]
     counts = _count_boxes(sd, [box for _, _, box in steps])
     return _resonances(sd, edge, steps, counts)
 

@@ -14,25 +14,14 @@ rule.  spectrum.eigensystem loads this module on its first windowed call.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectrum
+from . import boxes, pivots, resonance, spectrum
 from .errors import AmbiguousAssignment
 
-# a window whose span holds more than this share of the root grid (about
-# its share of the eigenvalues) is solved whole.  Measured (one process,
-# CPU-time minimum of 5, 2-core Xeon), a windowed eigensystem takes this
-# share of the whole one's time at span shares 0.03 / 0.2 / 0.32: 0.21 /
-# 0.34 / 0.44 at (0,3) L=4000, 0.51 / 0.60 / 0.68 at (1,-2,0.5) L=1000 and
-# 0.77 / 0.86 / 0.91 at (0,3) L=400.  So the window pays wherever it can be
-# taken, and the share only keeps sweeps over most of a band (the 301
-# boxes of (1,-2,0.5) L=1000 read 301 of its 1001 eigenvalues) whole.
-WINDOW_SHARE = 0.25
-# grid points at each end of the root grid that a window also solves, so
-# that the extreme eigenvalues (and sd.scale) keep the whole solve's bits
-_END_GRID = 64
 # circle points of the far term's trapezoid rule (K) and the terms of its
 # Taylor series (J)
 _FAR_POINTS = 64
@@ -43,10 +32,9 @@ _FAR_TERMS = 32
 _FAR_RATIO = 0.55
 # with r the half-width of a window, the far term's circle has radius
 # _FAR_UNIT r (its series, on half that radius, covers the window with a
-# tenth to spare for the crossings' moves) and the window's span reaches
-# _FAR_SPAN r from its centre, past _FAR_UNIT/_FAR_RATIO = 4 r
+# tenth to spare for the crossings' moves); the window's span reaches
+# spectrum._FAR_SPAN r from its centre, past _FAR_UNIT/_FAR_RATIO = 4 r
 _FAR_UNIT = 2.2
-_FAR_SPAN = 4.5
 
 
 @dataclass(frozen=True)
@@ -77,19 +65,40 @@ class FarTerm:
         """Whether each point lies on the disc where the series holds."""
         return np.abs(z - self.centre) <= self.radius
 
-    def series(self, z: np.ndarray):
-        """(g, g') at points z of the disc, by Horner in real arithmetic:
-        numpy's complex multiply rounds by the array's length, and a
-        point's value must not depend on the other points of its call."""
+    def series(self, z: np.ndarray, derivative: bool = True):
+        """(g, g') at points z of the disc, g' only with derivative, by
+        Horner in real arithmetic: numpy's complex multiply rounds by the
+        array's length, and a point's value must not depend on the other
+        points of its call."""
         x, y = (z.real - self.centre) / self.unit, z.imag / self.unit
         gr, gi = np.full(len(z), self.coeffs[-1]), np.zeros(len(z))
         pr, pi = np.zeros(len(z)), np.zeros(len(z))
         for c in self.coeffs[-2::-1]:
-            pr, pi = pr * x - pi * y + gr, pr * y + pi * x + gi
+            if derivative:
+                pr, pi = pr * x - pi * y + gr, pr * y + pi * x + gi
             gr, gi = gr * x - gi * y + c, gr * y + gi * x
-        out = np.empty((2, len(z)), dtype=complex)
-        out.real, out.imag = (gr, pr / self.unit), (gi, pi / self.unit)
+        out = np.empty((2 if derivative else 1, len(z)), dtype=complex)
+        out[0].real, out[0].imag = gr, gi
+        if derivative:
+            out[1].real, out[1].imag = pr / self.unit, pi / self.unit
         return out
+
+    def refine(self, roots, f_rows) -> list:
+        """Newton roots (z, residual, iterations) after one step of
+        iterative refinement: f at each root from the section's resolvent
+        (1/d_L and the phase: no eigenpair and no series), divided by f' of
+        f_rows, the section's evaluator, and the residual |f| of f_rows at
+        the new point.  A step that is not finite, leaves the lower
+        half-plane or meets a pole keeps the root.  Each root's step reads
+        its own values alone."""
+        zs = [z for z, _, _ in roots]
+        exact = _end_resolvent(self.diag, np.array(zs, dtype=complex), False)
+        new = []
+        for z, s, (_, fp) in zip(zs, exact[0].tolist(), f_rows(zs)):
+            z1 = z - (s + cmath.exp(-1j * resonance.theta(z))) / fp
+            new.append(z1 if cmath.isfinite(z1) and z1.imag < 0.0 else z)
+        return [root if value is None else (z1, abs(value[0]), root[2])
+                for root, z1, value in zip(roots, new, f_rows(new))]
 
     def complete(self, z: np.ndarray, s: np.ndarray, sp=None) -> np.ndarray:
         """Rows (S_L, S_L') at points z from the lanes' sums s and sp
@@ -97,10 +106,11 @@ class FarTerm:
         S_L and S_L' of _end_resolvent, never a diverging series."""
         out = np.array([s] if sp is None else [s, sp], dtype=complex)
         inside = self.covers(z)
-        out[:, inside] += self.series(z[inside])[:len(out)]
+        out[:, inside] += self.series(z[inside], sp is not None)
         off = np.flatnonzero(~inside)
         if off.size:
-            out[:, off] = _end_resolvent(self.diag, z[off])[:len(out)]
+            out[:, off] = _end_resolvent(self.diag, z[off],
+                                         sp is not None)[:len(out)]
         return out
 
 
@@ -125,6 +135,23 @@ class Window:
         """Whether [a, b] lies inside one span."""
         lo, hi = self.spans.T
         return bool(np.any((lo <= a) & (b <= hi)))
+
+    def serves(self, sd, edge, ns, eps: float) -> bool:
+        """Whether sd, the section of this window, serves the boxes ns at
+        the edge: each box's eigenvalues n-1, n, n+1 must be lanes (boxes
+        boxes._boxes_for refuses do not hold), its r/_RHO disc must lie
+        in one span and its contour on the far term's disc."""
+        try:
+            found = [box for _, box in boxes._boxes_for(sd, edge, ns, eps)]
+        except ValueError:
+            return False
+        for box in found:
+            c, r = boxes._disc(box.x_lo, box.x_hi, eps)
+            reach = r / boxes._RHO
+            if not (self.holds(c - reach, c + reach)
+                    and abs(c - self.far.centre) + r <= self.far.radius):
+                return False
+        return True
 
     def local_indices(self, lam, band_of, lo, hi):
         """(local_index, band sizes) of the lanes lam in the bands [lo, hi]
@@ -174,36 +201,6 @@ def _window_start_values(v: np.ndarray, period: int, spans, marks):
     return x, lo, hi, counts[at:]
 
 
-def _window_spans(v: np.ndarray, period: int, window):
-    """(spans, lows, highs) of a windowed eigensystem, or None where it
-    solves the whole section.
-
-    With c and r the centre and half-width of the window [a, b], the spans
-    are [c - _FAR_SPAN r, c + _FAR_SPAN r] widened to points of the root
-    grid and the _END_GRID points at each end of the grid, merged where
-    they overlap; None where the window's span holds more than
-    WINDOW_SHARE of the grid's points or the spans leave no cell out.
-    lows and highs are the cell eigenvalues of _root_grid.
-    """
-    _, grid, lows, highs = spectrum._root_grid(v, period)
-    c, r = 0.5 * (window[0] + window[1]), 0.5 * (window[1] - window[0])
-    m = len(grid)
-    i = max(0, int(np.searchsorted(grid, c - _FAR_SPAN * r, side="right")) - 1)
-    j = min(m - 1, int(np.searchsorted(grid, c + _FAR_SPAN * r)))
-    if j - i + 1 > WINDOW_SHARE * m:
-        return None
-    spans = []
-    for a, b in sorted([(0, min(_END_GRID, m) - 1), (i, j),
-                        (max(0, m - _END_GRID), m - 1)]):
-        if spans and a <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], b)
-        else:
-            spans.append([a, b])
-    if len(spans) == 1:
-        return None
-    return grid[np.array(spans)], lows, highs
-
-
 def _end_resolvent(v: np.ndarray, z: np.ndarray, derivative: bool = True):
     """(S_L, S_L') at complex points z, S_L' only with derivative:
     S_L = [(H - z)^-1]_LL = 1/d_L and S_L' = -d_L'/d_L^2, with the LDL^T
@@ -213,10 +210,10 @@ def _end_resolvent(v: np.ndarray, z: np.ndarray, derivative: bool = True):
     complex divisions, subtractions and reciprocals, whose rounding does
     not depend on the array's length."""
     n, m = len(v), len(z)
-    residues = len(spectrum._residue_rows(v, z[:0])[0])
+    residues = len(pivots._residue_rows(v, z[:0])[0])
     out = np.full((2, m), np.nan, dtype=complex)
-    for s in spectrum._lane_slices(m, 16 * (residues + 4)):
-        rows, row = spectrum._residue_rows(v, z[s])
+    for s in pivots._lane_slices(m, 16 * (residues + 4)):
+        rows, row = pivots._residue_rows(v, z[s])
         a = [rows[k] for k in row]
         d, u = a[0].copy(), np.empty_like(a[0])
         dd, one = -np.ones_like(d), np.ones_like(d)
@@ -272,13 +269,10 @@ def _far_term(v: np.ndarray, lam: np.ndarray, w: np.ndarray, spans,
     return FarTerm(centre, 0.5 * unit, unit, coeffs, v)
 
 
-def solve(H, window):
-    """The windowed SpectralData of the section H for the window (a, b),
-    or None where it is solved whole (_window_spans, _far_term)."""
-    found = _window_spans(H.diag, H.period, window)
-    if found is None:
-        return None
-    spans, lows, highs = found
+def solve(H, window, spans, lows, highs):
+    """The windowed SpectralData of the section H for the window (a, b)
+    over its spans (spectrum._window_spans), or None where the far term
+    finds no room (_far_term) and the section is solved whole."""
     tol = spectrum.BAND_TOL
     marks = np.concatenate([lows - tol * np.maximum(1.0, abs(lows)),
                             highs + tol * np.maximum(1.0, abs(highs))])

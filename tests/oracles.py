@@ -14,7 +14,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from edgewatch import spectrum
+from edgewatch import pivots
 from edgewatch.errors import OutsideSpectrum, SpectralError, TooFewPoints
 from edgewatch.floquet import BandStructure, _theta_band, product_matrix
 from edgewatch.potential import PeriodicPotential
@@ -261,7 +261,7 @@ def _twisted_reference(v, x):
     docstring states, so the kernel must match it bit for bit.
     """
     n, m = len(v), len(x)
-    nudge = spectrum._PIVOT_NUDGE
+    nudge = pivots._PIVOT_NUDGE
     dp, R, rho = np.empty((3, n, m))
     dp[0] = (v[0] - x) + nudge
     R[0] = rho[0] = 1.0

@@ -446,16 +446,15 @@ def test_layer_calls_go_through_module_references(monkeypatch, capsys):
     calls = []
     for name in ("spectrum", "resonance"):
         monkeypatch.setattr(cli, name, _Recorder(getattr(cli, name), calls))
-    # a windowed section: the window of the command's boxes, then its
-    # check (one round on both commands)
+    # a windowed section: the window of the command's boxes (one round on
+    # both commands)
     section = ["spectrum.assemble", "resonance.sweep_window",
-               "spectrum.eigensystem", "spectrum.band_enumerate",
-               "resonance.window_holds"]
+               "spectrum.eigensystem", "spectrum.band_enumerate"]
     code, out, _ = run_cli(capsys, "resonances", "--potential", "0,3",
                            "--L", "200", "--edge", "-1")
     assert code == 0 and len(out.splitlines()) == 1 + 5
-    assert calls == (["resonance.check_step_inputs"] + section
-                     + ["resonance.sweep_band_edge"])
+    assert calls == (["resonance.check_step_inputs", "resonance.sweep_indices"]
+                     + section + ["resonance.sweep_band_edge"])
     calls.clear()
     code, out, _ = run_cli(capsys, "l-scaling", "--potential", "0,3",
                            "--edge", "-1", "--L-list", "100,200,400",
@@ -575,3 +574,18 @@ def test_edge_outside_the_cuts_refused_before_numerics(monkeypatch, capsys):
     assert out == ""
     assert "L must be >= 1, got 0" in err
     assert calls == ["spectrum.assemble"]
+
+
+def test_window_share_routes_the_benchmark_sweeps():
+    # one rule, spectrum.WINDOW_SHARE (measured beside the constant), sends
+    # the 301-box sweep of (1,-2,0.5) L=1000, whose spans hold 0.48 of its
+    # root grid, to the whole solve and the 21-box sweep of (0,3) L=1000
+    # (0.06) to a window
+    for values, e0, L, eps, c1, windowed in (
+            ((1.0, -2.0, 0.5), 0.5, 1000, 0.3, 1.0, False),
+            ((0.0, 3.0), -1.0, 1000, 0.2, 10.0, True)):
+        V = ew.PeriodicPotential.from_values(values)
+        bs = ew.band_structure(V)
+        edge = ew.classify_edge(V, bs, e0, L % V.period)
+        sd = cli._section(V, bs, L, edge, rz.sweep_indices(L, eps, c1), eps)
+        assert (sd.window is not None) == windowed

@@ -400,8 +400,8 @@ def test_windowed_evaluator_matches_the_whole(monkeypatch, values, L, e0):
     # its eigenpairs are the whole solve's bits, and f, f' (at every
     # swept z, every seed and each box's initial contour samples) and every
     # count agree with the whole section's within the tier-1 bounds
-    from edgewatch import cli, window
-    monkeypatch.setattr(window, "WINDOW_SHARE", 1.0)
+    from edgewatch import cli, spectrum
+    monkeypatch.setattr(spectrum, "WINDOW_SHARE", 1.0)
     V = ew.PeriodicPotential.from_values(values)
     bs = ew.band_structure(V)
     edge = ew.classify_edge(V, bs, e0, L % V.period)

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import edgewatch as ew
-from edgewatch import floquet, spectrum
+from edgewatch import floquet, pivots, spectrum
 from edgewatch.errors import AmbiguousAssignment, ConvergenceFailure, TooFewPoints
 
 from oracles import (
@@ -156,9 +156,9 @@ def test_weights_at_exact_floating_point_eigenvalues():
                          ([1.0, 3.0, 0.0], 301, 0.585786437626905)):
         H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
         lam = np.array([x])
-        widths, _ = spectrum._checkpoint_widths(H.diag)
+        widths, _ = pivots._checkpoint_widths(H.diag)
         with np.errstate(all="ignore"):
-            alone = spectrum._twisted_slice(H.diag, lam, widths)[:2]
+            alone = pivots._twisted_slice(H.diag, lam, widths)[:2]
         assert not np.isfinite(alone).all()
         w_end, w_start, _ = spectrum._boundary_weights(H.diag, lam)
         _assert_weights_match(H.diag, lam, w_end, w_start, [0], 200)
@@ -169,8 +169,8 @@ def test_twisted_fallback_meets_a_zero_pivot():
     # (0 - 1e-120) + 1e-120 is exactly 0, the fast kernel's weights are not
     # finite, and the fallback takes the nudge as that pivot; the
     # eigenvector (1, 0, -1)/sqrt(2) of eigenvalue 0 has both weights 1/2
-    out = spectrum._twisted_rows(np.zeros(3), np.array([1e-120]))
-    assert not spectrum._uncertified(out).any()
+    out = pivots._twisted_rows(np.zeros(3), np.array([1e-120]))
+    assert not pivots._uncertified(out).any()
     np.testing.assert_allclose(out[:2, 0], [0.5, 0.5], rtol=1e-15)
 
 
@@ -182,8 +182,8 @@ def test_end_pivot_step_bound_is_the_sections(V03):
     H = ew.assemble(V03, 400)
     lam = ew.eigensystem(H).lambdas
     x = np.array([lam[0] + 2e-10])
-    y, taken = spectrum._end_pivot_steps(H.diag, x)
-    y_all, taken_all = spectrum._end_pivot_steps(H.diag, np.append(x, lam))
+    y, taken = pivots._end_pivot_steps(H.diag, x)
+    y_all, taken_all = pivots._end_pivot_steps(H.diag, np.append(x, lam))
     assert taken[0] and taken_all[0] and y[0] == y_all[0]
     assert abs(y[0] - lam[0]) <= 1e-3 * 2e-10
 
@@ -205,15 +205,15 @@ def test_twisted_kernel_matches_plain_recurrences(monkeypatch, values, L,
     # and at their Rayleigh quotients; the small workspace forces three
     # checkpoint levels
     if workspace is not None:
-        monkeypatch.setattr(spectrum, "WEIGHT_WORKSPACE_BYTES", workspace)
+        monkeypatch.setattr(pivots, "WEIGHT_WORKSPACE_BYTES", workspace)
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
-    widths, _ = spectrum._checkpoint_widths(H.diag)
+    widths, _ = pivots._checkpoint_widths(H.diag)
     assert len(widths) == (2 if workspace is None else 3)
     x = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
                          lapack_driver="stev")
     for _ in range(2):
         with np.errstate(all="ignore"):
-            got = spectrum._twisted_slice(H.diag, x, widths)
+            got = pivots._twisted_slice(H.diag, x, widths)
             want = _twisted_reference(H.diag, x)
         assert np.isfinite(want).all()
         for a, b in zip(got, want):
@@ -225,7 +225,7 @@ def _end_pivot_reference(v, x):
     """_end_pivot_steps kept plain: each end's pivot and derivative
     recurred over the whole lane, one floating-point operation per line,
     then the choice of step the kernel's docstring states."""
-    nudge = spectrum._PIVOT_NUDGE
+    nudge = pivots._PIVOT_NUDGE
     steps, sizes = [], []
     for w in (v, v[::-1]):
         d = (w[0] - x) + nudge
@@ -236,7 +236,7 @@ def _end_pivot_reference(v, x):
             dd = ((u * u) * dd) - 1.0
         steps.append(d / dd)
         sizes.append(np.abs(dd))
-    bound = spectrum._END_STEP_TOL * max(1.0, np.max(np.abs(x)))
+    bound = pivots._END_STEP_TOL * max(1.0, np.max(np.abs(x)))
     ok = [np.isfinite(size) & (np.abs(step) <= bound)
           for step, size in zip(steps, sizes)]
     far = ok[1] & (~ok[0] | (sizes[1] < sizes[0]))
@@ -288,11 +288,11 @@ def test_end_pivot_steps_match_plain_recurrences(monkeypatch, values, L):
     x = spectrum._start_values(H.diag, H.period)[0]
     with np.errstate(all="ignore"):
         want = _end_pivot_reference(H.diag, x)
-    got = spectrum._end_pivot_steps(H.diag, x)
+    got = pivots._end_pivot_steps(H.diag, x)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     # slices change no bits: each shift's lanes are independent
-    monkeypatch.setattr(spectrum, "WEIGHT_WORKSPACE_BYTES", 2_000)
-    sliced = spectrum._end_pivot_steps(H.diag, x)
+    monkeypatch.setattr(pivots, "WEIGHT_WORKSPACE_BYTES", 2_000)
+    sliced = pivots._end_pivot_steps(H.diag, x)
     assert all(np.array_equal(a, b) for a, b in zip(sliced, want))
     monkeypatch.undo()
 
@@ -507,8 +507,8 @@ def test_eigensystem_sliced_weights_match_one_slice(monkeypatch, values, L):
     # the results are bit-identical
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
     whole = ew.eigensystem(H)
-    monkeypatch.setattr(spectrum, "WEIGHT_WORKSPACE_BYTES", 20_000)
-    widths, lane_bytes = spectrum._checkpoint_widths(H.diag)
+    monkeypatch.setattr(pivots, "WEIGHT_WORKSPACE_BYTES", 20_000)
+    widths, lane_bytes = pivots._checkpoint_widths(H.diag)
     assert len(widths) == 3
     assert (L + 1) * lane_bytes > 5 * 20_000
     sliced = ew.eigensystem(H)
