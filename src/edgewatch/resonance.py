@@ -161,7 +161,8 @@ def _s_rows(sd: SpectralData, zs) -> list:
     along a row is the same pairwise sum as over that row alone, so a
     point's values do not depend on the other points of its block.  The
     rows run in blocks of at most _CHUNK entries.  A windowed section's
-    rows hold its lanes, and its FarTerm.complete adds the rest.
+    rows hold its lanes and its far term's poles; a point off the poles'
+    disc takes both values from the section's resolvent (FarTerm.exact).
     """
     zs = np.asarray(zs, dtype=complex)
     ok = np.flatnonzero(~_pole_hits(sd, zs))
@@ -169,6 +170,9 @@ def _s_rows(sd: SpectralData, zs) -> list:
     # the complex operands that the mixed real-complex arithmetic casts to
     lam = sd.lambdas.astype(complex)
     w = sd.weights_end.astype(complex)
+    if sd.far is not None:
+        lam = np.concatenate([lam, sd.far.poles])
+        w = np.concatenate([w, sd.far.residues])
     rows = max(1, _CHUNK // len(lam))
     diffs = np.empty((min(len(points), rows), len(lam)), dtype=complex)
     terms = np.empty_like(diffs)
@@ -183,7 +187,7 @@ def _s_rows(sd: SpectralData, zs) -> list:
         np.divide(t, d, t)
         sums[1, s:s + rows] = np.add.reduce(t, 1)
     if sd.far is not None:
-        sums = sd.far.complete(zs[ok], *sums)
+        sd.far.exact(zs[ok], sums, ~sd.far.covers(zs[ok]))
     out = [None] * len(zs)
     for i, pair in zip(ok.tolist(), zip(*sums.tolist())):
         out[i] = pair
@@ -228,17 +232,17 @@ def _alpha_and_seed(sd: SpectralData, gs) -> list[tuple[complex, complex]]:
     theta refuses a lambda_g on the cuts, and of the sorted eigenvalues only
     g-1 and g+1 can coincide with lambda_g (PoleHit).  The sum of index g is
     the pairwise sum of its terms with term g left out, one row per index;
-    a windowed section adds its far term's series at lambda_g, which must
-    lie on the series' disc.
+    a windowed section adds its far term's poles at lambda_g, which must
+    lie on their disc, real as conjugate pairs (FarTerm.moments).
     """
     lam, w = sd.lambdas, sd.weights_end
     tail = np.zeros(len(gs))
     if sd.far is not None:
-        at = lam[np.asarray(gs, dtype=int)].astype(complex)
+        at = lam[np.asarray(gs, dtype=int)]
         if not sd.far.covers(at).all():
             raise ValueError("an eigenvalue lies off the far term's disc of "
                              "the section's window")
-        tail = sd.far.series(at, False)[0].real
+        tail = sd.far.moments(at, 1)[0]
     alphas = []
     for g, far in zip(gs, tail.tolist()):
         lam_n = float(lam[g])
@@ -461,12 +465,16 @@ class _FarField:
     with d = eigenvalue - Re z and y = Im z, q = w/(d^2 + y^2) and
     S = sum q d + i y sum q.  Every other eigenvalue enters through the
     real moments M_j = sum_far w/(lambda - c)^(j+1), j < _MOMENTS,
-    evaluated by Horner in z - c; the truncation error is below
-    _RHO**_MOMENTS/(1 - _RHO) sum_far |w/(lambda - c)|.  The phase term is
-    added as exp(i arccos(z/2)); the points must lie off the cuts |E| >= 2
-    of the real axis, which the guards of _count_boxes check.  Points within
-    _POLE_TOL*scale of an eigenvalue raise PoleHit.  A windowed section's
-    far term joins through FarTerm.complete.
+    evaluated by Horner in z - c in real arithmetic (numpy's complex
+    multiply rounds by the array's length); the truncation error is below
+    _RHO**_MOMENTS/(1 - _RHO) sum_far |w/(lambda - c)|.  A windowed
+    section's far-term poles join the moments (FarTerm.moments), adding
+    sum |rho/(zeta - c)| to that sum, where the rectangle's disc lies on
+    the poles' disc and every pole beyond r/_RHO; elsewhere its points take
+    S_L from the section's resolvent (FarTerm.exact).  The phase term is
+    exp(i arccos(z/2)); the points must lie off the cuts |E| >= 2 of the
+    real axis, which the guards of _count_boxes check.  Points within
+    _POLE_TOL*scale of an eigenvalue raise PoleHit.
     Every temporary holds at most _CHUNK entries.
     """
 
@@ -491,6 +499,13 @@ class _FarField:
             for j in range(_MOMENTS):
                 self.moments[j, s:s + rows] = np.add.reduce(v, 1)
                 v *= u
+        if sd.far is not None:
+            # rectangles on the poles' disc with every pole beyond r/_RHO
+            off = np.abs(self.centre - sd.far.centre)
+            self.fold = ((off + _RHO * reach <= sd.far.radius)
+                         & (off + reach <= sd.far.unit))
+            self.moments[:, self.fold] += sd.far.moments(
+                self.centre[self.fold], _MOMENTS)
 
     def __call__(self, z: np.ndarray, b: np.ndarray) -> np.ndarray:
         """f at points z of rectangles b; the first point at a pole raises
@@ -502,36 +517,38 @@ class _FarField:
         x, y = z.real, z.imag
         lo, size = self.lo[b], (self.hi - self.lo)[b]
         out = np.empty(len(z), dtype=complex)
+        # blocks of points whose near sets have one size K: no row is
+        # padded, so a point's sums are those of its own terms in any call
         s = 0
-        while s < len(z):
-            # the widest near set of the block sets its width K
-            rows = max(1, _CHUNK // max(1, int(size[s])))
-            K = max(1, int(size[s:s + rows].max()))
-            e = s + max(1, _CHUNK // K)
-            col = np.arange(K)
-            idx = lo[s:e, None] + col
-            d = lam.take(idx, mode="clip")
-            q = w.take(idx, mode="clip")
-            # padding beyond the near set: weight 0 at a real eigenvalue,
-            # which no point reaches, so d^2 + y^2 > 0
-            q[col >= size[s:e, None]] = 0.0
-            d -= x[s:e, None]
-            ys = y[s:e]
-            r = d * d
-            r += (ys * ys)[:, None]
-            q /= r
-            out.imag[s:e] = ys * np.add.reduce(q, 1)
-            d *= q
-            out.real[s:e] = np.add.reduce(d, 1)
-            s = e
-        t = z - self.centre[b]
-        far = self.moments[-1].take(b).astype(complex)
+        for end in np.append(np.flatnonzero(np.diff(size)) + 1, len(z)):
+            K = int(size[s])
+            step = max(1, _CHUNK // max(1, K))
+            for s in range(s, end, step):
+                e = min(end, s + step)
+                idx = lo[s:e, None] + np.arange(K)
+                d = lam[idx] - x[s:e, None]
+                ys = y[s:e]
+                r = d * d
+                r += (ys * ys)[:, None]
+                q = w[idx] / r
+                out.imag[s:e] = ys * np.add.reduce(q, 1)
+                d *= q
+                out.real[s:e] = np.add.reduce(d, 1)
+            s = end
+        # Horner in t = z - c: (fr, fi) <- (fr x - fi y + M_j, fr y + fi x)
+        x = x - self.centre.take(b)
+        fr, fi = self.moments[-1].take(b), np.zeros(len(z))
         for m in self.moments[-2::-1]:
-            far *= t
-            far += m.take(b)
-        out += far
+            a = fi * y
+            fi *= x
+            fi += fr * y
+            fr *= x
+            fr -= a
+            fr += m.take(b)
+        out.real += fr
+        out.imag += fi
         if self.sd.far is not None:
-            out = self.sd.far.complete(z, out)[0]
+            self.sd.far.exact(z, out[None], ~self.fold.take(b))
         return out + np.exp(1j * np.arccos(z / 2.0))
 
 

@@ -99,13 +99,16 @@ _PSI_ROWS = 40
 
 # a window whose spans hold this share of the root grid's points (about
 # their share of the eigenvalues) or more is solved whole: the one rule
-# between a windowed and a whole section.  Measured on whole `resonances`
-# runs (in one process, CPU-time minimum of 5, 2-core Xeon), windowed
-# time over whole time at span shares about 0.1 / 0.27 / 0.42 / 0.5:
+# between a windowed and a whole section.  Windowed over whole time of
+# `resonances` runs (one process, CPU-time minimum, 2-core Xeon) at span
+# shares about 0.1 / 0.27 / 0.42 / 0.5, with the far term's older series:
 # 0.73 / 0.88 / 0.98 / 1.06 at (0,3) L=1000, 0.70 / 0.85 / 0.92 / 0.99 at
-# (1,-2,0.5) L=1000 (0.48 is its 301-box sweep, 1.01 at L=1003) and
-# 0.33 / 0.56 / 0.71 / 0.77 at (0,3) L=4000.  So at L=1000 the window's
-# gain is gone by 0.42-0.48, where the share keeps the section whole.
+# (1,-2,0.5) L=1000 (0.48 is its 301-box sweep, 1.01 at L=1003), 0.33 /
+# 0.56 / 0.71 / 0.77 at (0,3) L=4000: at L=1000 the gain is gone by 0.42.
+# With the far term's poles, at shares 0.08-0.14 (eps 0.2, C1 10): 0.91-0.95
+# at (0,3) L=400, 0.94-0.99 at L=250, 0.73-0.78 at L=500, 0.86-1.02 and
+# 0.49-0.83 at (1,-2,0.5) L=400 and 500; at share 0.5 (eps 0.3, C1 1)
+# 1.08-1.21 at L=400 and 0.99-1.03 at L=501.
 WINDOW_SHARE = 0.4
 # grid points at each end of the root grid that a window also solves, so
 # that the extreme eigenvalues (and sd.scale) keep the whole solve's bits
@@ -137,7 +140,7 @@ class SpectralData:
     A windowed section (eigensystem with a window) holds the eigenpairs
     inside its window's spans only, the lanes, whose global indices and
     completeness the Sturm counts at the spans' ends prove, and the rest of
-    S_L in `window.far`, a series within q^32/((1 - q) R) of it on its disc
+    S_L in `window.far`, 64 poles within 3.4e-17/R of it on their disc
     (see eigensystem); `band_members` and `local_index` still count by
     band-local index, with -1 for a member that is not a lane.
     """
@@ -317,23 +320,21 @@ def _root_grid(v: np.ndarray, period: int):
     return psi, grid, lows, highs
 
 
-def _monodromy_roots(v: np.ndarray, period: int, spans=None) -> np.ndarray:
-    """Sorted roots of the characteristic function psi of the section, or
-    those inside the energy spans [a, b] (points of the root grid).
+def _monodromy_roots(v: np.ndarray, period: int, spans) -> np.ndarray:
+    """Sorted roots of the characteristic function psi of the section
+    inside the energy spans [a, b].
 
-    psi is sampled on _root_grid's points (of the spans), and each cell
+    psi is sampled on _root_grid's points in the spans, and each cell
     where its sign bit changes is refined by _false_position; an exact zero
     of psi counts on the side of its sign bit, and no cell joins two spans.
     Nothing here proves that every root was found: _start_values does.
     """
     psi, grid = _root_grid(v, period)[:2]
-    if spans is not None:
-        parts = [grid[(a <= grid) & (grid <= b)] for a, b in spans]
-        grid = np.concatenate(parts)
+    parts = [grid[(a <= grid) & (grid <= b)] for a, b in spans]
+    grid = np.concatenate(parts)
     f = psi(grid)
     change = np.signbit(f[:-1]) != np.signbit(f[1:])
-    if spans is not None:
-        change[np.cumsum([len(g) for g in parts])[:-1] - 1] = False
+    change[np.cumsum([len(g) for g in parts])[:-1] - 1] = False
     cell = np.flatnonzero(change)
     return _false_position(psi, grid[cell], grid[cell + 1], f[cell],
                            f[cell + 1])
@@ -403,25 +404,33 @@ def _assign_roots(roots, sep, counts, x, lo, hi) -> np.ndarray:
     return k[~ok]
 
 
-def _start_values(v: np.ndarray, period: int):
-    """(x, lo, hi): a start value x_k for every eigenvalue of the section
-    and a bracket [lo_k, hi_k] around it that holds that eigenvalue alone.
+def _start_values(v: np.ndarray, period: int, spans=None, marks=()):
+    """(x, lo, hi, ranks): a start value x_k for each eigenvalue inside the
+    energy spans [a, b] (points of the root grid), with a bracket
+    [lo_k, hi_k] that holds that eigenvalue alone, NaN at every other
+    index, and the Sturm counts at the energies marks.  The whole section
+    is the one span [min v - 3, max v + 3] (Gershgorin: counts 0 and n).
 
-    The certificate (_assign_roots): _sturm_counts at the points that
-    separate the sorted _monodromy_roots (and the Gershgorin bounds
-    min v - 3, max v + 3, where the counts are 0 and n) must rise by one at
-    each root; every index it does not certify is repaired by
-    _bisect_counts from its bracket of separators, vectorised over those
-    indices.  So psi can cost time but never an eigenvalue.
+    The certificate of a span (_assign_roots): _sturm_counts at its ends
+    and at the points that separate the sorted _monodromy_roots inside it
+    must rise by one at each root, and its ends' counts give its global
+    indices; every index it does not certify is repaired by _bisect_counts
+    from its bracket of separators, vectorised over those indices.  So psi
+    can cost time but never an eigenvalue.  Every count is of one pass.
     """
-    n = len(v)
-    roots = _monodromy_roots(v, period)
-    sep = np.concatenate([[v.min() - 3.0], 0.5 * (roots[:-1] + roots[1:]),
-                          [v.max() + 3.0]])
-    counts = np.concatenate([[0], _sturm_counts(v, sep[1:-1]), [n]])
-    x, lo, hi = np.empty((3, n))
-    _bisect_counts(v, _assign_roots(roots, sep, counts, x, lo, hi), x, lo, hi)
-    return x, lo, hi
+    if spans is None:
+        spans = [(v.min() - 3.0, v.max() + 3.0)]
+    roots = _monodromy_roots(v, period, spans)
+    inside = [roots[(a < roots) & (roots < b)] for a, b in spans]
+    seps = [np.concatenate([[a], 0.5 * (r[:-1] + r[1:]), [b]])
+            for r, (a, b) in zip(inside, spans)]
+    counts = _sturm_counts(v, np.concatenate(seps + [marks]))
+    at = np.cumsum([0] + [len(sep) for sep in seps])
+    x, lo, hi = np.full((3, len(v)), np.nan)
+    bad = [_assign_roots(r, sep, counts[i:j], x, lo, hi)
+           for r, sep, i, j in zip(inside, seps, at, at[1:])]
+    _bisect_counts(v, np.concatenate(bad), x, lo, hi)
+    return x, lo, hi, counts[at[-1]:]
 
 
 def _window_spans(v: np.ndarray, period: int, window):
@@ -508,20 +517,21 @@ def eigensystem(H: TridiagonalOperator, window=None) -> SpectralData:
     function of H (and the window) alone.
 
     The window (edgewatch.window.solve, loaded on its first use) runs the
-    same steps (_solve_lanes) on the lanes, the eigenvalues of a few spans
-    of the root grid around [a, b] and at the spectrum's two ends: two
-    Sturm counts at each span's ends, in the start values' one count pass,
-    give the lanes' global indices and prove that none inside a span was
-    lost.  Each lane's steps read its own values alone, so its eigenvalue
-    and weights are the whole solve's wherever both certify its start value
-    alike, and so are sd.scale's extreme eigenvalues.  The rest of S_L is
-    the window's FarTerm: on its disc its 32-term series is within
-    q^32/((1 - q) R) + 2 (0.55)^64/R of that rest, with q <= 0.275 and R
-    the distance to the nearest eigenvalue that is not a lane.  A window
-    whose spans hold WINDOW_SHARE of the root grid or more (_window_spans,
-    decided before the window module loads), or one too narrow for the far
-    term's circle, is solved whole: the whole solve is the window that holds
-    every eigenvalue, with no far term.
+    same steps (_start_values over its spans, _solve_lanes) on the lanes,
+    the eigenvalues of a few spans of the root grid around [a, b] and at
+    the spectrum's two ends: two Sturm counts at each span's ends, in the
+    start values' one count pass, give the lanes' global indices and prove
+    that none inside a span was lost.  Each lane's steps read its own
+    values alone, so its eigenvalue and weights are the whole solve's
+    wherever both certify its start value alike, and so are sd.scale's
+    extreme eigenvalues.  The rest of S_L is the window's FarTerm, the 64
+    poles of the trapezoid rule for Cauchy's integral on a circle: on half
+    its radius within 3.4e-17/R of that rest, with R the distance to the
+    nearest eigenvalue that is not a lane.  A window whose spans hold
+    WINDOW_SHARE of the root grid or more (_window_spans, decided before
+    the window module loads), or one too narrow for the far term's circle,
+    is solved whole: the whole solve is the window that holds every
+    eigenvalue, with no far term.
     """
     L = H.L
     if L > L_SOFT_CAP:
@@ -535,7 +545,7 @@ def eigensystem(H: TridiagonalOperator, window=None) -> SpectralData:
         sd = windowed.solve(H, window, *spans)
         if sd is not None:
             return sd
-    x, lo, hi = _start_values(H.diag, H.period)
+    x, lo, hi, _ = _start_values(H.diag, H.period)
     lam, out = _solve_lanes(H.diag, x, lo, hi, np.arange(L + 1))
     return SpectralData(L=L, j=L % H.period, lambdas=lam,
                         weights_end=out[0], weights_start=out[1])

@@ -7,9 +7,11 @@ S_L(z) = sum_k w_k/(lambda_k - z) = [(H - z)^-1]_LL = 1/d_L(z), the inverse
 of the last LDL^T pivot of H - z, which needs no eigenpair.  solve runs
 spectrum.eigensystem's steps on the lanes, the eigenvalues of a few spans of
 the root grid around the window (and at the spectrum's ends, for sd.scale),
-and folds the rest into a FarTerm: a Taylor series about a point of the
-window whose coefficients come from 1/d_L on a circle, by the trapezoid
-rule.  spectrum.eigensystem loads this module on its first windowed call.
+and folds the rest into a FarTerm: sampled as 1/d_L less the lanes' terms
+on a circle around the window, it becomes, by the trapezoid rule for
+Cauchy's integral, 64 poles at the circle's points, which every evaluator
+sums as it sums the lanes' terms.  spectrum.eigensystem loads this module
+on its first windowed call.
 """
 
 from __future__ import annotations
@@ -22,17 +24,15 @@ import numpy as np
 from . import boxes, pivots, resonance, spectrum
 from .errors import AmbiguousAssignment
 
-# circle points of the far term's trapezoid rule (K) and the terms of its
-# Taylor series (J)
+# circle points of the far term's trapezoid rule, its poles
 _FAR_POINTS = 64
-_FAR_TERMS = 32
 # largest ratio of the circle's radius to the distance from its centre to
 # the nearest eigenvalue outside the window: the trapezoid rule's aliasing
 # is below _FAR_RATIO**_FAR_POINTS (2.5e-17) of the far weights' sum
 _FAR_RATIO = 0.55
 # with r the half-width of a window, the far term's circle has radius
-# _FAR_UNIT r (its series, on half that radius, covers the window with a
-# tenth to spare for the crossings' moves); the window's span reaches
+# _FAR_UNIT r (its poles hold on half that radius, which covers the window
+# with a tenth to spare for the crossings' moves); the window's span reaches
 # spectrum._FAR_SPAN r from its centre, past _FAR_UNIT/_FAR_RATIO = 4 r
 _FAR_UNIT = 2.2
 
@@ -40,53 +40,64 @@ _FAR_UNIT = 2.2
 @dataclass(frozen=True)
 class FarTerm:
     """g(z) = S_L(z) - sum of w/(lambda - z) over a windowed section's
-    eigenvalues: the share of S_L of every eigenvalue outside the window.
+    eigenvalues, the share of S_L of every eigenvalue outside the window,
+    as the poles of a circle.
 
     g is analytic off those eigenvalues, all at least R from `centre`
-    (_far_term's reach).  Its Taylor coefficients about `centre` come from
-    S_L = 1/d_L (_end_resolvent) at _FAR_POINTS points of a circle of
-    radius `unit` <= _FAR_RATIO R, by the trapezoid rule (Trefethen &
-    Weideman, SIAM Rev. 56, 2014).  The series is used on the disc
-    |z - centre| <= radius = unit/2.  There, with q = radius/R <=
-    _FAR_RATIO/2 and the far weights summing to at most 1, its _FAR_TERMS
-    terms are within q**_FAR_TERMS / ((1 - q) R) of g (below 1.6e-18/R),
-    the circle's aliasing adds at most 2 _FAR_RATIO**_FAR_POINTS / R
-    (5e-17/R), and the rounding of the circle's samples is carried over at
-    most twice.
+    (_far_term's reach).  On the circle of radius `unit` <= _FAR_RATIO R
+    about `centre`, the trapezoid rule for Cauchy's integral at the
+    _FAR_POINTS points zeta_k gives g(z) ~ sum_k rho_k/(zeta_k - z) and
+    g'(z) ~ sum_k rho_k/(zeta_k - z)^2, rho_k = (zeta_k - centre)
+    g(zeta_k)/_FAR_POINTS, g(zeta_k) from 1/d_L (Trefethen & Weideman,
+    SIAM Rev. 56, 2014, secs. 2-3).  On the disc |z - centre| <= radius =
+    unit/2, with t = (z - centre)/unit, q = unit/R and the far weights
+    summing to at most 1, so |g| <= 1/((1 - q/2) R), the pole sum is
+    g - g t^64/(1 + t^64) plus the circle's aliasing, at most
+    (1/2)^64 |g|/(1 - 2^-64) and q^64/((1 - q^64)(1 - q/2) R): together
+    below 3.4e-17/R.  The samples' rounding is carried over at most twice.
     """
 
     centre: float
-    radius: float       # of the disc where the series holds
-    unit: float         # the circle's radius
-    coeffs: np.ndarray  # real Taylor coefficients of g in (z - centre)/unit
-    diag: np.ndarray    # the section, for _end_resolvent off the disc
+    radius: float          # of the disc where the poles hold
+    unit: float            # the circle's radius
+    poles: np.ndarray      # zeta_k: the upper half, then their conjugates
+    residues: np.ndarray   # rho_k, in the order of the poles
+    diag: np.ndarray       # the section, for _end_resolvent off the disc
 
     def covers(self, z: np.ndarray) -> np.ndarray:
-        """Whether each point lies on the disc where the series holds."""
+        """Whether each point lies on the disc where the poles hold."""
         return np.abs(z - self.centre) <= self.radius
 
-    def series(self, z: np.ndarray, derivative: bool = True):
-        """(g, g') at points z of the disc, g' only with derivative, by
-        Horner in real arithmetic: numpy's complex multiply rounds by the
-        array's length, and a point's value must not depend on the other
-        points of its call."""
-        x, y = (z.real - self.centre) / self.unit, z.imag / self.unit
-        gr, gi = np.full(len(z), self.coeffs[-1]), np.zeros(len(z))
-        pr, pi = np.zeros(len(z)), np.zeros(len(z))
-        for c in self.coeffs[-2::-1]:
-            if derivative:
-                pr, pi = pr * x - pi * y + gr, pr * y + pi * x + gi
-            gr, gi = gr * x - gi * y + c, gr * y + gi * x
-        out = np.empty((2 if derivative else 1, len(z)), dtype=complex)
-        out[0].real, out[0].imag = gr, gi
-        if derivative:
-            out[1].real, out[1].imag = pr / self.unit, pi / self.unit
+    def moments(self, x: np.ndarray, count: int) -> np.ndarray:
+        """Rows [j, point] of M_j = 2 Re sum rho/(zeta - x)^(j+1) over the
+        upper poles, j < count, at real points x: the pole sum (j = 0) and
+        its Taylor moments about x, real as conjugate pairs.  In real
+        arithmetic (numpy's complex multiply rounds by the array's length),
+        one pairwise sum per point."""
+        upper = _FAR_POINTS // 2
+        zeta, rho = self.poles[:upper], self.residues[:upper]
+        dr = zeta.real - np.asarray(x, dtype=float)[:, None]
+        m = dr * dr + zeta.imag * zeta.imag
+        ur, ui = dr / m, -zeta.imag / m   # 1/(zeta - x)
+        vr, vi = rho.real * ur - rho.imag * ui, rho.real * ui + rho.imag * ur
+        out = np.empty((count, len(dr)))
+        for j in range(count):
+            out[j] = 2.0 * np.add.reduce(vr, 1)
+            vr, vi = vr * ur - vi * ui, vr * ui + vi * ur
         return out
+
+    def exact(self, z: np.ndarray, rows: np.ndarray, where):
+        """Set rows (S_L, S_L') at points z, or S_L alone, to those of
+        _end_resolvent at the points `where`, in place."""
+        idx = np.flatnonzero(where)
+        if idx.size:
+            rows[:, idx] = _end_resolvent(self.diag, z[idx],
+                                          len(rows) > 1)[:len(rows)]
 
     def refine(self, roots, f_rows) -> list:
         """Newton roots (z, residual, iterations) after one step of
         iterative refinement: f at each root from the section's resolvent
-        (1/d_L and the phase: no eigenpair and no series), divided by f' of
+        (1/d_L and the phase: no eigenpair and no far term), divided by f' of
         f_rows, the section's evaluator, and the residual |f| of f_rows at
         the new point.  A step that is not finite, leaves the lower
         half-plane or meets a pole keeps the root.  Each root's step reads
@@ -99,19 +110,6 @@ class FarTerm:
             new.append(z1 if cmath.isfinite(z1) and z1.imag < 0.0 else z)
         return [root if value is None else (z1, abs(value[0]), root[2])
                 for root, z1, value in zip(roots, new, f_rows(new))]
-
-    def complete(self, z: np.ndarray, s: np.ndarray, sp=None) -> np.ndarray:
-        """Rows (S_L, S_L') at points z from the lanes' sums s and sp
-        (S_L alone without sp): the series added on the disc, and off it
-        S_L and S_L' of _end_resolvent, never a diverging series."""
-        out = np.array([s] if sp is None else [s, sp], dtype=complex)
-        inside = self.covers(z)
-        out[:, inside] += self.series(z[inside], sp is not None)
-        off = np.flatnonzero(~inside)
-        if off.size:
-            out[:, off] = _end_resolvent(self.diag, z[off],
-                                         sp is not None)[:len(out)]
-        return out
 
 
 @dataclass(frozen=True)
@@ -173,34 +171,6 @@ class Window:
         return local, stop - start
 
 
-def _window_start_values(v: np.ndarray, period: int, spans, marks):
-    """(x, lo, hi, ranks): _start_values for the eigenvalues inside the
-    energy spans [a, b] (points of the root grid), NaN at every other
-    index, and the Sturm counts at the energies marks.
-
-    Each span is certified as the whole section is, between the counts at
-    its own ends: every count, the ends' and the marks' included, comes
-    from one _sturm_counts pass, and the counts at a span's ends give the
-    global indices of the eigenvalues inside it.
-    """
-    roots = spectrum._monodromy_roots(v, period, spans)
-    parts = []
-    for a, b in spans:
-        inside = roots[(a < roots) & (roots < b)]
-        parts.append((inside, np.concatenate(
-            [[a], 0.5 * (inside[:-1] + inside[1:]), [b]])))
-    counts = spectrum._sturm_counts(
-        v, np.concatenate([sep for _, sep in parts] + [marks]))
-    x, lo, hi = np.full((3, len(v)), np.nan)
-    bad, at = [], 0
-    for inside, sep in parts:
-        bad.append(spectrum._assign_roots(
-            inside, sep, counts[at:at + len(sep)], x, lo, hi))
-        at += len(sep)
-    spectrum._bisect_counts(v, np.concatenate(bad), x, lo, hi)
-    return x, lo, hi, counts[at:]
-
-
 def _end_resolvent(v: np.ndarray, z: np.ndarray, derivative: bool = True):
     """(S_L, S_L') at complex points z, S_L' only with derivative:
     S_L = [(H - z)^-1]_LL = 1/d_L and S_L' = -d_L'/d_L^2, with the LDL^T
@@ -233,17 +203,17 @@ def _end_resolvent(v: np.ndarray, z: np.ndarray, derivative: bool = True):
 def _far_term(v: np.ndarray, lam: np.ndarray, w: np.ndarray, spans,
               window) -> FarTerm | None:
     """The FarTerm of a windowed section's lanes lam (weights w), whose
-    series covers the window [a, b], or None where the spans leave too
+    poles hold on the window [a, b], or None where the spans leave too
     little room for its circle.
 
     With c and r the window's centre and half-width, the circle's real
     crossings are c -/+ _FAR_UNIT r, each moved midway between the two
     lanes around it where those lie closer than a tenth of the radius; its
-    _FAR_POINTS points sit at the angles (k + 1/2) 2 pi/_FAR_POINTS, in
-    conjugate pairs, so that none is nearer the axis than 0.049 radii, the
-    coefficients are real and only the upper half is evaluated.  The
-    series holds on half the circle's radius; reach is the distance from
-    the centre to the nearest energy outside every span.
+    _FAR_POINTS points sit at the angles (k + 1/2) 2 pi/_FAR_POINTS, none
+    nearer the axis than 0.049 radii, and only the upper half is sampled:
+    g is real on the axis, so the lower half's poles and residues are the
+    conjugates.  reach is the distance from the centre to the nearest
+    energy outside every span.
     """
     c, r = 0.5 * (window[0] + window[1]), 0.5 * (window[1] - window[0])
 
@@ -264,9 +234,9 @@ def _far_term(v: np.ndarray, lam: np.ndarray, w: np.ndarray, spans,
     z = centre + unit * ring
     g = (_end_resolvent(v, z, derivative=False)[0]
          - (w / (lam - z[:, None])).sum(axis=1))
-    powers = ring ** -np.arange(_FAR_TERMS)[:, None]
-    coeffs = (2.0 / _FAR_POINTS) * (powers @ g).real
-    return FarTerm(centre, 0.5 * unit, unit, coeffs, v)
+    rho = (unit / _FAR_POINTS) * ring * g
+    return FarTerm(centre, 0.5 * unit, unit, np.concatenate([z, z.conj()]),
+                   np.concatenate([rho, rho.conj()]), v)
 
 
 def solve(H, window, spans, lows, highs):
@@ -276,7 +246,8 @@ def solve(H, window, spans, lows, highs):
     tol = spectrum.BAND_TOL
     marks = np.concatenate([lows - tol * np.maximum(1.0, abs(lows)),
                             highs + tol * np.maximum(1.0, abs(highs))])
-    x, lo, hi, ranks = _window_start_values(H.diag, H.period, spans, marks)
+    x, lo, hi, ranks = spectrum._start_values(H.diag, H.period, spans,
+                                              marks)
     lanes = np.flatnonzero(~np.isnan(x))
     lam, out = spectrum._solve_lanes(H.diag, x, lo, hi, lanes)
     far = _far_term(H.diag, lam, out[0], spans, window)

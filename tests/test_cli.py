@@ -323,6 +323,28 @@ def test_cli_does_not_import_scipy():
     assert done.stdout.startswith("n,")
 
 
+def test_whole_sections_do_not_load_the_window_module():
+    # a whole section never compiles edgewatch.window, which keeps the
+    # whole side's import and peak memory those of the other modules:
+    # `spectrum` always solves whole, and the deep-sweep benchmark's window
+    # spans hold WINDOW_SHARE of the root grid or more
+    src = str(Path(ew.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys\n"
+              "from edgewatch import cli\n"
+              "codes = [cli.main(['spectrum', '--potential', '0,3', '--L', "
+              "'400']), cli.main(['resonances', '--potential', '1,-2,0.5', "
+              "'--L', '1000', '--edge', '0.5', '--eps', '0.3', '--c1', "
+              "'1'])]\n"
+              "sys.stderr.write(f'{codes} {\"edgewatch.window\" in "
+              "sys.modules}')\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "[0, 0] False")
+    assert done.stdout.startswith("k,") and "\nn," in done.stdout
+
+
 VERIFY_ROWS = ["product-unimodular", "trace-k-independence",
                "band-partition", "quasi-momentum", "free-chain-oracle",
                "weight-normalisation", "cauchy-interlacing", "theta-branch",

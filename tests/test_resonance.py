@@ -437,6 +437,19 @@ def test_windowed_evaluator_matches_the_whole(monkeypatch, values, L, e0):
     _assert_matches_f(whole, rz._FarField(win, rects), z, b)
     assert ([rz.count_in_box(win, r.box) for r in swept]
             == [rz.count_in_box(whole, r.box) for r in swept])
+    # a box in the band's spans but off the poles' disc takes S_L from 1/d_L
+    lam, far = win.lambdas, win.far
+    inward = 1.0 if edge.side == "left" else -1.0
+    i = int(np.searchsorted(lam, far.centre + inward * 2.0 * far.radius))
+    box = rz.ResonanceBox.between(0.5 * (lam[i - 1] + lam[i]),
+                                  0.5 * (lam[i] + lam[i + 1]), 0.2)
+    rect = (box.x_lo, box.x_hi, -box.depth, 0.1 * box.depth)
+    ff = rz._FarField(win, [rect])
+    assert win.window.holds(box.x_lo, box.x_hi) and not ff.fold.any()
+    corners = np.array([complex(box.x_lo, -box.depth),
+                        complex(box.x_hi, 0.1 * box.depth)])
+    _assert_matches_f(whole, ff, corners, np.zeros(2, dtype=int))
+    assert rz.count_in_box(win, box) == rz.count_in_box(whole, box)
     # the benchmark's replay: the public steps give the sweep's bits back
     for r in swept:
         g = int(np.flatnonzero(win.lambdas == r.lambda_n)[0])
@@ -464,6 +477,36 @@ def test_batched_counts_equal_single_box_counts(monkeypatch, sd400,
         with monkeypatch.context() as m:
             m.setattr(rz, "_GROUP", 4)
             assert count_boxes(sd, boxes) == counts
+
+
+@pytest.mark.parametrize("values, L, e0, eps, C1", [
+    ((0.0, 3.0), 4000, -1.0, 0.2, 10.0),        # edge-L4000, windowed
+    ((1.0, -2.0, 0.5), 1000, 0.5, 0.3, 1.0),    # deep-sweep, whole
+])
+def test_contour_values_do_not_depend_on_the_group(monkeypatch, values, L,
+                                                   e0, eps, C1):
+    # at every point of every subdivision level, a box's contour values in
+    # its sweep group of 32 are the bits of the box evaluated alone
+    from edgewatch import cli
+    V = ew.PeriodicPotential.from_values(values)
+    bs = ew.band_structure(V)
+    edge = ew.classify_edge(V, bs, e0, L % V.period)
+    sd = cli._section(V, bs, L, edge, rz.sweep_indices(L, eps, C1), eps)
+    assert (sd.window is not None) == (L == 4000)
+    windings, calls = rz._windings, []
+
+    def record(func, rects):
+        return windings(lambda z, b: calls.append((rects, z, b, func(z, b)))
+                        or calls[-1][3], rects)
+    monkeypatch.setattr(rz, "_windings", record)
+    ew.sweep_band_edge(sd, edge, eps, C1)
+    assert any(len(rects) == rz._GROUP for rects, *_ in calls)
+    for rects, z, b, got in calls:
+        for i in np.unique(b).tolist():
+            at = b == i
+            alone = rz._FarField(sd, [rects[i]])(z[at], np.zeros(at.sum(),
+                                                                 dtype=int))
+            assert alone.tobytes() == got[at].tobytes(), (rects[i], i)
 
 
 def _nan_at(monkeypatch, points, part=0):

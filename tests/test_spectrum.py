@@ -438,7 +438,8 @@ def test_start_values_are_complete_and_accurate(monkeypatch, values, L,
     # any repair is allowed there
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
     repaired = _recording_bisect_counts(monkeypatch)
-    _assert_start_values(H.diag, *spectrum._start_values(H.diag, H.period))
+    _assert_start_values(H.diag,
+                         *spectrum._start_values(H.diag, H.period)[:3])
     assert repairs is None or len(repaired) == repairs
 
 
@@ -451,15 +452,16 @@ def test_start_values_repair_a_broken_root_stage(monkeypatch, change):
     # separators of equal count and is passed over
     H = ew.assemble(ew.PeriodicPotential.from_values([1.0, -2.0, 0.5]), 301)
     k = 150
-    roots = spectrum._monodromy_roots(H.diag, H.period)
+    roots = spectrum._monodromy_roots(H.diag, H.period, [(-np.inf, np.inf)])
     broken = {"drop": np.delete(roots, k),
               "duplicate": np.insert(roots, k, roots[k]),
               "perturb": roots + np.where(np.arange(len(roots)) == k,
                                           0.9 * (roots[k + 1] - roots[k]),
                                           0.0)}[change]
-    monkeypatch.setattr(spectrum, "_monodromy_roots", lambda v, p: broken)
+    monkeypatch.setattr(spectrum, "_monodromy_roots",
+                        lambda v, p, spans: broken)
     repaired = _recording_bisect_counts(monkeypatch)
-    x, lo, hi = spectrum._start_values(H.diag, H.period)
+    x, lo, hi, _ = spectrum._start_values(H.diag, H.period)
     if change != "perturb":
         _assert_start_values(H.diag, x, lo, hi)
     sd = ew.eigensystem(H)
