@@ -92,22 +92,39 @@ class UsageError(Exception):
     pass
 
 
-def _section(V, bs, L: int, edge=None, ns=(), eps=None):
-    """Band-enumerated spectral data of the length-L Dirichlet section.
+def _sections(V, bs, lengths, edge=None, boxes=None, eps=None) -> list:
+    """Band-enumerated spectral data of the length-L Dirichlet sections,
+    one for each L of lengths, solved in one spectrum.eigensystem call as
+    the longest section and its leading blocks (spectrum.assemble samples
+    V from site 0).
 
-    Whole, or for the boxes ns at the edge windowed around them: the
-    window of resonance.sweep_window, doubled until the section's window
-    serves the boxes (Window.serves; spectrum.eigensystem solves whole a
-    window whose spans hold spectrum.WINDOW_SHARE of the spectrum or more).
+    Each whole, or for its boxes ns (boxes, one list per length) at the
+    edge windowed around them: the window of resonance.sweep_window
+    (spectrum.eigensystem solves whole a window whose spans hold
+    spectrum.WINDOW_SHARE of the spectrum or more).  A section whose window
+    does not serve its boxes (Window.serves) is solved again alone, its
+    window doubled until it does.
     """
-    H = spectrum.assemble(V, L)
-    window = resonance.sweep_window(bs, edge, L, ns, eps) if ns else None
-    while True:
-        sd = spectrum.band_enumerate(spectrum.eigensystem(H, window), bs)
-        if sd.window is None or sd.window.serves(sd, edge, ns, eps):
-            return sd
-        c, r = 0.5 * (window[0] + window[1]), window[1] - window[0]
-        window = (c - r, c + r)
+    boxes = boxes or [()] * len(lengths)
+    top = lengths.index(max(lengths))
+    H = spectrum.assemble(V, lengths[top])
+    windows = [resonance.sweep_window(bs, edge, L, ns, eps) if ns else None
+               for L, ns in zip(lengths, boxes)]
+    order = [top] + [k for k in range(len(lengths)) if k != top]
+    sd = spectrum.eigensystem(H, windows[top], blocks=[
+        (lengths[k], windows[k]) for k in order[1:]])
+    solved = dict(zip(order, [sd, *sd.blocks]))
+    out = []
+    for k, (L, ns, window) in enumerate(zip(lengths, boxes, windows)):
+        sd = spectrum.band_enumerate(solved[k], bs)
+        while sd.window is not None and not sd.window.serves(sd, edge, ns,
+                                                             eps):
+            c, r = 0.5 * (window[0] + window[1]), window[1] - window[0]
+            window = (c - r, c + r)
+            sd = spectrum.band_enumerate(
+                spectrum.eigensystem(spectrum.assemble(V, L), window), bs)
+        out.append(sd)
+    return out
 
 
 def _check_section_length(L: int):
@@ -156,7 +173,7 @@ def _cmd_edges(args):
 
 def _cmd_spectrum(args):
     V = _load_potential(args)
-    sd = _section(V, floquet.band_structure(V), args.L)
+    [sd] = _sections(V, floquet.band_structure(V), [args.L])
     rows = [{
         "k": k,
         "lambda": float(sd.lambdas[k]),
@@ -171,8 +188,9 @@ def _cmd_spectrum(args):
 def _cmd_resonances(args):
     V, bs, edge = _edge_setup(args)
     resonance.check_step_inputs(edge, args.eps, L=args.L, C1=args.c1)
-    sd = _section(V, bs, args.L, edge,
-                  resonance.sweep_indices(args.L, args.eps, args.c1), args.eps)
+    [sd] = _sections(V, bs, [args.L], edge,
+                     [resonance.sweep_indices(args.L, args.eps, args.c1)],
+                     args.eps)
     results = resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1)
     rows = [{
         "n": r.n, "lambda_n": r.lambda_n, "a_n": r.a_n,
@@ -187,7 +205,7 @@ def _cmd_resonances(args):
 def _cmd_free_region(args):
     V, bs, edge = _edge_setup(args)
     box = resonance.check_region_inputs(edge, args.eps, bs)
-    sd = _section(V, bs, args.L)
+    [sd] = _sections(V, bs, [args.L])
     free = resonance.free_region_check(sd, edge, args.eps, bs)
     rows = [{"free": free, "x_lo": box.x_lo, "x_hi": box.x_hi,
              "depth": box.depth}]
@@ -221,7 +239,7 @@ def _cmd_scaling(args):
     except NonGenericEdge:
         spectrum.check_profile_inputs(args.eps)
         sweep = False
-    sd = _section(V, bs, args.L)
+    [sd] = _sections(V, bs, [args.L])
     results = (resonance.sweep_band_edge(sd, edge, eps=args.eps, C1=args.c1)
                if sweep else None)
     checks = analysis.scaling_report(sd, results, edge, bs, eps=args.eps)
@@ -249,11 +267,13 @@ def _cmd_l_scaling(args):
     bs = floquet.band_structure(V)
     edge = floquet.classify_edge(V, bs, _match_edge(bs, args.edge), j)
     resonance.check_step_inputs(edge, args.eps, n=args.n)
+    tracks = [[args.n] + ([] if args.proportional is None
+                          else [int(args.proportional * L)])
+              for L in lengths]
     fixed, prop = [], []
-    for L in lengths:
-        ns = [args.n] + ([] if args.proportional is None
-                         else [int(args.proportional * L)])
-        sd = _section(V, bs, L, edge, ns, args.eps)
+    # every length is solved before any resonance is located
+    for L, ns, sd in zip(lengths, tracks,
+                         _sections(V, bs, lengths, edge, tracks, args.eps)):
         for track, n in zip((fixed, prop), ns):
             track.append((L, sd.j, resonance.locate_resonance(
                 sd, edge, n, eps=args.eps)))

@@ -5,6 +5,15 @@ of the twisted factorisation per shift (_twisted_rows; Dhillon & Parlett,
 LAA 387, 2004), each vectorised over a slice of shifts at a time, over the
 residue rows of the section's diagonal.
 
+Both loops, like spectrum._sturm_counts and window._end_resolvent, take
+each lane's last site (`ends`, n - 1 for every lane by default): a lane
+of the leading block v[:e + 1] of the diagonal is read out at e going
+forward and starts at e going backward, so the sections of one potential
+that spectrum.eigensystem solves together share one pass of each loop.
+What a lane computes past its last site is reset before it is read, and
+every operation is elementwise, so a lane's values are those of its own
+section solved alone.  A slice runs to its longest lane's last site.
+
 The recurrences run as Python loops over the sites with one numpy call
 per operation over the slice's eigenvalues.  At the eigensolve's lengths a
 call's fixed cost (about 0.4-1 us on a 2-core Xeon) weighs as much as its
@@ -55,6 +64,16 @@ def _lane_slices(m: int, lane_bytes: int):
             yield slice(lo, lo + width)
 
 
+def _lane_ends(ends, n: int, m: int) -> np.ndarray:
+    """Each of m lanes' last site: ends, or n - 1 for every lane."""
+    return np.full(m, n - 1, dtype=np.intp) if ends is None else ends
+
+
+def _lanes_by_site(sites: np.ndarray) -> dict:
+    """{site: positions of the lanes at that site} of the int array sites."""
+    return {i: np.flatnonzero(sites == i) for i in set(sites.tolist())}
+
+
 def _residue_rows(v: np.ndarray, x: np.ndarray, mirrored: bool = False):
     """(rows, row): the distinct residue rows v_i - x of H - x, at most p
     for period p (values told apart by bit pattern), and the index row[i]
@@ -101,10 +120,12 @@ def _pivots_backward(a, lo, hi, d_lo, widths, bufs, u, d, nudge, visit):
                          nudge, visit)
 
 
-def _twist_record(a, widths, nudge, one):
+def _twist_record(a, widths, nudge, one, first):
     """The backward pass of _twisted_slice over the residue rows a[i]:
     |gamma_r|, gamma_r, Q_r, sigma_r and r (as a float) at each shift's
-    twist, stacked."""
+    twist, stacked.  The lanes first[i] start at site i: their backward
+    state and record are reset there, the state at site n - 1 of a whole
+    section."""
     n, m = len(a), len(nudge)
     u, d, y = np.empty((3, m))
     better = np.empty(m, dtype=bool)
@@ -112,12 +133,11 @@ def _twist_record(a, widths, nudge, one):
     # gamma_i, Q_i, sigma_i and i itself
     now = np.ones((5, m))
     mag, g, Q, sig, site = now
-    kept = np.full((5, m), np.nan)
-    kept[0] = np.inf
-    kept[4] = 0.0
+    fresh = np.array([[np.inf], [np.nan], [np.nan], [np.nan], [0.0]])
+    kept = np.repeat(fresh, m, axis=1)
     best = kept[0]
     un = np.zeros(m)   # 1/D-_{i+1}
-    dm = a[n - 1] + nudge
+    dm = np.ones(m)
 
     def visit(i, dp):
         if i < n - 1:
@@ -129,6 +149,12 @@ def _twist_record(a, widths, nudge, one):
             np.add(y, one, Q)
             np.multiply(sig, y, sig)
             np.divide(sig, Q, sig)
+        k = first.get(i)
+        if k is not None:
+            un[k] = 0.0
+            dm[k] = a[i][k] + nudge[k]
+            Q[k] = sig[k] = 1.0
+            kept[:, k] = fresh
         np.subtract(dp, un, g)
         np.absolute(g, mag)
         np.less_equal(mag, best, better)
@@ -141,9 +167,10 @@ def _twist_record(a, widths, nudge, one):
     return kept
 
 
-def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
+def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list, ends=None):
     """Boundary weights, residuals and Rayleigh quotients of the twisted
-    vectors at shifts x.
+    vectors at shifts x, each of the leading block v[:e + 1] of its last
+    site e (ends; all of v by default).
 
     For each shift, with a_i = v_i - x, the forward pivots are
     D+_i = a_i - 1/D+_{i-1} and the backward pivots D-_i = a_i - 1/D-_{i+1};
@@ -164,7 +191,9 @@ def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
     The backward pass meets the forward pivots site by site through
     _pivots_backward, whose checkpoints (block widths `widths`) keep the
     memory per shift at a few roots of n; a last forward pass carries R
-    and rho to each shift's twist.
+    and rho to each shift's twist.  The forward pivots from site 0 serve
+    every block; a shift's backward pivots, Q, sigma and twist search
+    start at its block's last site.
 
     Every site costs a fixed number of numpy calls whatever the slice's
     width, about 0.4-1 us each on a 2-core Xeon, which at the eigensolve's
@@ -179,11 +208,13 @@ def _twisted_slice(v: np.ndarray, x: np.ndarray, widths: list):
     one masked copy; and the last forward pass takes its suffix views only
     when the suffix changes.
     """
+    first = _lanes_by_site(_lane_ends(ends, len(v), len(x)))
+    v = v[:max(first) + 1]
     n, m = len(v), len(x)
     rows, row = _residue_rows(v, x)
     nudge, one = np.full(m, _PIVOT_NUDGE), np.ones(m)
     _, g_r, Q_r, sig_r, r = _twist_record([rows[k] for k in row], widths,
-                                          nudge, one)
+                                          nudge, one, first)
     del rows
     r = r.astype(np.intp)
 
@@ -276,16 +307,17 @@ def _twisted_stored(v: np.ndarray, x: np.ndarray):
     return _twisted_outputs(x, g_r, R_r, rho_r, Q_r, sig_r)
 
 
-def _checkpoint_widths(v: np.ndarray) -> tuple[list, int]:
-    """Block widths for _pivots_backward on the diagonal v, and the bytes
-    _twisted_slice holds per shift.
+def _checkpoint_widths(v: np.ndarray, m: int) -> tuple[list, int]:
+    """Block widths for _pivots_backward on the diagonal v at m shifts,
+    and the bytes _twisted_slice holds per shift.
 
-    Two levels (blocks of ~sqrt(n) sites) when every shift fits one slice
+    Two levels (blocks of ~sqrt(n) sites) when all m shifts fit one slice
     of WEIGHT_WORKSPACE_BYTES, else three (~n^(1/3) and ~n^(2/3)): one more
     recomputation of the forward pivots costs less than a second slice.
     A shift's lane holds the checkpoint rows, one residue row per distinct
     value of v and _WORKING_ROWS more, plus one byte of mask, so a long
-    period narrows the slices.
+    period narrows the slices.  The widths change no bits: the forward
+    pivots are recomputed from their checkpoints by the same operations.
     """
     n = len(v)
     residues = len(_residue_rows(v, v[:0])[0])
@@ -297,25 +329,29 @@ def _checkpoint_widths(v: np.ndarray) -> tuple[list, int]:
         spans = [n, *widths]
         rows = sum(-(-a // b) for a, b in zip(spans, spans[1:]))
         lane_bytes = 8 * (rows + residues + _WORKING_ROWS) + 1
-        if n * lane_bytes <= WEIGHT_WORKSPACE_BYTES:
+        if m * lane_bytes <= WEIGHT_WORKSPACE_BYTES:
             break
     return widths, lane_bytes
 
 
-def _twisted_rows(diag: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _twisted_rows(diag: np.ndarray, lam: np.ndarray, ends=None) -> np.ndarray:
     """Rows (weights_end, weights_start, residual, rayleigh) of the twisted
-    vectors at lam, uncertified.
+    vectors at lam, uncertified, each of the leading block of diag that
+    ends at its last site (ends; all of diag by default).
 
     Shifts whose weights overflow under _twisted_slice are redone by
-    _twisted_stored.
+    _twisted_stored on their own block.
     """
-    widths, lane_bytes = _checkpoint_widths(diag)
+    ends = _lane_ends(ends, len(diag), len(lam))
+    widths, lane_bytes = _checkpoint_widths(diag, len(lam))
     out = np.empty((4, len(lam)))
     for s in _lane_slices(len(lam), lane_bytes):
-        out[:, s] = _twisted_slice(diag, lam[s], widths)
+        out[:, s] = _twisted_slice(diag, lam[s], widths, ends[s])
     redo = np.flatnonzero(~np.isfinite(out[:2]).all(axis=0))
-    for s in _lane_slices(len(redo), 8 * 3 * len(diag)):
-        out[:, redo[s]] = _twisted_stored(diag, lam[redo[s]])
+    for e, k in _lanes_by_site(ends[redo]).items():
+        for s in _lane_slices(len(k), 8 * 3 * (e + 1)):
+            out[:, redo[k[s]]] = _twisted_stored(diag[:e + 1],
+                                                 lam[redo[k[s]]])
     return out
 
 
@@ -337,44 +373,62 @@ def _certify(out: np.ndarray, index=None):
                                  float(out[2, k]))
 
 
-def _end_pivot_steps(v: np.ndarray, x: np.ndarray):
-    """(y, taken): x moved by one Newton step on an end pivot of H - x.
+def _end_pivot_steps(v: np.ndarray, x: np.ndarray, ends=None):
+    """(y, taken): x moved by one Newton step on an end pivot of H - x,
+    each shift's H the leading block of v that ends at its last site
+    (ends; all of v by default).
 
     The last pivot of the LDL^T factorisation from site 0,
     D_i = ((v_i - x) - u) + _PIVOT_NUDGE with u = 1/D_{i-1}, has the
     derivative D'_i = (u*u)*D'_{i-1} - 1 (D_0 = (v_0 - x) + _PIVOT_NUDGE,
     D'_0 = -1), and D' = -1/weight of that end at a root, so its Newton step
     D/D' is well conditioned where the eigenvector is large at that end.
-    The mirror image from site n-1 gives the other end's step.  Both run
-    as 2m stacked lanes through one site loop of six numpy calls, over
-    residue rows keyed by the pair (v_i, v_{n-1-i}), in slices of at most
-    WEIGHT_WORKSPACE_BYTES.  An end is valid when D' is finite and
-    |D/D'| <= _END_STEP_TOL * max(1, max|v| + 2), a bound of the section
-    alone (Gershgorin: every eigenvalue lies within 2 of a diagonal value),
-    so each shift's step is decided by its own values whatever the other
-    shifts; each shift takes the step of its valid end of smaller |D'|,
-    y = x - D/D', and keeps y = x with taken False where neither end is
-    valid.
+    The mirror image from the block's last site gives the other end's step.
+    Both run as 2m stacked lanes through one site loop of six numpy calls,
+    over residue rows keyed by the pair (v_i, v_{n-1-i}), in slices of at
+    most WEIGHT_WORKSPACE_BYTES: a first-end lane stops at its block's last
+    site, and a last-end lane starts there.  An end is valid when D' is
+    finite and |D/D'| <= _END_STEP_TOL * max(1, max|v| + 2) over the block,
+    a bound of the section alone (Gershgorin: every eigenvalue lies within
+    2 of a diagonal value), so each shift's step is decided by its own
+    values whatever the other shifts; each shift takes the step of its
+    valid end of smaller |D'|, y = x - D/D', and keeps y = x with taken
+    False where neither end is valid.
     """
     n, m = len(v), len(x)
+    ends = _lane_ends(ends, n, m)
     pairs = len(_residue_rows(v, x[:0], mirrored=True)[0])
-    bound = _END_STEP_TOL * max(1.0, float(np.max(np.abs(v))) + 2.0)
+    bound = _END_STEP_TOL * np.maximum(
+        1.0, np.maximum.accumulate(np.abs(v))[ends] + 2.0)
     y, taken = x.copy(), np.zeros(m, dtype=bool)
     for s in _lane_slices(m, 16 * (pairs + 6)):
-        xs = x[s]
-        rows, row = _residue_rows(v, xs, mirrored=True)
+        xs, e = x[s], ends[s]
+        top = int(e.max())
+        rows, row = _residue_rows(v[:top + 1], xs, mirrored=True)
         a = [rows[k] for k in row]
+        # the first end's lanes run from site 0 to e, the last end's from
+        # e down to 0, which is step top - e of the mirrored rows
+        first = _lanes_by_site(np.concatenate([np.zeros_like(e), top - e]))
+        last = _lanes_by_site(np.concatenate([e, np.full_like(e, top)]))
         nudge, one = np.full(2 * len(xs), _PIVOT_NUDGE), np.ones(2 * len(xs))
-        d, u, dd = a[0] + nudge, np.empty(2 * len(xs)), -one
-        for i in range(1, n):
-            np.reciprocal(d, u)
-            np.subtract(a[i], u, d)
-            np.add(d, nudge, d)
-            np.multiply(u, u, u)
-            np.multiply(u, dd, dd)
-            np.subtract(dd, one, dd)
-        step, size = (d / dd).reshape(2, -1), np.abs(dd).reshape(2, -1)
-        ok = np.isfinite(size) & (np.abs(step) <= bound)
+        d, u, dd, end, dend = np.ones((5, 2 * len(xs)))
+        for i in range(top + 1):
+            if i:
+                np.reciprocal(d, u)
+                np.subtract(a[i], u, d)
+                np.add(d, nudge, d)
+                np.multiply(u, u, u)
+                np.multiply(u, dd, dd)
+                np.subtract(dd, one, dd)
+            k = first.get(i)
+            if k is not None:
+                d[k] = a[i][k] + nudge[k]
+                dd[k] = -1.0
+            k = last.get(i)
+            if k is not None:
+                end[k], dend[k] = d[k], dd[k]
+        step, size = (end / dend).reshape(2, -1), np.abs(dend).reshape(2, -1)
+        ok = np.isfinite(size) & (np.abs(step) <= bound[s])
         far = ok[1] & (~ok[0] | (size[1] < size[0]))
         taken[s] = hit = ok[0] | ok[1]
         y[s] = np.where(hit, xs - np.where(far, step[1], step[0]), xs)

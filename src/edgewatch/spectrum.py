@@ -42,7 +42,9 @@ from .pivots import (
     _PIVOT_NUDGE,
     _certify,
     _end_pivot_steps,
+    _lane_ends,
     _lane_slices,
+    _lanes_by_site,
     _residue_rows,
     _twisted_rows,
     _uncertified,
@@ -154,6 +156,7 @@ class SpectralData:
     local_index: np.ndarray | None = None  # 0-based within band, -1 outside
     window: Window | None = None
     band_sizes: np.ndarray | None = None   # of a windowed section's bands
+    blocks: tuple = ()    # of the leading blocks eigensystem also solved
 
     @cached_property
     def scale(self) -> float:
@@ -340,30 +343,35 @@ def _monodromy_roots(v: np.ndarray, period: int, spans) -> np.ndarray:
                            f[cell + 1])
 
 
-def _sturm_counts(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _sturm_counts(v: np.ndarray, x: np.ndarray, ends=None) -> np.ndarray:
     """Number of eigenvalues below each shift x: the negative LDL^T pivots
     of H - x, D_i = ((v_i - x) - 1/D_{i-1}) + _PIVOT_NUDGE as in
     _end_pivot_steps, over residue rows, in slices of
     WEIGHT_WORKSPACE_BYTES (Barth, Martin & Wilkinson, Numer. Math. 9,
-    1967)."""
+    1967); each shift's H is the leading block of v that ends at its last
+    site (ends; all of v by default), where its count is read."""
     n, m = len(v), len(x)
+    ends = _lane_ends(ends, n, m)
     residues = len(_residue_rows(v, x[:0])[0])
     counts = np.empty(m, dtype=np.intp)
     for s in _lane_slices(m, 8 * (residues + 5)):
-        xs = x[s]
-        rows, row = _residue_rows(v, xs)
+        xs, last, out = x[s], _lanes_by_site(ends[s]), counts[s]
+        rows, row = _residue_rows(v[:max(last) + 1], xs)
         a = [rows[k] for k in row]
         nudge, zero = np.full(len(xs), _PIVOT_NUDGE), np.zeros(len(xs))
         d, u = a[0] + nudge, np.empty(len(xs))
         neg = np.empty(len(xs), dtype=bool)
         count = (d < zero).astype(np.intp)
-        for i in range(1, n):
-            np.reciprocal(d, u)
-            np.subtract(a[i], u, d)
-            np.add(d, nudge, d)
-            np.less(d, zero, neg)
-            np.add(count, neg, count)
-        counts[s] = count
+        for i in range(len(a)):
+            if i:
+                np.reciprocal(d, u)
+                np.subtract(a[i], u, d)
+                np.add(d, nudge, d)
+                np.less(d, zero, neg)
+                np.add(count, neg, count)
+            k = last.get(i)
+            if k is not None:
+                out[k] = count[k]
     return counts
 
 
@@ -416,7 +424,8 @@ def _start_values(v: np.ndarray, period: int, spans=None, marks=()):
     must rise by one at each root, and its ends' counts give its global
     indices; every index it does not certify is repaired by _bisect_counts
     from its bracket of separators, vectorised over those indices.  So psi
-    can cost time but never an eigenvalue.  Every count is of one pass.
+    can cost time but never an eigenvalue.  Every count is of one pass, a
+    request of this lockstep run (_lockstep).
     """
     if spans is None:
         spans = [(v.min() - 3.0, v.max() + 3.0)]
@@ -424,7 +433,7 @@ def _start_values(v: np.ndarray, period: int, spans=None, marks=()):
     inside = [roots[(a < roots) & (roots < b)] for a, b in spans]
     seps = [np.concatenate([[a], 0.5 * (r[:-1] + r[1:]), [b]])
             for r, (a, b) in zip(inside, spans)]
-    counts = _sturm_counts(v, np.concatenate(seps + [marks]))
+    counts = yield _sturm_counts, v, np.concatenate(seps + [marks])
     at = np.cumsum([0] + [len(sep) for sep in seps])
     x, lo, hi = np.full((3, len(v)), np.nan)
     bad = [_assign_roots(r, sep, counts[i:j], x, lo, hi)
@@ -467,13 +476,15 @@ def _solve_lanes(v: np.ndarray, x, lo, hi, lanes: np.ndarray):
     """(lam, out): the eigenvalues of the lanes (sorted global indices)
     from their start values x[lanes] with brackets lo, hi (all indexed by
     global index), sorted, and their _twisted_rows; the steps of
-    eigensystem, raising its failures named by global index."""
-    lam, taken = _end_pivot_steps(v, x[lanes])
+    eigensystem, raising its failures named by global index.  A lockstep
+    run (_lockstep): the end-pivot steps and the weights pass of every
+    lane are its requests, the repairs of a few lanes direct calls."""
+    lam, taken = yield _end_pivot_steps, v, x[lanes]
     miss = np.flatnonzero(~taken)
     if len(miss):
         _bisect_counts(v, lanes[miss], x, lo, hi)
         lam[miss], taken[miss] = _end_pivot_steps(v, x[lanes[miss]])
-    out = _twisted_rows(v, lam)
+    out = yield _twisted_rows, v, lam
     drift = np.abs(out[3] - lam) > _QUOTIENT_TOL * np.maximum(1.0, np.abs(lam))
     redo = np.flatnonzero(~taken | drift | _uncertified(out))
     if len(redo):
@@ -495,9 +506,64 @@ def _solve_lanes(v: np.ndarray, x, lo, hi, lanes: np.ndarray):
     return lam, out
 
 
-def eigensystem(H: TridiagonalOperator, window=None) -> SpectralData:
+def _lockstep(runs) -> list:
+    """The results of the solves `runs`, run in lockstep.
+
+    Each run is a generator that yields (loop, v, x), a site loop
+    (_sturm_counts, _end_pivot_steps, _twisted_rows or
+    window._end_resolvent) with the diagonal and the shifts it would call
+    it with, and is sent loop(v, x).  Every v is a leading block of one
+    diagonal, so the pending requests of one loop are answered by one call
+    on the longest of their diagonals, each lane ending at its own v's last
+    site: each lane's values are those of its own call.  The lowest-numbered
+    pending run's loop goes first.  The first error met raises.
+    """
+    out, asks = [None] * len(runs), {}
+
+    def advance(k, value):
+        try:
+            asks[k] = runs[k].send(value)
+        except StopIteration as done:
+            out[k] = done.value
+
+    for k in range(len(runs)):
+        advance(k, None)
+    while asks:
+        loop = asks[min(asks)][0]
+        ks = [k for k in sorted(asks) if asks[k][0] is loop]
+        vs, xs = zip(*(asks.pop(k)[1:] for k in ks))
+        sizes = [len(x) for x in xs]
+        got = loop(max(vs, key=len), np.concatenate(xs),
+                   np.repeat([len(v) - 1 for v in vs], sizes))
+        at = np.cumsum([0, *sizes])
+        for k, i, j in zip(ks, at, at[1:]):
+            advance(k, tuple(g[..., i:j] for g in got)
+                    if isinstance(got, tuple) else got[..., i:j])
+    return out
+
+
+def _solve(v: np.ndarray, period: int, window):
+    """The SpectralData of the section with diagonal v, whole or for the
+    window (a, b), as a lockstep run (_lockstep)."""
+    spans = None if window is None else _window_spans(v, period, window)
+    if spans is not None:
+        from . import window as windowed
+        sd = yield from windowed.solve(v, period, window, *spans)
+        if sd is not None:
+            return sd
+    x, lo, hi, _ = yield from _start_values(v, period)
+    lam, out = yield from _solve_lanes(v, x, lo, hi, np.arange(len(v)))
+    L = len(v) - 1
+    return SpectralData(L=L, j=L % period, lambdas=lam,
+                        weights_end=out[0], weights_start=out[1])
+
+
+def eigensystem(H: TridiagonalOperator, window=None,
+                blocks=()) -> SpectralData:
     """All eigenvalues and eigenvector boundary weights of the section, or
-    with window = (a, b) those near [a, b] and a far term for the rest.
+    with window = (a, b) those near [a, b] and a far term for the rest;
+    and those of its leading blocks, blocks = ((L_b, window_b), ...), the
+    sections of length L_b <= L of the same potential, in sd.blocks.
 
     _start_values gives a start value for each eigenvalue from the
     one-period monodromy, certified complete by one Sturm-count pass, and
@@ -532,23 +598,26 @@ def eigensystem(H: TridiagonalOperator, window=None) -> SpectralData:
     the window module loads), or one too narrow for the far term's circle,
     is solved whole: the whole solve is the window that holds every
     eigenvalue, with no far term.
+
+    The section and its blocks are solved in lockstep (_lockstep): one
+    pass of each site loop serves the lanes of all of them, each lane
+    ending at its own block's last site, while the spans, the monodromy
+    roots, the certificates, repairs, sorting and far term stay each
+    block's own.  So each block's SpectralData is bit for bit that of
+    eigensystem(assemble(V, L_b), window_b), and the first failure of any
+    of them raises.
     """
     L = H.L
     if L > L_SOFT_CAP:
         warnings.warn(
             f"L = {L} exceeds the supported working-precision cap {L_SOFT_CAP}; "
             "near-edge weights may lose relative accuracy", stacklevel=2)
-    spans = None if window is None else _window_spans(H.diag, H.period,
-                                                       window)
-    if spans is not None:
-        from . import window as windowed
-        sd = windowed.solve(H, window, *spans)
-        if sd is not None:
-            return sd
-    x, lo, hi, _ = _start_values(H.diag, H.period)
-    lam, out = _solve_lanes(H.diag, x, lo, hi, np.arange(L + 1))
-    return SpectralData(L=L, j=L % H.period, lambdas=lam,
-                        weights_end=out[0], weights_start=out[1])
+    if not all(1 <= L_b <= L for L_b, _ in blocks):
+        raise ValueError(f"blocks must have lengths in [1, {L}], got "
+                         f"{[L_b for L_b, _ in blocks]}")
+    sd, *rest = _lockstep([_solve(H.diag[:L_b + 1], H.period, w)
+                           for L_b, w in [(L, window), *blocks]])
+    return replace(sd, blocks=tuple(rest))
 
 
 def band_enumerate(sd: SpectralData, bs: BandStructure) -> SpectralData:

@@ -91,8 +91,8 @@ class FarTerm:
         _end_resolvent at the points `where`, in place."""
         idx = np.flatnonzero(where)
         if idx.size:
-            rows[:, idx] = _end_resolvent(self.diag, z[idx],
-                                          len(rows) > 1)[:len(rows)]
+            rows[:, idx] = _end_resolvent(
+                self.diag, z[idx], derivative=len(rows) > 1)[:len(rows)]
 
     def refine(self, roots, f_rows) -> list:
         """Newton roots (z, residual, iterations) after one step of
@@ -103,7 +103,7 @@ class FarTerm:
         half-plane or meets a pole keeps the root.  Each root's step reads
         its own values alone."""
         zs = [z for z, _, _ in roots]
-        exact = _end_resolvent(self.diag, np.array(zs, dtype=complex), False)
+        exact = _end_resolvent(self.diag, np.array(zs, dtype=complex))
         new = []
         for z, s, (_, fp) in zip(zs, exact[0].tolist(), f_rows(zs)):
             z1 = z - (s + cmath.exp(-1j * resonance.theta(z))) / fp
@@ -171,40 +171,48 @@ class Window:
         return local, stop - start
 
 
-def _end_resolvent(v: np.ndarray, z: np.ndarray, derivative: bool = True):
+def _end_resolvent(v: np.ndarray, z: np.ndarray, ends=None,
+                   derivative: bool = False):
     """(S_L, S_L') at complex points z, S_L' only with derivative:
     S_L = [(H - z)^-1]_LL = 1/d_L and S_L' = -d_L'/d_L^2, with the LDL^T
     pivots d_i = (v_i - z) - 1/d_{i-1} (d_0 = v_0 - z) and
     d_i' = (d_{i-1}'/d_{i-1})/d_{i-1} - 1 (d_0' = -1), over residue rows, in
-    slices of WEIGHT_WORKSPACE_BYTES.  No eigenpair is needed.  Only
-    complex divisions, subtractions and reciprocals, whose rounding does
-    not depend on the array's length."""
+    slices of WEIGHT_WORKSPACE_BYTES; each point's H is the leading block of
+    v that ends at its last site (ends; all of v by default), where d_L is
+    read.  No eigenpair is needed.  Only complex divisions, subtractions and
+    reciprocals, whose rounding does not depend on the array's length."""
     n, m = len(v), len(z)
+    ends = pivots._lane_ends(ends, n, m)
     residues = len(pivots._residue_rows(v, z[:0])[0])
     out = np.full((2, m), np.nan, dtype=complex)
     for s in pivots._lane_slices(m, 16 * (residues + 4)):
-        rows, row = pivots._residue_rows(v, z[s])
+        last, res = pivots._lanes_by_site(ends[s]), out[:, s]
+        rows, row = pivots._residue_rows(v[:max(last) + 1], z[s])
         a = [rows[k] for k in row]
         d, u = a[0].copy(), np.empty_like(a[0])
         dd, one = -np.ones_like(d), np.ones_like(d)
-        for i in range(1, n):
-            if derivative:
-                np.divide(dd, d, dd)
-                np.divide(dd, d, dd)
-                np.subtract(dd, one, dd)
-            np.reciprocal(d, u)
-            np.subtract(a[i], u, d)
-        out[0, s] = 1.0 / d
-        if derivative:
-            out[1, s] = -(dd / d) / d
+        for i in range(len(a)):
+            if i:
+                if derivative:
+                    np.divide(dd, d, dd)
+                    np.divide(dd, d, dd)
+                    np.subtract(dd, one, dd)
+                np.reciprocal(d, u)
+                np.subtract(a[i], u, d)
+            k = last.get(i)
+            if k is not None:
+                res[0, k] = 1.0 / d[k]
+                if derivative:
+                    res[1, k] = -(dd[k] / d[k]) / d[k]
     return out
 
 
 def _far_term(v: np.ndarray, lam: np.ndarray, w: np.ndarray, spans,
-              window) -> FarTerm | None:
+              window):
     """The FarTerm of a windowed section's lanes lam (weights w), whose
     poles hold on the window [a, b], or None where the spans leave too
-    little room for its circle.
+    little room for its circle; a lockstep run (spectrum._lockstep), whose
+    one request is _end_resolvent at the circle's points.
 
     With c and r the window's centre and half-width, the circle's real
     crossings are c -/+ _FAR_UNIT r, each moved midway between the two
@@ -232,34 +240,36 @@ def _far_term(v: np.ndarray, lam: np.ndarray, w: np.ndarray, spans,
     ring = np.exp(1j * (np.arange(_FAR_POINTS // 2) + 0.5)
                   * (2.0 * np.pi / _FAR_POINTS))
     z = centre + unit * ring
-    g = (_end_resolvent(v, z, derivative=False)[0]
+    g = ((yield _end_resolvent, v, z)[0]
          - (w / (lam - z[:, None])).sum(axis=1))
     rho = (unit / _FAR_POINTS) * ring * g
     return FarTerm(centre, 0.5 * unit, unit, np.concatenate([z, z.conj()]),
                    np.concatenate([rho, rho.conj()]), v)
 
 
-def solve(H, window, spans, lows, highs):
-    """The windowed SpectralData of the section H for the window (a, b)
-    over its spans (spectrum._window_spans), or None where the far term
-    finds no room (_far_term) and the section is solved whole."""
+def solve(v, period, window, spans, lows, highs):
+    """The windowed SpectralData of the section with diagonal v for the
+    window (a, b) over its spans (spectrum._window_spans), or None where the
+    far term finds no room (_far_term) and the section is solved whole; a
+    lockstep run of spectrum._lockstep."""
     tol = spectrum.BAND_TOL
     marks = np.concatenate([lows - tol * np.maximum(1.0, abs(lows)),
                             highs + tol * np.maximum(1.0, abs(highs))])
-    x, lo, hi, ranks = spectrum._start_values(H.diag, H.period, spans,
-                                              marks)
+    x, lo, hi, ranks = yield from spectrum._start_values(v, period, spans,
+                                                         marks)
     lanes = np.flatnonzero(~np.isnan(x))
-    lam, out = spectrum._solve_lanes(H.diag, x, lo, hi, lanes)
-    far = _far_term(H.diag, lam, out[0], spans, window)
+    lam, out = yield from spectrum._solve_lanes(v, x, lo, hi, lanes)
+    far = yield from _far_term(v, lam, out[0], spans, window)
     if far is None:
         return None
+    L = len(v) - 1
     # no eigenvalue lies below the lowest lane or above the highest
     spans = spans.copy()
     spans[0, 0] = -np.inf if lanes[0] == 0 else spans[0, 0]
-    spans[-1, 1] = np.inf if lanes[-1] == H.L else spans[-1, 1]
+    spans[-1, 1] = np.inf if lanes[-1] == L else spans[-1, 1]
     p = len(lows)
     return spectrum.SpectralData(
-        L=H.L, j=H.L % H.period, lambdas=lam, weights_end=out[0],
+        L=L, j=L % period, lambdas=lam, weights_end=out[0],
         weights_start=out[1], window=Window(
             index=lanes, spans=spans, far=far,
             below=dict(zip(lows.tolist(), ranks[:p].tolist())),

@@ -482,8 +482,13 @@ def test_layer_calls_go_through_module_references(monkeypatch, capsys):
                            "--edge", "-1", "--L-list", "100,200,400",
                            "--n", "1", "--proportional", "0.02")
     assert code == 0 and len(out.splitlines()) == 1 + 2
-    assert calls == (["resonance.check_step_inputs"]
-                     + 3 * (section + 2 * ["resonance.locate_resonance"]))
+    # l-scaling solves every length in one eigensystem call, as the longest
+    # section and its leading blocks, before it locates any resonance
+    assert calls == (["resonance.check_step_inputs", "spectrum.assemble"]
+                     + 3 * ["resonance.sweep_window"]
+                     + ["spectrum.eigensystem"]
+                     + 3 * ["spectrum.band_enumerate"]
+                     + 6 * ["resonance.locate_resonance"])
 
 
 def test_l_scaling_refuses_bad_lengths_before_numerics(monkeypatch, capsys):
@@ -609,5 +614,6 @@ def test_window_share_routes_the_benchmark_sweeps():
         V = ew.PeriodicPotential.from_values(values)
         bs = ew.band_structure(V)
         edge = ew.classify_edge(V, bs, e0, L % V.period)
-        sd = cli._section(V, bs, L, edge, rz.sweep_indices(L, eps, c1), eps)
+        [sd] = cli._sections(V, bs, [L], edge, [rz.sweep_indices(L, eps, c1)],
+                             eps)
         assert (sd.window is not None) == windowed

@@ -5,17 +5,19 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from edgewatch.cli import _section, main  # noqa: E402
+from edgewatch.cli import _sections, main  # noqa: E402
 from edgewatch.errors import SpectralError  # noqa: E402
 from edgewatch.floquet import band_structure, classify_edge  # noqa: E402
 from edgewatch.potential import PeriodicPotential  # noqa: E402
 from edgewatch.resonance import ResonanceBox, _box_for  # noqa: E402
 from edgewatch.spectrum import (  # noqa: E402
+    EIGENVALUE_TOL,
     assemble,
     band_enumerate,
     eigensystem,
@@ -124,6 +126,26 @@ def test_random_potential_fuzz(values, spectrum_L, edge_L, c1, edge_pick):
         _assert_agrees_with_dense(values, e0, edge_L, *outcomes[-2:])
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(values=_CELLS, L=st.integers(1, 200))
+def test_spectrum_agrees_with_dense_eigh(values, L):
+    # every eigenvalue within EIGENVALUE_TOL * scale of np.linalg.eigh's and
+    # both end weights within the weight oracle's 1e-11, absolute here:
+    # eigh's eigenvector components carry an absolute error of about
+    # eps ||H|| / gap, so a relative bound on a gap state's 1e-100 weight
+    # would measure eigh, not the solve
+    H = assemble(PeriodicPotential.from_values(values), L)
+    try:
+        sd = eigensystem(H)
+    except SpectralError:
+        return   # the spectrum command's exit 3, which the fuzz above runs
+    lam, vec = np.linalg.eigh(np.diag(H.diag) + np.eye(L + 1, k=1)
+                              + np.eye(L + 1, k=-1))
+    assert np.max(np.abs(sd.lambdas - lam)) <= EIGENVALUE_TOL * sd.scale
+    assert np.max(np.abs(sd.weights_end - vec[-1] ** 2)) <= 1e-11
+    assert np.max(np.abs(sd.weights_start - vec[0] ** 2)) <= 1e-11
+
+
 def _assert_agrees_with_dense(values, e0, L, sweep, region):
     """The dense oracle's properties on the fuzz's edge commands at the
     default eps 0.2: a finished sweep's certified z and box counts, the
@@ -143,7 +165,7 @@ def _assert_agrees_with_dense(values, e0, L, sweep, region):
         bs = band_structure(V)
         edge = classify_edge(V, bs, e0, L % V.period)
         ns = [r["n"] for r in rows]
-        swept = _section(V, bs, L, edge, ns, 0.2)
+        [swept] = _sections(V, bs, [L], edge, [ns], 0.2)
         sections = [swept]
         try:
             sections.append(band_enumerate(eigensystem(H), bs))

@@ -406,7 +406,7 @@ def test_windowed_evaluator_matches_the_whole(monkeypatch, values, L, e0):
     bs = ew.band_structure(V)
     edge = ew.classify_edge(V, bs, e0, L % V.period)
     ns = range(int(0.2 * L / 10.0) + 1)
-    win = cli._section(V, bs, L, edge, ns, 0.2)
+    [win] = cli._sections(V, bs, [L], edge, [ns], 0.2)
     whole = ew.band_enumerate(ew.eigensystem(ew.assemble(V, L)), bs)
     assert win.window is not None and len(win.lambdas) < L // 4
     idx = win.window.index
@@ -491,7 +491,8 @@ def test_contour_values_do_not_depend_on_the_group(monkeypatch, values, L,
     V = ew.PeriodicPotential.from_values(values)
     bs = ew.band_structure(V)
     edge = ew.classify_edge(V, bs, e0, L % V.period)
-    sd = cli._section(V, bs, L, edge, rz.sweep_indices(L, eps, C1), eps)
+    [sd] = cli._sections(V, bs, [L], edge, [rz.sweep_indices(L, eps, C1)],
+                         eps)
     assert (sd.window is not None) == (L == 4000)
     windings, calls = rz._windings, []
 

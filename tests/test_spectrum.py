@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import edgewatch as ew
-from edgewatch import floquet, pivots, spectrum
+from edgewatch import floquet, pivots, resonance as rz, spectrum
 from edgewatch.errors import AmbiguousAssignment, ConvergenceFailure, TooFewPoints
 
 from oracles import (
@@ -156,7 +156,7 @@ def test_weights_at_exact_floating_point_eigenvalues():
                          ([1.0, 3.0, 0.0], 301, 0.585786437626905)):
         H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
         lam = np.array([x])
-        widths, _ = pivots._checkpoint_widths(H.diag)
+        widths, _ = pivots._checkpoint_widths(H.diag, len(lam))
         with np.errstate(all="ignore"):
             alone = pivots._twisted_slice(H.diag, lam, widths)[:2]
         assert not np.isfinite(alone).all()
@@ -207,7 +207,7 @@ def test_twisted_kernel_matches_plain_recurrences(monkeypatch, values, L,
     if workspace is not None:
         monkeypatch.setattr(pivots, "WEIGHT_WORKSPACE_BYTES", workspace)
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
-    widths, _ = pivots._checkpoint_widths(H.diag)
+    widths, _ = pivots._checkpoint_widths(H.diag, L + 1)
     assert len(widths) == (2 if workspace is None else 3)
     x = eigh_tridiagonal(H.diag, np.ones(L), eigvals_only=True,
                          lapack_driver="stev")
@@ -285,7 +285,7 @@ def test_end_pivot_steps_match_plain_recurrences(monkeypatch, values, L):
     # away, so every eigenvalue is within eps of its root only when each
     # shift can take the other end's step
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
-    x = spectrum._start_values(H.diag, H.period)[0]
+    x = _start_values(H.diag, H.period)[0]
     with np.errstate(all="ignore"):
         want = _end_pivot_reference(H.diag, x)
     got = pivots._end_pivot_steps(H.diag, x)
@@ -320,7 +320,7 @@ def test_eigensystem_redoes_steps_that_fail_their_check(monkeypatch):
     values = np.round(np.random.default_rng(30).uniform(-3, 3, 20), 2)
     L = 200
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
-    x = spectrum._start_values(H.diag, H.period)[0]
+    x = _start_values(H.diag, H.period)[0]
     rayleigh = spectrum._boundary_weights(H.diag, x)[2]
     two_pass = np.sort(rayleigh)
     w_end, w_start, _ = spectrum._boundary_weights(H.diag, two_pass)
@@ -351,15 +351,15 @@ def test_redo_pass_names_the_eigenvalue_index(monkeypatch):
     H = ew.assemble(ew.PeriodicPotential.from_values(values), 200)
     calls = _recording_boundary_weights(monkeypatch)
     ew.eigensystem(H)
-    x = spectrum._start_values(H.diag, H.period)[0]
+    x = _start_values(H.diag, H.period)[0]
     assert np.searchsorted(x, calls[0]).tolist() == [10, 11, 12, 13, 15, 16,
                                                     17, 18]
     monkeypatch.undo()
     rows = spectrum._twisted_rows
 
-    def failing(diag, lam):
+    def failing(diag, lam, *ends):
         # the first pass of the redo, the first call on the 8 redone lanes
-        out = rows(diag, lam)
+        out = rows(diag, lam, *ends)
         if len(lam) == 8:
             out[2, 1] = 2 * spectrum.WEIGHT_RESIDUAL_TOL
         return out
@@ -391,6 +391,11 @@ def _bisection_eigenvalues(diag):
     ref = eigh_tridiagonal(diag, np.ones(len(diag) - 1), eigvals_only=True,
                            lapack_driver="stebz", tol=abs_tol)
     return np.sort(_newton_polish(diag, ref, abs_tol))
+
+
+def _start_values(diag, period):
+    """spectrum._start_values of the whole section, run alone."""
+    return spectrum._lockstep([spectrum._start_values(diag, period)])[0]
 
 
 def _assert_start_values(diag, x, lo, hi):
@@ -439,7 +444,7 @@ def test_start_values_are_complete_and_accurate(monkeypatch, values, L,
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
     repaired = _recording_bisect_counts(monkeypatch)
     _assert_start_values(H.diag,
-                         *spectrum._start_values(H.diag, H.period)[:3])
+                         *_start_values(H.diag, H.period)[:3])
     assert repairs is None or len(repaired) == repairs
 
 
@@ -461,7 +466,7 @@ def test_start_values_repair_a_broken_root_stage(monkeypatch, change):
     monkeypatch.setattr(spectrum, "_monodromy_roots",
                         lambda v, p, spans: broken)
     repaired = _recording_bisect_counts(monkeypatch)
-    x, lo, hi, _ = spectrum._start_values(H.diag, H.period)
+    x, lo, hi, _ = _start_values(H.diag, H.period)
     if change != "perturb":
         _assert_start_values(H.diag, x, lo, hi)
     sd = ew.eigensystem(H)
@@ -510,13 +515,145 @@ def test_eigensystem_sliced_weights_match_one_slice(monkeypatch, values, L):
     H = ew.assemble(ew.PeriodicPotential.from_values(values), L)
     whole = ew.eigensystem(H)
     monkeypatch.setattr(pivots, "WEIGHT_WORKSPACE_BYTES", 20_000)
-    widths, lane_bytes = pivots._checkpoint_widths(H.diag)
+    widths, lane_bytes = pivots._checkpoint_widths(H.diag, L + 1)
     assert len(widths) == 3
     assert (L + 1) * lane_bytes > 5 * 20_000
     sliced = ew.eigensystem(H)
     for name in ("lambdas", "weights_end", "weights_start"):
         np.testing.assert_array_equal(getattr(sliced, name),
                                       getattr(whole, name))
+
+
+def _solved_fields(sd):
+    """What a solve gives a section, by name: its eigenpairs and, windowed,
+    its window's counts and far term."""
+    fields = {"L": sd.L, "j": sd.j, "lambdas": sd.lambdas,
+              "weights_end": sd.weights_end,
+              "weights_start": sd.weights_start}
+    if sd.window is not None:
+        w, far = sd.window, sd.window.far
+        fields.update(index=w.index, spans=w.spans, below=w.below,
+                      upto=w.upto, centre=far.centre, radius=far.radius,
+                      unit=far.unit, poles=far.poles, residues=far.residues,
+                      diag=far.diag)
+    return fields
+
+
+@pytest.mark.parametrize("values, e0, eps, n, prop, lengths, whole", [
+    # the README list (l-track at shift 0), l-track at shift 8, odd lengths
+    ((0.0, 3.0), -1.0, 0.2, 3, 0.02, (250, 500, 1000, 2000), 0),
+    ((0.0, 3.0), -1.0, 0.2, 3, 0.02, (258, 508, 1008, 2008), 0),
+    ((0.0, 3.0), -1.0, 0.2, 3, 0.02, (251, 501, 1001, 2001), 0),
+    ((1.0, -2.0, 0.5), 0.5, 0.2, 3, 0.02, (301, 601, 1201), 0),
+    ((1.0, -2.0, 0.5), 0.5, 0.2, 3, 0.02, (300, 600, 1200), 0),
+    # the CI line: L = 30 and 60 solved whole, 120 and 240 windowed
+    ((0.0, 3.0), -1.0, 0.3, 1, 0.05, (30, 60, 120, 240), 2)])
+def test_blocks_are_their_sections_solved_alone(values, e0, eps, n, prop,
+                                                lengths, whole):
+    # l-scaling's sections, solved as the longest with the others as its
+    # leading blocks in one pass of each site loop, keep every bit of the
+    # sections solved one by one, windows and far terms included
+    V = ew.PeriodicPotential.from_values(values)
+    bs = ew.band_structure(V)
+    edge = ew.classify_edge(V, bs, bs.nearest_edge(e0).energy,
+                            lengths[0] % V.period)
+    windows = [rz.sweep_window(bs, edge, L, [n, int(prop * L)], eps)
+               for L in lengths]
+    alone = [ew.eigensystem(ew.assemble(V, L), w)
+             for L, w in zip(lengths, windows)]
+    assert sum(sd.window is None for sd in alone) == whole
+    sd = ew.eigensystem(ew.assemble(V, lengths[-1]), windows[-1],
+                        blocks=list(zip(lengths[:-1], windows[:-1])))
+    assert [b.blocks for b in sd.blocks] == [()] * (len(lengths) - 1)
+    for got, want in zip([*sd.blocks, sd], alone):
+        got, want = _solved_fields(got), _solved_fields(want)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert got[name].dtype == value.dtype, name
+                np.testing.assert_array_equal(got[name], value, err_msg=name)
+            else:
+                assert got[name] == value, name
+    with pytest.raises(ValueError, match="blocks must have lengths"):
+        ew.eigensystem(ew.assemble(V, 100), blocks=[(101, None)])
+
+
+@pytest.mark.parametrize("values, L, blocks", [
+    # free chains of L + 2 = 64, 32, 16, 8 and 4 sites share eigenvalues
+    # 2 cos(m pi / (L + 2)), where the section's backward recurrences also
+    # meet a small |gamma| above a block's last site
+    ((0.0,), 62, (30, 14, 6, 2)),
+    # blocks shorter than one period of a long one
+    (tuple(np.random.default_rng(37).uniform(-0.5, 0.5, 37)), 300,
+     (10, 36, 100))])
+def test_whole_blocks_are_their_sections_solved_alone(values, L, blocks):
+    V = ew.PeriodicPotential.from_values(values)
+    sd = ew.eigensystem(ew.assemble(V, L), blocks=[(b, None) for b in blocks])
+    for got, b in zip(sd.blocks, blocks):
+        want = ew.eigensystem(ew.assemble(V, b))
+        for name in ("lambdas", "weights_end", "weights_start"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), err_msg=name)
+
+
+def test_end_pivot_steps_of_a_block_take_its_own_bound():
+    # a block of zeros in a section whose later sites hold 10: a step of
+    # 5e-10 is past the block's bound 1e-10 max(1, 0 + 2) but not the
+    # section's 1e-10 (10 + 2), so a lane of the block refuses it, as the
+    # block alone does
+    v = np.zeros(40)
+    v[30:] = 10.0
+    lam = ew.eigensystem(spectrum.TridiagonalOperator(v[:21], 1)).lambdas
+    x = lam[:1] + 5e-10
+    alone = pivots._end_pivot_steps(v[:21], x)
+    assert not alone[1][0]
+    y, taken = pivots._end_pivot_steps(v, np.append(x, x), np.array([20, 39]))
+    assert y[0] == alone[0][0] and taken[0] == alone[1][0]
+    assert (y[1], taken[1]) == tuple(a[0] for a in pivots._end_pivot_steps(v, x))
+
+
+def test_twisted_rows_of_a_block_are_its_own(V03):
+    # shifts at the eigenvalues of (0,3) L=300, stacked with lanes of its
+    # leading block of 151 sites: below site 300 a block lane's backward
+    # pass meets |gamma| ~ rounding, which its reset record forgets at site
+    # 150, so each lane's row is that of its own section alone
+    v = ew.assemble(V03, 300).diag
+    x = ew.eigensystem(ew.assemble(V03, 300)).lambdas
+    got = pivots._twisted_rows(v, np.append(x, x),
+                               np.repeat([300, 150], len(x)))
+    np.testing.assert_array_equal(got[:, :len(x)], pivots._twisted_rows(v, x))
+    np.testing.assert_array_equal(got[:, len(x):],
+                                  pivots._twisted_rows(v[:151], x))
+
+
+def test_windowed_weights_take_two_checkpoint_levels(monkeypatch):
+    # the windowed edge-L4000 section solves 221 lanes, whose checkpoints
+    # fit one slice on two levels (widths 64, 1); the 4001 shifts of the
+    # whole section need three (256, 16, 1); the widths change no bits
+    V = ew.PeriodicPotential.from_values([0.0, 3.0])
+    bs = ew.band_structure(V)
+    edge = ew.classify_edge(V, bs, -1.0, 0)
+    H = ew.assemble(V, 4000)
+    window = rz.sweep_window(bs, edge, 4000, rz.sweep_indices(4000, 0.2, 10.0),
+                             0.2)
+    plain, picked = pivots._checkpoint_widths, []
+
+    def record(v, m):
+        out = plain(v, m)
+        picked.append((m, out[0]))
+        return out
+
+    monkeypatch.setattr(pivots, "_checkpoint_widths", record)
+    sd = ew.eigensystem(H, window)
+    assert sd.window is not None and len(sd.lambdas) == 221
+    assert picked == [(221, [64, 1])]
+    three = plain(H.diag, H.L + 1)[0]
+    assert three == [256, 16, 1]
+    with np.errstate(all="ignore"):
+        got = pivots._twisted_slice(H.diag, sd.lambdas, [64, 1])
+        want = pivots._twisted_slice(H.diag, sd.lambdas, three)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_eigensystem_warns_beyond_length_cap(V03):
